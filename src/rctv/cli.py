@@ -55,6 +55,7 @@ def estimate_rank(
     Energy is cumulative squared singular values over their total.  The
     result is clamped to bounds, which default to (2, ceil(0.15 * B)): the
     typical subspace dimension of a B-band cube is a small fraction of B.
+    It never exceeds B, so a 1-band cube gets rank 1.
     """
     if not 0 < energy_fraction <= 1:
         raise ValueError("energy_fraction must lie in (0, 1]")
@@ -69,8 +70,7 @@ def estimate_rank(
     hi = max(hi, lo)
     cum = np.cumsum(s * s) / total
     r = int(np.searchsorted(cum, energy_fraction) + 1)
-    r = min(r, s.size)
-    return min(max(r, lo), hi)
+    return min(max(r, lo), hi, s.size)
 
 
 def _threads_context(threads: int | None):

@@ -61,15 +61,25 @@ def truncated_svd_init(y: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray
     return u, v
 
 
-def soft_threshold(a: np.ndarray, threshold: float) -> np.ndarray:
+def soft_threshold(
+    a: np.ndarray, threshold: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Elementwise sign(a) * max(|a| - threshold, 0).
 
-    This is the proximal map of threshold * ||.||_1.
+    This is the proximal map of threshold * ||.||_1, computed as
+    a - clip(a, -threshold, threshold); entries inside the threshold come
+    out as +0.0.  With out given (a float64 array of a's shape that does
+    not overlap a), the result is written there and no temporary is made.
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     a = np.asarray(a, dtype=np.float64)
-    return np.sign(a) * np.maximum(np.abs(a) - threshold, 0.0)
+    if out is None:
+        out = np.empty_like(a)
+    elif np.may_share_memory(a, out):
+        raise ValueError("out must not overlap the input")
+    np.clip(a, -threshold, threshold, out=out)
+    return np.subtract(a, out, out=out)
 
 
 def procrustes_v(w: np.ndarray) -> np.ndarray:

@@ -47,28 +47,36 @@ class MetricsReport:
     msam_excluded_pixels: int
 
     def to_json_obj(self) -> dict:
-        def enc(x):
-            return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
-
         return {
-            "mpsnr": enc(self.mpsnr),
-            "mssim": enc(self.mssim),
-            "ergas": enc(self.ergas),
-            "msam": enc(self.msam),
-            "per_band_psnr": [enc(v) for v in self.per_band_psnr],
-            "per_band_ssim": [enc(v) for v in self.per_band_ssim],
+            "mpsnr": encode_float(self.mpsnr),
+            "mssim": encode_float(self.mssim),
+            "ergas": encode_float(self.ergas),
+            "msam": encode_float(self.msam),
+            "per_band_psnr": [encode_float(v) for v in self.per_band_psnr],
+            "per_band_ssim": [encode_float(v) for v in self.per_band_ssim],
             "wall_ms": self.wall_ms,
             "ergas_excluded_bands": self.ergas_excluded_bands,
             "msam_excluded_pixels": self.msam_excluded_pixels,
         }
 
     def to_csv_row(self) -> str:
-        def enc(x):
-            return repr(x) if math.isfinite(x) else "inf"
-
         return ",".join(
-            enc(v) for v in (self.mpsnr, self.mssim, self.ergas, self.msam, self.wall_ms)
+            str(encode_float(v))
+            for v in (self.mpsnr, self.mssim, self.ergas, self.msam, self.wall_ms)
         )
+
+
+def encode_float(x: float):
+    """x itself when finite, else the string "nan", "inf" or "-inf".
+
+    Shared by the JSON and CSV writers: JSON has no literal for non-finite
+    numbers, and the strings round-trip through float().
+    """
+    if math.isfinite(x):
+        return x
+    if math.isnan(x):
+        return "nan"
+    return "inf" if x > 0 else "-inf"
 
 
 def _check_same_dims(ref, test):

@@ -21,6 +21,18 @@ ascent on the multipliers and grows the penalty mu by rho.  Iteration
 stops when the squared relative data-fit and both split residuals all drop
 below epsilon, or after max_iter sweeps.  The restored cube is the folded
 U V^T.
+
+solve() forms each M*N x B quantity once per iteration.  The residual
+P = Y - E - S + Gam_3/mu is built once and shared by the V update
+(Procrustes on P^T U) and the U right-hand side (mu * P V).  After the U
+update, X = U V^T is formed once and T = Y - X + Gam_3/mu derived from it;
+then E = mu*(T - S)/(mu + 2*beta), S = shrink(T - E, lam/mu), the data-fit
+residual T - E - S - Gam_3/mu and Gam_3 = mu*(T - E - S) all follow from T
+and are written in place into preallocated buffers.  rel_change is
+computed from the factors in O(M*N*R^2), with no copy of the previous
+U V^T.  The per-block update_* functions and update_multipliers evaluate
+the same updates densely, one block at a time; they are the reference
+kernels the fused loop is tested against.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ from rctv.diffops import (
     solve_u_system,
 )
 from rctv.linalg import procrustes_v, soft_threshold, truncated_svd_init
+from rctv.metrics import encode_float
 
 V_ORTHONORMALITY_TOL = 1e-8
 
@@ -87,6 +100,10 @@ class DenoiseConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+        for name in ("tau1", "tau2", "beta", "lam", "mu0", "rho", "epsilon", "mu_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("tau1", "tau2", "beta", "lam"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -153,21 +170,17 @@ class IterationDiagnostics:
     def to_json_obj(self) -> dict:
         obj = {
             "iter": self.iteration,
-            "fit_res": _json_float(self.fit_residual),
-            "split_res1": _json_float(self.split_residual_h),
-            "split_res2": _json_float(self.split_residual_v),
-            "objective": _json_float(self.objective),
-            "mu": _json_float(self.mu),
-            "wall_ms": _json_float(self.wall_ms),
-            "rel_change": _json_float(self.rel_change),
+            "fit_res": encode_float(self.fit_residual),
+            "split_res1": encode_float(self.split_residual_h),
+            "split_res2": encode_float(self.split_residual_v),
+            "objective": encode_float(self.objective),
+            "mu": encode_float(self.mu),
+            "wall_ms": encode_float(self.wall_ms),
+            "rel_change": encode_float(self.rel_change),
         }
         if self.block_increase is not None:
-            obj["block_increase"] = _json_float(self.block_increase)
+            obj["block_increase"] = encode_float(self.block_increase)
         return obj
-
-
-def _json_float(x: float):
-    return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
 def diagnostics_to_jsonl(diags, path) -> None:
@@ -320,14 +333,40 @@ def model_objective(
     cfg: DenoiseConfig,
     grad_h: np.ndarray,
     grad_v: np.ndarray,
+    scratch: Optional[np.ndarray] = None,
 ) -> float:
-    """Value of the constrained model objective at the current iterates."""
+    """Value of the constrained model objective at the current iterates.
+
+    scratch, if given, is an array of S's shape that receives |S| so that
+    no temporary of that size is made.
+    """
     return (
         cfg.tau1 * np.abs(grad_h).sum()
         + cfg.tau2 * np.abs(grad_v).sum()
         + cfg.beta * float(np.vdot(state.e, state.e))
-        + cfg.lam * np.abs(state.s).sum()
+        + cfg.lam * np.abs(state.s, out=scratch).sum()
     )
+
+
+def _rel_change(
+    u: np.ndarray, v: np.ndarray, u_prev: np.ndarray, v_prev: np.ndarray
+) -> float:
+    """||U V^T - U' V'^T||_F / ||U' V'^T||_F for orthonormal V and V'.
+
+    Splits the difference into its part in span(V) and the rest, which
+    with C = V'^T V and D = V' - V C^T gives
+        ||U - U' C||_F^2 + tr((U'^T U') (D^T D)).
+    Both terms are non-negative, so nothing cancels when the iterates are
+    close, and the cost is O(MN*R^2) instead of O(MN*B).
+    """
+    c = v_prev.T @ v
+    d = v_prev - v @ c.T
+    in_span = u - u_prev @ c
+    out_span = max(float(np.sum((u_prev.T @ u_prev) * (d.T @ d))), 0.0)
+    base = np.linalg.norm(u_prev)
+    if base == 0:
+        return math.inf
+    return math.sqrt(float(np.vdot(in_span, in_span)) + out_span) / base
 
 
 def _check_v_orthonormal(v: np.ndarray) -> None:
@@ -377,7 +416,11 @@ def solve(
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
-    prev_x = state.u @ state.v.T
+    # MN x B work buffers.  resid holds P, then U V^T, T and the fit
+    # residual in turn; scratch holds Gam3/mu, then |S| for the objective.
+    # E, S and Gam3 are updated in place.
+    resid = np.empty((mn, b))
+    scratch = np.empty((mn, b))
     diags: list[IterationDiagnostics] = []
 
     lag = 0.0
@@ -385,7 +428,8 @@ def solve(
     for it in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         state.iteration = it
-        mu_iter = state.mu
+        mu = state.mu
+        u_prev, v_prev = state.u, state.v
         worst_increase = None
         if debug:
             # Multipliers and mu changed since the last check; re-baseline.
@@ -399,46 +443,66 @@ def solve(
             lag = lag_new
             return rise if worst is None else max(worst, rise)
 
-        state.g1 = update_g(state.u, state.gam1, state.mu, cfg.tau1, m, n, HORIZONTAL)
-        state.g2 = update_g(state.u, state.gam2, state.mu, cfg.tau2, m, n, VERTICAL)
+        state.g1 = update_g(state.u, state.gam1, mu, cfg.tau1, m, n, HORIZONTAL)
+        state.g2 = update_g(state.u, state.gam2, mu, cfg.tau2, m, n, VERTICAL)
         if debug:
             worst_increase = checkpoint(worst_increase)
-        state.v = update_v(y, state.e, state.s, state.gam3, state.mu, state.u)
+
+        # P = Y - E - S + Gam3/mu, shared by the V and U updates.  scratch
+        # holds Gam3/mu until the dual step.
+        np.divide(state.gam3, mu, out=scratch)
+        np.subtract(y, state.e, out=resid)
+        resid -= state.s
+        resid += scratch
+        state.v = procrustes_v(resid.T @ state.u)
         if debug:
             worst_increase = checkpoint(worst_increase)
-        state.u = update_u(
-            y, state.e, state.s, state.gam3, state.mu, state.v,
-            state.g1, state.g2, state.gam1, state.gam2, tf,
+        state.u = solve_u_system(
+            mu * (resid @ state.v), state.g1, state.g2, state.gam1, state.gam2, mu, tf
         )
         if debug:
             worst_increase = checkpoint(worst_increase)
-        state.e = update_e(y, state.u, state.v, state.s, state.gam3, state.mu, cfg.beta)
+
+        # T = Y - U V^T + Gam3/mu, with U V^T formed in place of P.
+        np.matmul(state.u, state.v.T, out=resid)
+        np.subtract(y, resid, out=resid)
+        resid += scratch
+        np.subtract(resid, state.s, out=state.e)
+        state.e *= mu / (mu + 2.0 * cfg.beta)
         if debug:
             worst_increase = checkpoint(worst_increase)
-        state.s = update_s(y, state.u, state.v, state.e, state.gam3, state.mu, cfg.lam)
+        resid -= state.e
+        soft_threshold(resid, cfg.lam / mu, out=state.s)
         if debug:
             worst_increase = checkpoint(worst_increase)
         _check_v_orthonormal(state.v)
 
-        resid = update_multipliers(state, y, m, n, cfg.rho, cfg.mu_max)
-        fit_res = float(np.vdot(resid.fit, resid.fit)) / denom
-        split_h = float(np.vdot(resid.split_h, resid.split_h)) / denom
-        split_v = float(np.vdot(resid.split_v, resid.split_v)) / denom
+        # Dual ascent.  resid becomes T - E - S, so Gam3 + mu*fit = mu*resid
+        # and fit = resid - Gam3/mu.
+        resid -= state.s
+        np.multiply(resid, mu, out=state.gam3)
+        resid -= scratch
+        grad_h = apply_diff(state.u, m, n, HORIZONTAL)
+        grad_v = apply_diff(state.u, m, n, VERTICAL)
+        split1 = grad_h - state.g1
+        split2 = grad_v - state.g2
+        state.gam1 = state.gam1 + mu * split1
+        state.gam2 = state.gam2 + mu * split2
+        state.mu = min(cfg.rho * mu, cfg.mu_max)
 
-        x = state.u @ state.v.T
-        dx = np.linalg.norm(x - prev_x)
-        base = np.linalg.norm(prev_x)
-        rel_change = dx / base if base > 0 else math.inf
-        prev_x = x
-
+        fit_res = float(np.vdot(resid, resid)) / denom
+        split_h = float(np.vdot(split1, split1)) / denom
+        split_v = float(np.vdot(split2, split2)) / denom
+        objective = model_objective(state, cfg, grad_h, grad_v, scratch)
+        rel_change = _rel_change(state.u, state.v, u_prev, v_prev)
         diags.append(
             IterationDiagnostics(
                 iteration=it,
                 fit_residual=fit_res,
                 split_residual_h=split_h,
                 split_residual_v=split_v,
-                objective=model_objective(state, cfg, resid.grad_h, resid.grad_v),
-                mu=mu_iter,
+                objective=objective,
+                mu=mu,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 rel_change=rel_change,
                 block_increase=worst_increase,

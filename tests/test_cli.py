@@ -39,6 +39,10 @@ class TestEstimateRank:
         with pytest.raises(ValueError, match="zero"):
             estimate_rank(np.zeros((5, 5)))
 
+    def test_single_band_clamped_to_band_count(self, rng):
+        # The default lower bound of 2 must not exceed B = 1.
+        assert estimate_rank(rng.random((30, 1))) == 1
+
     def test_bad_fraction_rejected(self, rng):
         with pytest.raises(ValueError, match="fraction"):
             estimate_rank(np.eye(4), energy_fraction=0.0)
@@ -111,6 +115,19 @@ class TestDenoise:
         manifest = json.loads((tmp_path / "auto.hsic.manifest.json").read_text())
         assert manifest["rank_source"] == "auto"
         assert manifest["config"]["rank"] >= 2
+
+    def test_auto_rank_single_band(self, tmp_path):
+        path = tmp_path / "one.hsic"
+        write_cube(smooth_rank_cube(12, 12, 1, 1, seed=4), path)
+        out = tmp_path / "one_out.hsic"
+        code = main(["denoise", "--input", str(path), "--output", str(out),
+                     "--rank", "auto", "--max-iter", "3"])
+        assert code == 0
+        restored = read_cube(out)
+        assert restored.shape == (12, 12, 1)
+        assert np.all(np.isfinite(restored.data))
+        manifest = json.loads((tmp_path / "one_out.hsic.manifest.json").read_text())
+        assert manifest["config"]["rank"] == 1
 
     def test_replay_matches(self, tmp_path, clean_path):
         out1 = tmp_path / "r1.hsic"

@@ -99,6 +99,16 @@ class TestSoftThreshold:
         for a in np.arange(-2.0, 2.001, 0.25):
             assert abs(soft_threshold(np.array(a), theta) - prox_l1_grid(a, theta)) <= 1e-3
 
+    def test_out_buffer(self, rng):
+        a = rng.standard_normal((6, 7))
+        out = np.full_like(a, np.nan)
+        result = soft_threshold(a, 0.4, out=out)
+        assert result is out
+        expected = np.sign(a) * np.maximum(np.abs(a) - 0.4, 0.0)
+        np.testing.assert_array_equal(out, expected)
+        with pytest.raises(ValueError, match="overlap"):
+            soft_threshold(a, 0.4, out=a)
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             soft_threshold(np.ones(3), -0.1)

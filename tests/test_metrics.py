@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import random_cube
 from rctv.cube import HsiCube, fold_casorati, unfold_casorati
 from rctv.metrics import (
+    MetricsReport,
     column_mean_profile,
     compute_report,
     effective_ssim_window,
@@ -298,3 +300,25 @@ class TestCrossMetricProperties:
         assert obj["mpsnr"] == "inf"
         row = report.to_csv_row()
         assert row.startswith("inf,")
+
+
+class TestNonFiniteEncoding:
+    def report(self):
+        return MetricsReport(
+            mpsnr=math.nan, mssim=math.inf, ergas=-math.inf, msam=0.25,
+            per_band_psnr=[math.nan, math.inf, -math.inf, 30.0],
+            per_band_ssim=[0.5, math.nan],
+            wall_ms=1.5, ergas_excluded_bands=[], msam_excluded_pixels=0,
+        )
+
+    def test_json_obj(self):
+        obj = self.report().to_json_obj()
+        assert (obj["mpsnr"], obj["mssim"], obj["ergas"], obj["msam"]) == (
+            "nan", "inf", "-inf", 0.25,
+        )
+        assert obj["per_band_psnr"] == ["nan", "inf", "-inf", 30.0]
+        assert obj["per_band_ssim"] == [0.5, "nan"]
+        json.dumps(obj, allow_nan=False)
+
+    def test_csv_row(self):
+        assert self.report().to_csv_row() == "nan,inf,-inf,0.25,1.5"

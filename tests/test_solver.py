@@ -1,19 +1,23 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import gapped_random_cube, smooth_rank_cube
-from rctv.cube import unfold_casorati
+from rctv.cube import fold_casorati, unfold_casorati
 from rctv.diffops import HORIZONTAL, VERTICAL, apply_diff, build_transfer_functions
 from rctv.linalg import truncated_svd_init
 from rctv.metrics import mpsnr
 from rctv.noisesim import apply_case
 from rctv.solver import (
     DenoiseConfig,
+    IterationDiagnostics,
     SolverState,
+    _rel_change,
     augmented_lagrangian,
     diagnostics_to_jsonl,
+    model_objective,
     solve,
     update_e,
     update_g,
@@ -295,6 +299,29 @@ class TestSolve:
         with pytest.raises(ValueError):
             DenoiseConfig(rank=2, mu0=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["tau1", "tau2", "beta", "lam", "mu0", "rho", "epsilon", "mu_max"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DenoiseConfig(rank=2, **{field: value})
+
+    def test_diagnostics_non_finite_encoding(self):
+        d = IterationDiagnostics(
+            iteration=1, fit_residual=math.nan, split_residual_h=math.inf,
+            split_residual_v=-math.inf, objective=2.0, mu=1e-3, wall_ms=1.0,
+            rel_change=math.nan, block_increase=-math.inf,
+        )
+        obj = d.to_json_obj()
+        assert obj["fit_res"] == "nan"
+        assert obj["split_res1"] == "inf"
+        assert obj["split_res2"] == "-inf"
+        assert obj["rel_change"] == "nan"
+        assert obj["block_increase"] == "-inf"
+        assert obj["objective"] == 2.0
+        json.dumps(obj, allow_nan=False)
+
     def test_jsonl_schema(self, tmp_path):
         clean = smooth_rank_cube(8, 8, 4, 2, seed=2)
         cfg = DenoiseConfig(rank=2, max_iter=3)
@@ -309,3 +336,78 @@ class TestSolve:
             for key in ("fit_res", "split_res1", "split_res2", "objective",
                         "mu", "wall_ms", "rel_change"):
                 assert key in obj
+
+
+def reference_solve(cube, cfg, iters):
+    """The ADMM loop written with the dense per-block reference kernels."""
+    m, n = cube.height, cube.width
+    y = unfold_casorati(cube)
+    tf = build_transfer_functions(m, n)
+    u, v = truncated_svd_init(y, cfg.rank)
+    mn, b, r = y.shape[0], y.shape[1], cfg.rank
+    st = SolverState(
+        u=u, v=v, e=np.zeros((mn, b)), s=np.zeros((mn, b)),
+        g1=np.zeros((mn, r)), g2=np.zeros((mn, r)),
+        gam1=np.zeros((mn, r)), gam2=np.zeros((mn, r)), gam3=np.zeros((mn, b)),
+        mu=cfg.mu0,
+    )
+    denom = float(np.vdot(y, y))
+    prev_x = st.u @ st.v.T
+    rows = []
+    for _ in range(iters):
+        st.g1 = update_g(st.u, st.gam1, st.mu, cfg.tau1, m, n, HORIZONTAL)
+        st.g2 = update_g(st.u, st.gam2, st.mu, cfg.tau2, m, n, VERTICAL)
+        st.v = update_v(y, st.e, st.s, st.gam3, st.mu, st.u)
+        st.u = update_u(y, st.e, st.s, st.gam3, st.mu, st.v,
+                        st.g1, st.g2, st.gam1, st.gam2, tf)
+        st.e = update_e(y, st.u, st.v, st.s, st.gam3, st.mu, cfg.beta)
+        st.s = update_s(y, st.u, st.v, st.e, st.gam3, st.mu, cfg.lam)
+        res = update_multipliers(st, y, m, n, cfg.rho, cfg.mu_max)
+        x = st.u @ st.v.T
+        rows.append((
+            float(np.vdot(res.fit, res.fit)) / denom,
+            float(np.vdot(res.split_h, res.split_h)) / denom,
+            float(np.vdot(res.split_v, res.split_v)) / denom,
+            model_objective(st, cfg, res.grad_h, res.grad_v),
+            np.linalg.norm(x - prev_x) / np.linalg.norm(prev_x),
+        ))
+        prev_x = x
+    return fold_casorati(prev_x, m, n), rows, st
+
+
+class TestFusedLoopOracle:
+    def test_matches_reference_kernels(self):
+        clean = smooth_rank_cube(16, 14, 9, 3, seed=11)
+        noisy, _ = apply_case(clean, "e", "msi31", seed=4)
+        # A low lam/mu0 threshold so that S leaves zero within 8 iterations.
+        cfg = DenoiseConfig.preset(
+            "mixed", rank=3, tau=0.1, lam=0.02, mu0=0.5, max_iter=8, epsilon=1e-30
+        )
+        ref_cube, ref_rows, ref_state = reference_solve(noisy, cfg, 8)
+        # The sparse block must be active for the comparison to cover it.
+        assert np.count_nonzero(ref_state.s) > 0
+        restored, diags = solve(noisy, cfg)
+        assert len(diags) == 8
+        np.testing.assert_allclose(restored.data, ref_cube.data, rtol=1e-10, atol=0)
+        for d, ref in zip(diags, ref_rows):
+            got = (d.fit_residual, d.split_residual_h, d.split_residual_v,
+                   d.objective, d.rel_change)
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+
+    def test_factored_rel_change_matches_dense(self, rng):
+        mn, b, r = 300, 20, 4
+        for _ in range(5):
+            u, u_prev = rng.standard_normal((2, mn, r))
+            v, _ = np.linalg.qr(rng.standard_normal((b, r)))
+            v_prev, _ = np.linalg.qr(rng.standard_normal((b, r)))
+            x, x_prev = u @ v.T, u_prev @ v_prev.T
+            dense = np.linalg.norm(x - x_prev) / np.linalg.norm(x_prev)
+            assert _rel_change(u, v, u_prev, v_prev) == pytest.approx(dense, rel=1e-12)
+
+    def test_factored_rel_change_without_cancellation(self, rng):
+        # Identical iterates: the dense form gives 0; a form that subtracts
+        # ||U||^2 + ||U'||^2 - 2<X, X'> would leave about sqrt(eps) here.
+        u = rng.standard_normal((300, 4))
+        v, _ = np.linalg.qr(rng.standard_normal((20, 4)))
+        assert _rel_change(u, v, u, v) <= 1e-14
+        assert _rel_change(u, v, np.zeros_like(u), v) == math.inf
