@@ -5,20 +5,22 @@ command, config, paths, seed, code version, and wall time, so results can
 be reproduced: simulate replays bit-exactly from (input, case, profile,
 seed); denoise is deterministic for fixed inputs on one platform.
 
-BLAS thread count is controlled by --threads or the RCTV_THREADS
-environment variable (default: machine parallelism).  The benchmark
-subcommand always pins itself to one thread.
+BLAS thread count is capped by --threads or the RCTV_THREADS environment
+variable (default: machine parallelism); the benchmark subcommand caps it
+to one thread.  Caps go through threadpoolctl: without it no cap applies,
+a warning goes to stderr, and the manifest records threads_applied: null.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from rctv.cube import (
     unfold_casorati,
     write_cube,
 )
-from rctv.linalg import thin_svd
 from rctv.metrics import CSV_COLUMNS, compute_report
 from rctv.noisesim import CASES, apply_case
 from rctv.solver import DenoiseConfig, diagnostics_to_jsonl, solve
@@ -41,7 +42,7 @@ DEFAULT_ENERGY_FRACTION = 0.995
 
 try:
     from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - threadpoolctl is a declared dep
+except ImportError:  # declared dep; without it _thread_cap warns
     threadpool_limits = None
 
 
@@ -60,7 +61,9 @@ def estimate_rank(
     if not 0 < energy_fraction <= 1:
         raise ValueError("energy_fraction must lie in (0, 1]")
     y = np.asarray(y, dtype=np.float64)
-    s = thin_svd(y).singular_values
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite entries in rank-estimate input")
+    s = np.linalg.svd(y, compute_uv=False)
     total = float(np.sum(s * s))
     if total == 0.0:
         raise ValueError("cannot estimate rank of an all-zero matrix")
@@ -73,10 +76,25 @@ def estimate_rank(
     return min(max(r, lo), hi, s.size)
 
 
-def _threads_context(threads: int | None):
-    if threads is None or threadpool_limits is None:
-        return nullcontext()
-    return threadpool_limits(limits=threads)
+@contextmanager
+def _thread_cap(threads: int | None):
+    """Cap BLAS threads inside the block; yields the cap applied, or None.
+
+    A requested cap that cannot be applied is reported on stderr, not
+    dropped silently.
+    """
+    if threads is None:
+        yield None
+    elif threadpool_limits is None:
+        print(
+            f"warning: BLAS thread cap {threads} not applied: "
+            "threadpoolctl is not installed",
+            file=sys.stderr,
+        )
+        yield None
+    else:
+        with threadpool_limits(limits=threads):
+            yield threads
 
 
 def _resolve_threads(args) -> int | None:
@@ -155,7 +173,7 @@ def cmd_denoise(args) -> int:
     cfg = DenoiseConfig.preset(args.preset, rank=rank, tau=args.tau, **overrides)
 
     normalized, rec = normalize_bands(cube)
-    with _threads_context(_resolve_threads(args)):
+    with _thread_cap(_resolve_threads(args)) as threads_applied:
         t_solve = time.perf_counter()
         restored, diags = solve(normalized, cfg)
         solve_ms = (time.perf_counter() - t_solve) * 1e3
@@ -168,21 +186,15 @@ def cmd_denoise(args) -> int:
         _args_snapshot(args),
         (time.perf_counter() - t0) * 1e3,
         extra={
+            # The manifest spells lam as the --lambda flag does.
             "config": {
-                "rank": cfg.rank,
-                "tau1": cfg.tau1,
-                "tau2": cfg.tau2,
-                "beta": cfg.beta,
-                "lambda": cfg.lam,
-                "mu0": cfg.mu0,
-                "rho": cfg.rho,
-                "epsilon": cfg.epsilon,
-                "max_iter": cfg.max_iter,
-                "mu_max": cfg.mu_max,
+                "lambda" if k == "lam" else k: v
+                for k, v in dataclasses.asdict(cfg).items()
             },
             "rank_source": "auto" if args.rank == "auto" else "flag",
             "iterations": len(diags),
             "solve_ms": solve_ms,
+            "threads_applied": threads_applied,
         },
     )
     print(
@@ -273,33 +285,32 @@ def run_bench(
     max_iter: int = 20,
     seed: int = 0,
 ) -> list[tuple[int, int, int, int, int, float]]:
-    """Time full solves over a size/rank grid, single-threaded.
+    """Time full solves over a size/rank grid.
 
     Returns (M, N, B, R, rep, wall_ms) rows.  epsilon is set tiny so every
-    run executes exactly max_iter iterations.
+    run executes exactly max_iter iterations.  Runs under the caller's BLAS
+    thread setting; the bench subcommand caps it to one thread.
     """
     rows = []
-    with _threads_context(1):
-        for m, n, b in sizes:
-            cube = bench_cube(m, n, b, seed)
-            for rank in ranks:
-                if rank > b:
-                    raise ValueError(f"rank {rank} exceeds bands {b}")
-                cfg = DenoiseConfig.preset(
-                    "mixed", rank=rank, max_iter=max_iter, epsilon=1e-30
-                )
-                for rep in range(reps):
-                    t0 = time.perf_counter()
-                    solve(cube, cfg)
-                    rows.append(
-                        (m, n, b, rank, rep, (time.perf_counter() - t0) * 1e3)
-                    )
+    for m, n, b in sizes:
+        cube = bench_cube(m, n, b, seed)
+        for rank in ranks:
+            if rank > b:
+                raise ValueError(f"rank {rank} exceeds bands {b}")
+            cfg = DenoiseConfig.preset(
+                "mixed", rank=rank, max_iter=max_iter, epsilon=1e-30
+            )
+            for rep in range(reps):
+                t0 = time.perf_counter()
+                solve(cube, cfg)
+                rows.append((m, n, b, rank, rep, (time.perf_counter() - t0) * 1e3))
     return rows
 
 
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
-    rows = run_bench(args.sizes, args.ranks, args.reps, args.max_iter, args.seed)
+    with _thread_cap(1) as threads_applied:
+        rows = run_bench(args.sizes, args.ranks, args.reps, args.max_iter, args.seed)
     with open(args.output, "w", encoding="utf-8") as fp:
         fp.write("M,N,B,R,rep,wall_ms\n")
         for m, n, b, r, rep, ms in rows:
@@ -316,6 +327,7 @@ def cmd_bench(args) -> int:
             "output": str(args.output),
         },
         (time.perf_counter() - t0) * 1e3,
+        extra={"threads_applied": threads_applied},
     )
     print(f"wrote {args.output} ({len(rows)} rows)")
     return 0

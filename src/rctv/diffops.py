@@ -1,10 +1,12 @@
 """Periodic first-order difference operators on coefficient slices.
 
 A coefficient matrix is (M*N, R): each column is one spatial slice,
-vectorized column-major (pixel (i, j) at row j*M + i).  The forward
-differences wrap circularly, so both operators diagonalize under the 2-D
-DFT and the penalized least-squares system for the coefficient update has
-a closed-form per-slice FFT solution.
+vectorized column-major (pixel (i, j) at row j*M + i).  Reshaping it to
+(N, M, R) is therefore a view indexed [j, i, r], with no copy; every
+operator here works on that view.  The forward differences wrap
+circularly, so both operators diagonalize under the 2-D DFT, and the
+penalized least-squares system for the coefficient update is solved per
+slice with one real FFT pair.
 
 Directions: "horizontal" differences along j (width), "vertical" along i
 (height).  apply_diff computes next-minus-current with periodic wrap.
@@ -19,18 +21,18 @@ import numpy as np
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
-# Max tolerated imaginary leakage in the inverse FFT, relative to the
-# result scale.
-IMAG_TOL = 1e-9
+# Axis of the (N, M, R) grid view that each direction differences along.
+_AXIS = {HORIZONTAL: 0, VERTICAL: 1}
 
 
-def _check_direction(direction: str) -> None:
-    if direction not in (HORIZONTAL, VERTICAL):
+def _axis(direction: str) -> int:
+    if direction not in _AXIS:
         raise ValueError(f"direction must be '{HORIZONTAL}' or '{VERTICAL}'")
+    return _AXIS[direction]
 
 
-def to_planes(mat: np.ndarray, height: int, width: int) -> np.ndarray:
-    """View an (M*N, R) matrix as an (R, M, N) stack of slices."""
+def _grid(mat: np.ndarray, height: int, width: int) -> np.ndarray:
+    """View an (M*N, R) matrix as an (N, M, R) grid indexed [j, i, r]."""
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim == 1:
         mat = mat[:, None]
@@ -38,93 +40,51 @@ def to_planes(mat: np.ndarray, height: int, width: int) -> np.ndarray:
         raise ValueError(
             f"matrix has {mat.shape[0]} rows, plane dims give {height * width}"
         )
-    return mat.T.reshape(mat.shape[1], width, height).transpose(0, 2, 1)
-
-
-def from_planes(planes: np.ndarray) -> np.ndarray:
-    """Inverse of to_planes: (R, M, N) stack back to an (M*N, R) matrix."""
-    r, height, width = planes.shape
-    return planes.transpose(0, 2, 1).reshape(r, height * width).T
+    return mat.reshape(width, height, mat.shape[1])
 
 
 def apply_diff(mat: np.ndarray, height: int, width: int, direction: str) -> np.ndarray:
     """Circular forward difference of each slice along the given direction."""
-    _check_direction(direction)
-    planes = to_planes(mat, height, width)
-    axis = 1 if direction == VERTICAL else 2
-    out = np.roll(planes, -1, axis=axis) - planes
-    return from_planes(out)
+    axis = _axis(direction)
+    grid = _grid(mat, height, width)
+    return (np.roll(grid, -1, axis=axis) - grid).reshape(height * width, -1)
 
 
 def apply_diff_adjoint(
     mat: np.ndarray, height: int, width: int, direction: str
 ) -> np.ndarray:
     """Adjoint of apply_diff under the Euclidean inner product."""
-    _check_direction(direction)
-    planes = to_planes(mat, height, width)
-    axis = 1 if direction == VERTICAL else 2
-    out = np.roll(planes, 1, axis=axis) - planes
-    return from_planes(out)
-
-
-@dataclass(frozen=True)
-class DiffOperator:
-    """One periodic difference operator bound to fixed plane dims."""
-
-    direction: str
-    height: int
-    width: int
-
-    def __post_init__(self):
-        _check_direction(self.direction)
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        return apply_diff(mat, self.height, self.width, self.direction)
-
-    def adjoint(self, mat: np.ndarray) -> np.ndarray:
-        return apply_diff_adjoint(mat, self.height, self.width, self.direction)
+    axis = _axis(direction)
+    grid = _grid(mat, height, width)
+    return (np.roll(grid, 1, axis=axis) - grid).reshape(height * width, -1)
 
 
 @dataclass(frozen=True)
 class TransferFunctions:
-    """DFT diagonalizations of the two difference filters on an M x N grid.
+    """DFT diagonalization of D_1^T D_1 + D_2^T D_2 on an M x N grid.
 
-    otf_h / otf_v are the (M, N) complex transfer functions of the forward
-    difference operators; otf_laplacian = |otf_h|^2 + |otf_v|^2 is the real
-    non-negative transfer function of the circular second-difference
-    operator (zero at the zero frequency, since differences annihilate
-    constants).  Instances are immutable and shareable; precompute once per
-    plane size and reuse across iterations and slices.
+    otf_laplacian is the (M, N) real non-negative transfer function of the
+    circular second-difference operator, 4 sin^2(pi p/M) + 4 sin^2(pi q/N)
+    at frequency (p, q); it is zero at the zero frequency, since
+    differences annihilate constants.  solve_u_system uses its transpose,
+    sliced to the half spectrum that rfft2 returns over the (N, M) axes of
+    the grid view.  Instances are immutable and shareable; precompute once
+    per plane size and reuse across iterations and slices.
     """
 
     height: int
     width: int
-    otf_h: np.ndarray
-    otf_v: np.ndarray
     otf_laplacian: np.ndarray
 
 
 def build_transfer_functions(height: int, width: int) -> TransferFunctions:
-    """Embed the 2-tap difference filters and take their 2-D DFTs.
-
-    The impulse response of the forward difference (next minus current,
-    periodic) has -1 at the origin and +1 at the wrapped -1 offset of its
-    axis.
-    """
+    """Closed-form DFT eigenvalues of the periodic second difference."""
     if height < 2 or width < 2:
         raise ValueError(f"plane dims must be >= 2, got {height}x{width}")
-    kern_h = np.zeros((height, width))
-    kern_h[0, 0] = -1.0
-    kern_h[0, width - 1] = 1.0
-    kern_v = np.zeros((height, width))
-    kern_v[0, 0] = -1.0
-    kern_v[height - 1, 0] = 1.0
-    otf_h = np.fft.fft2(kern_h)
-    otf_v = np.fft.fft2(kern_v)
-    lap = np.abs(otf_h) ** 2 + np.abs(otf_v) ** 2
-    lap[0, 0] = 0.0
+    lap_v = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
+    lap_h = 4.0 * np.sin(np.pi * np.arange(width) / width) ** 2
     return TransferFunctions(
-        height=height, width=width, otf_h=otf_h, otf_v=otf_v, otf_laplacian=lap
+        height=height, width=width, otf_laplacian=lap_v[:, None] + lap_h[None, :]
     )
 
 
@@ -140,23 +100,18 @@ def solve_u_system(
     """Solve (mu*I + mu*sum_i D_i^T D_i)(U) = rhs_data + sum_i D_i^T(mu*G_i - Gam_i).
 
     rhs_data is the data-fit right-hand side assembled by the caller.  The
-    operator is diagonal per slice in the 2-D DFT basis with strictly
-    positive diagonal mu * (1 + otf_laplacian), so the solve is exact and
-    total for mu > 0.  D_1 is the horizontal difference, D_2 the vertical.
+    right-hand side is formed in space, then each slice is divided in the
+    2-D DFT basis by the strictly positive diagonal mu * (1 + otf_laplacian),
+    so the solve is exact and total for mu > 0.  The operator and the data
+    are real, so one rfft2/irfft2 pair over the half spectrum suffices.
+    D_1 is the horizontal difference, D_2 the vertical.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     m, n = tf.height, tf.width
-    rhs_hat = np.fft.fft2(to_planes(rhs_data, m, n), axes=(1, 2))
-    h1_hat = np.fft.fft2(to_planes(mu * g1 - gam1, m, n), axes=(1, 2))
-    h2_hat = np.fft.fft2(to_planes(mu * g2 - gam2, m, n), axes=(1, 2))
-    numer = rhs_hat + np.conj(tf.otf_h) * h1_hat + np.conj(tf.otf_v) * h2_hat
-    denom = mu * (1.0 + tf.otf_laplacian)
-    sol = np.fft.ifft2(numer / denom, axes=(1, 2))
-    real = sol.real
-    worst_imag = np.max(np.abs(sol.imag))
-    if worst_imag > IMAG_TOL * max(1.0, np.max(np.abs(real))):
-        raise RuntimeError(
-            f"inverse FFT produced imaginary part {worst_imag:.3e}"
-        )
-    return from_planes(real)
+    rhs = apply_diff_adjoint(mu * g1 - gam1, m, n, HORIZONTAL)
+    rhs += apply_diff_adjoint(mu * g2 - gam2, m, n, VERTICAL)
+    rhs += _grid(rhs_data, m, n).reshape(rhs.shape)
+    rhs_hat = np.fft.rfft2(_grid(rhs, m, n), axes=(0, 1))
+    rhs_hat /= mu * (1.0 + tf.otf_laplacian.T[:, : m // 2 + 1, None])
+    return np.fft.irfft2(rhs_hat, s=(n, m), axes=(0, 1)).reshape(m * n, -1)

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,8 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import random_cube, smooth_rank_cube
+import rctv.cli
 from rctv.cli import bench_cube, estimate_rank, main, run_bench
 from rctv.cube import read_cube, write_cube
+from rctv.solver import DenoiseConfig
 
 
 @pytest.fixture
@@ -46,6 +50,12 @@ class TestEstimateRank:
     def test_bad_fraction_rejected(self, rng):
         with pytest.raises(ValueError, match="fraction"):
             estimate_rank(np.eye(4), energy_fraction=0.0)
+
+    def test_non_finite_rejected(self):
+        y = np.eye(4)
+        y[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_rank(y)
 
 
 class TestSimulate:
@@ -140,13 +150,46 @@ class TestDenoise:
         b = read_cube(out2)
         np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-15)
 
-    def test_env_thread_cap(self, tmp_path, clean_path, monkeypatch):
+    def test_env_thread_cap(self, tmp_path, clean_path, monkeypatch, capsys):
+        # Without threadpoolctl the cap cannot apply: warn and record null.
+        monkeypatch.setattr(rctv.cli, "threadpool_limits", None)
         monkeypatch.setenv("RCTV_THREADS", "1")
         out = tmp_path / "t.hsic"
         code = main(["denoise", "--input", str(clean_path), "--output", str(out),
                      "--rank", "2", "--max-iter", "2"])
         assert code == 0
         assert out.exists()
+        err = capsys.readouterr().err
+        assert err.count("warning: BLAS thread cap 1 not applied") == 1
+        manifest = json.loads((tmp_path / "t.hsic.manifest.json").read_text())
+        assert manifest["threads_applied"] is None
+
+    def test_thread_cap_applied(self, tmp_path, clean_path, monkeypatch, capsys):
+        caps = []
+
+        def fake_limits(limits):
+            caps.append(limits)
+            return contextlib.nullcontext()
+
+        monkeypatch.setattr(rctv.cli, "threadpool_limits", fake_limits)
+        out = tmp_path / "t.hsic"
+        code = main(["denoise", "--input", str(clean_path), "--output", str(out),
+                     "--rank", "2", "--max-iter", "2", "--threads", "3"])
+        assert code == 0
+        assert caps == [3]
+        assert "warning" not in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "t.hsic.manifest.json").read_text())
+        assert manifest["threads_applied"] == 3
+
+    def test_no_thread_cap_requested(self, tmp_path, clean_path, monkeypatch, capsys):
+        monkeypatch.setattr(rctv.cli, "threadpool_limits", None)
+        monkeypatch.delenv("RCTV_THREADS", raising=False)
+        out = tmp_path / "t.hsic"
+        main(["denoise", "--input", str(clean_path), "--output", str(out),
+              "--rank", "2", "--max-iter", "2"])
+        assert "warning" not in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "t.hsic.manifest.json").read_text())
+        assert manifest["threads_applied"] is None
 
     def test_flag_overrides(self, tmp_path, clean_path):
         out = tmp_path / "o.hsic"
@@ -159,6 +202,8 @@ class TestDenoise:
         assert cfg["beta"] == 7.5 and cfg["lambda"] == 2.5
         assert cfg["mu0"] == 0.01 and cfg["rho"] == 1.5
         assert cfg["epsilon"] == 1e-8 and cfg["max_iter"] == 4
+        fields = {f.name for f in dataclasses.fields(DenoiseConfig)}
+        assert set(cfg) == (fields - {"lam"}) | {"lambda"}
 
 
 class TestMetricsCommand:
@@ -210,6 +255,16 @@ class TestBench:
         assert lines[0] == "M,N,B,R,rep,wall_ms"
         assert len(lines) == 1 + 1 * 2 * 2
         assert (tmp_path / "bench.csv.manifest.json").exists()
+
+    def test_thread_cap_unavailable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(rctv.cli, "threadpool_limits", None)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--sizes", "8x8x4", "--ranks", "2",
+                     "--max-iter", "1", "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err.count("warning: BLAS thread cap 1") == 1
+        manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert manifest["threads_applied"] is None
 
     def test_run_bench_rank_guard(self):
         with pytest.raises(ValueError, match="rank"):
