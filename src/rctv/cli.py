@@ -7,8 +7,10 @@ seed); denoise is deterministic for fixed inputs on one platform.
 
 BLAS thread count is capped by --threads or the RCTV_THREADS environment
 variable (default: machine parallelism); the benchmark subcommand caps it
-to one thread.  Caps go through threadpoolctl: without it no cap applies,
-a warning goes to stderr, and the manifest records threads_applied: null.
+to one thread.  The denoise and bench manifests record the cap asked for
+as threads_requested (null when none was) and the cap in force as
+threads_applied.  Caps go through threadpoolctl: without it no cap
+applies, a warning goes to stderr, and threads_applied is null.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from rctv.cube import (
     unfold_casorati,
     write_cube,
 )
+from rctv.linalg import gram_eigh
 from rctv.metrics import CSV_COLUMNS, compute_report
 from rctv.noisesim import CASES, apply_case
 from rctv.solver import DenoiseConfig, diagnostics_to_jsonl, solve
@@ -53,27 +56,26 @@ def estimate_rank(
 ) -> int:
     """Smallest R whose leading singular values carry the energy fraction.
 
-    Energy is cumulative squared singular values over their total.  The
-    result is clamped to bounds, which default to (2, ceil(0.15 * B)): the
-    typical subspace dimension of a B-band cube is a small fraction of B.
-    It never exceeds B, so a 1-band cube gets rank 1.
+    Energy is cumulative squared singular values over their total; the
+    squared singular values are the eigenvalues of the B x B Gram matrix
+    Y^T Y.  The result is clamped to bounds, which default to
+    (2, ceil(0.15 * B)): the typical subspace dimension of a B-band cube is
+    a small fraction of B.  It never exceeds B, so a 1-band cube gets
+    rank 1.
     """
     if not 0 < energy_fraction <= 1:
         raise ValueError("energy_fraction must lie in (0, 1]")
-    y = np.asarray(y, dtype=np.float64)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite entries in rank-estimate input")
-    s = np.linalg.svd(y, compute_uv=False)
-    total = float(np.sum(s * s))
+    energy, _ = gram_eigh(y)
+    total = float(np.sum(energy))
     if total == 0.0:
         raise ValueError("cannot estimate rank of an all-zero matrix")
     if bounds is None:
-        bounds = (2, math.ceil(0.15 * y.shape[1]))
+        bounds = (2, math.ceil(0.15 * energy.size))
     lo, hi = bounds
     hi = max(hi, lo)
-    cum = np.cumsum(s * s) / total
+    cum = np.cumsum(energy) / total
     r = int(np.searchsorted(cum, energy_fraction) + 1)
-    return min(max(r, lo), hi, s.size)
+    return min(max(r, lo), hi, energy.size)
 
 
 @contextmanager
@@ -173,7 +175,8 @@ def cmd_denoise(args) -> int:
     cfg = DenoiseConfig.preset(args.preset, rank=rank, tau=args.tau, **overrides)
 
     normalized, rec = normalize_bands(cube)
-    with _thread_cap(_resolve_threads(args)) as threads_applied:
+    threads_requested = _resolve_threads(args)
+    with _thread_cap(threads_requested) as threads_applied:
         t_solve = time.perf_counter()
         restored, diags = solve(normalized, cfg)
         solve_ms = (time.perf_counter() - t_solve) * 1e3
@@ -194,6 +197,7 @@ def cmd_denoise(args) -> int:
             "rank_source": "auto" if args.rank == "auto" else "flag",
             "iterations": len(diags),
             "solve_ms": solve_ms,
+            "threads_requested": threads_requested,
             "threads_applied": threads_applied,
         },
     )
@@ -309,7 +313,8 @@ def run_bench(
 
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
-    with _thread_cap(1) as threads_applied:
+    threads_requested = 1
+    with _thread_cap(threads_requested) as threads_applied:
         rows = run_bench(args.sizes, args.ranks, args.reps, args.max_iter, args.seed)
     with open(args.output, "w", encoding="utf-8") as fp:
         fp.write("M,N,B,R,rep,wall_ms\n")
@@ -327,7 +332,10 @@ def cmd_bench(args) -> int:
             "output": str(args.output),
         },
         (time.perf_counter() - t0) * 1e3,
-        extra={"threads_applied": threads_applied},
+        extra={
+            "threads_requested": threads_requested,
+            "threads_applied": threads_applied,
+        },
     )
     print(f"wrote {args.output} ({len(rows)} rows)")
     return 0

@@ -47,7 +47,9 @@ def apply_diff(mat: np.ndarray, height: int, width: int, direction: str) -> np.n
     """Circular forward difference of each slice along the given direction."""
     axis = _axis(direction)
     grid = _grid(mat, height, width)
-    return (np.roll(grid, -1, axis=axis) - grid).reshape(height * width, -1)
+    diff = np.roll(grid, -1, axis=axis)
+    diff -= grid
+    return diff.reshape(height * width, -1)
 
 
 def apply_diff_adjoint(
@@ -56,7 +58,9 @@ def apply_diff_adjoint(
     """Adjoint of apply_diff under the Euclidean inner product."""
     axis = _axis(direction)
     grid = _grid(mat, height, width)
-    return (np.roll(grid, 1, axis=axis) - grid).reshape(height * width, -1)
+    diff = np.roll(grid, 1, axis=axis)
+    diff -= grid
+    return diff.reshape(height * width, -1)
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,15 @@ def solve_u_system(
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     m, n = tf.height, tf.width
-    rhs = apply_diff_adjoint(mu * g1 - gam1, m, n, HORIZONTAL)
-    rhs += apply_diff_adjoint(mu * g2 - gam2, m, n, VERTICAL)
+    # One reused buffer for mu*G_i - Gam_i, and in-place differences: each
+    # (M*N, R) temporary freed per iteration is memory the allocator may
+    # return to the OS and fault in again on the next one.
+    w = mu * g1
+    w -= gam1
+    rhs = apply_diff_adjoint(w, m, n, HORIZONTAL)
+    np.multiply(g2, mu, out=w)
+    w -= gam2
+    rhs += apply_diff_adjoint(w, m, n, VERTICAL)
     rhs += _grid(rhs_data, m, n).reshape(rhs.shape)
     rhs_hat = np.fft.rfft2(_grid(rhs, m, n), axes=(0, 1))
     rhs_hat /= mu * (1.0 + tf.otf_laplacian.T[:, : m // 2 + 1, None])

@@ -1,10 +1,12 @@
 """Dense kernels for the factorization solver.
 
-Thin SVD with a deterministic sign convention, truncated-SVD
-initialization, the l1 proximal map, the orthogonal-Procrustes update for
-the spectral basis, and projection of a matrix onto an orthonormal basis.
-All matrices here are small on at least one side (B or R columns); nothing
-ever decomposes an (M*N) x (M*N) operator.
+Thin SVD with a deterministic sign convention, the spectral basis of a
+Casorati matrix from the eigendecomposition of its B x B Gram matrix,
+truncated-SVD initialization built on it, the l1 proximal map, the
+orthogonal-Procrustes update for the spectral basis, and projection of a
+matrix onto an orthonormal basis.  All matrices here are small on at least
+one side (B or R columns), and the solver only ever decomposes B x B and
+B x R ones: never an (M*N) x B matrix, let alone an (M*N) x (M*N) operator.
 """
 
 from __future__ import annotations
@@ -39,26 +41,61 @@ def thin_svd(a: np.ndarray) -> ThinSvd:
         raise ValueError("non-finite entries in SVD input")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     v = vt.T
-    # Flip sign pairs so each right vector's largest-|.| entry is positive.
-    pivot = np.argmax(np.abs(v), axis=0)
-    flip = v[pivot, np.arange(v.shape[1])] < 0
-    v[:, flip] *= -1.0
+    flip = _fix_signs(v)
     u[:, flip] *= -1.0
     return ThinSvd(left_vectors=u, singular_values=s, right_vectors=v)
 
 
-def truncated_svd_init(y: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best rank-R factors of Y: U = U_R @ diag(s_R), V = V_R.
+def _fix_signs(v: np.ndarray) -> np.ndarray:
+    """Flip columns of v in place so each one's largest-|.| entry is positive.
 
-    U @ V.T is the best rank-R Frobenius approximation of Y (Eckart-Young).
+    Returns the boolean mask of flipped columns, so a caller can flip the
+    paired factor to match.
+    """
+    pivot = np.argmax(np.abs(v), axis=0)
+    flip = v[pivot, np.arange(v.shape[1])] < 0
+    v[:, flip] *= -1.0
+    return flip
+
+
+def gram_eigh(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared singular values and right singular vectors of Y from Y^T Y.
+
+    Eigendecomposes the B x B Gram matrix instead of taking an SVD of the
+    (M*N) x B matrix itself.  Eigenvalues come back descending and clipped
+    at 0; eigenvectors are orthonormal columns with thin_svd's sign
+    convention.  Squaring the condition number means singular values below
+    about sqrt(eps) * ||Y||_2 carry no relative accuracy, and neither do
+    their vectors; leading vectors separated by a gap are unaffected.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={y.ndim}")
+    gram = y.T @ y
+    # A non-finite entry of Y makes Y^T Y non-finite, and so does overflow;
+    # checking the B x B product spares a pass over Y.
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("non-finite entries in Y^T Y (non-finite or overflowing input)")
+    evals, evecs = np.linalg.eigh(gram)
+    evals = np.maximum(evals[::-1], 0.0)
+    evecs = evecs[:, ::-1].copy()
+    _fix_signs(evecs)
+    return evals, evecs
+
+
+def truncated_svd_init(y: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best rank-R factors of Y: V = top-R eigenvectors of Y^T Y, U = Y V.
+
+    V holds Y's leading right singular vectors, so U = Y V equals
+    U_R @ diag(s_R) and U @ V.T is the best rank-R Frobenius approximation
+    of Y (Eckart-Young).
     """
     y = np.asarray(y, dtype=np.float64)
     if not 1 <= rank <= y.shape[1]:
         raise ValueError(f"rank {rank} out of range [1, {y.shape[1]}]")
-    f = thin_svd(y)
-    u = f.left_vectors[:, :rank] * f.singular_values[:rank]
-    v = f.right_vectors[:, :rank].copy()
-    return u, v
+    _, vecs = gram_eigh(y)
+    v = vecs[:, :rank].copy()
+    return y @ v, v
 
 
 def soft_threshold(

@@ -30,9 +30,14 @@ then E = mu*(T - S)/(mu + 2*beta), S = shrink(T - E, lam/mu), the data-fit
 residual T - E - S - Gam_3/mu and Gam_3 = mu*(T - E - S) all follow from T
 and are written in place into preallocated buffers.  rel_change is
 computed from the factors in O(M*N*R^2), with no copy of the previous
-U V^T.  The per-block update_* functions and update_multipliers evaluate
-the same updates densely, one block at a time; they are the reference
-kernels the fused loop is tested against.
+U V^T.  D(U) is formed once per iteration, in the dual step, and carried
+into the next iteration's G update.  The per-block update_* functions and
+update_multipliers evaluate the same updates densely, one block at a time;
+they are the reference kernels the fused loop is tested against.
+
+The initial U V^T is the rank-R truncated SVD of Y, found without an SVD
+of Y: V is the top-R eigenvectors of the B x B Gram matrix Y^T Y and
+U = Y V.
 """
 
 from __future__ import annotations
@@ -382,11 +387,12 @@ def solve(
 ) -> tuple[HsiCube, list[IterationDiagnostics]]:
     """Run the full ADMM loop on a cube scaled to roughly [0, 1].
 
-    Initialization takes (U, V) from the truncated SVD of the unfolded
-    input and zeros everything else, so the first feasibility residual is
-    the SVD truncation tail.  Returns the folded U V^T and the
-    per-iteration diagnostics.  Non-convergence inside max_iter shows up
-    in the diagnostics rather than raising.
+    Initialization takes V as the top-R eigenvectors of Y^T Y and U = Y V
+    for the unfolded input Y (its truncated SVD) and zeros everything
+    else, so the first feasibility residual is the SVD truncation tail.
+    Returns the folded U V^T and the per-iteration diagnostics.
+    Non-convergence inside max_iter shows up in the diagnostics rather than
+    raising.
 
     With debug=True, the augmented Lagrangian is evaluated around every
     block update and the worst relative increase per iteration is recorded
@@ -422,6 +428,10 @@ def solve(
     resid = np.empty((mn, b))
     scratch = np.empty((mn, b))
     diags: list[IterationDiagnostics] = []
+    # D(U) for the TV splits; each dual step recomputes it for the next
+    # iteration, so only the initial U is differenced here.
+    grad_h = apply_diff(state.u, m, n, HORIZONTAL)
+    grad_v = apply_diff(state.u, m, n, VERTICAL)
 
     lag = 0.0
 
@@ -443,8 +453,9 @@ def solve(
             lag = lag_new
             return rise if worst is None else max(worst, rise)
 
-        state.g1 = update_g(state.u, state.gam1, mu, cfg.tau1, m, n, HORIZONTAL)
-        state.g2 = update_g(state.u, state.gam2, mu, cfg.tau2, m, n, VERTICAL)
+        # update_g on the current U, with D(U) from the previous dual step.
+        state.g1 = soft_threshold(grad_h + state.gam1 / mu, cfg.tau1 / mu)
+        state.g2 = soft_threshold(grad_v + state.gam2 / mu, cfg.tau2 / mu)
         if debug:
             worst_increase = checkpoint(worst_increase)
 

@@ -162,6 +162,7 @@ class TestDenoise:
         err = capsys.readouterr().err
         assert err.count("warning: BLAS thread cap 1 not applied") == 1
         manifest = json.loads((tmp_path / "t.hsic.manifest.json").read_text())
+        assert manifest["threads_requested"] == 1
         assert manifest["threads_applied"] is None
 
     def test_thread_cap_applied(self, tmp_path, clean_path, monkeypatch, capsys):
@@ -179,6 +180,7 @@ class TestDenoise:
         assert caps == [3]
         assert "warning" not in capsys.readouterr().err
         manifest = json.loads((tmp_path / "t.hsic.manifest.json").read_text())
+        assert manifest["threads_requested"] == 3
         assert manifest["threads_applied"] == 3
 
     def test_no_thread_cap_requested(self, tmp_path, clean_path, monkeypatch, capsys):
@@ -189,6 +191,7 @@ class TestDenoise:
               "--rank", "2", "--max-iter", "2"])
         assert "warning" not in capsys.readouterr().err
         manifest = json.loads((tmp_path / "t.hsic.manifest.json").read_text())
+        assert manifest["threads_requested"] is None
         assert manifest["threads_applied"] is None
 
     def test_flag_overrides(self, tmp_path, clean_path):
@@ -264,6 +267,7 @@ class TestBench:
         assert code == 0
         assert capsys.readouterr().err.count("warning: BLAS thread cap 1") == 1
         manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert manifest["threads_requested"] == 1
         assert manifest["threads_applied"] is None
 
     def test_run_bench_rank_guard(self):
@@ -271,7 +275,9 @@ class TestBench:
             run_bench([(8, 8, 4)], [5], reps=1, max_iter=1)
 
     def test_time_grows_with_spatial_size(self):
-        rows = run_bench([(24, 24, 8), (48, 48, 8)], [3], reps=2, max_iter=5)
+        # The minimum over 5 repetitions keeps one slow run on a busy host
+        # from deciding the ratio.
+        rows = run_bench([(24, 24, 8), (48, 48, 8)], [3], reps=5, max_iter=5)
         best = {}
         for m, n, b, r, rep, ms in rows:
             key = (m, n)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import gapped_random_cube
+from rctv.cube import unfold_casorati
 from rctv.linalg import (
+    gram_eigh,
     procrustes_v,
     project_coefficients,
     soft_threshold,
@@ -83,6 +88,125 @@ class TestTruncatedSvdInit:
         for bad in (0, 4):
             with pytest.raises(ValueError, match="rank"):
                 truncated_svd_init(y, bad)
+
+
+def with_spectrum(singular_values, rows, seed):
+    """rows x B matrix with the given singular values and random vectors."""
+    rng = np.random.default_rng(seed)
+    b = len(singular_values)
+    left, _ = np.linalg.qr(rng.standard_normal((rows, b)))
+    right, _ = np.linalg.qr(rng.standard_normal((b, b)))
+    return (left * np.asarray(singular_values)) @ right.T
+
+
+def assert_matches_svd_init(y, rank, tol=1e-10):
+    """truncated_svd_init agrees with the rank-R truncated SVD of y."""
+    u, v = truncated_svd_init(y, rank)
+    f = thin_svd(y)
+    v_ref = f.right_vectors[:, :rank]
+    u_ref = f.left_vectors[:, :rank] * f.singular_values[:rank]
+    # Equal columns, not just equal spans: the signs must agree too.
+    assert np.linalg.norm(v - v_ref) <= tol * np.linalg.norm(v_ref)
+    x_ref = u_ref @ v_ref.T
+    assert np.linalg.norm(u @ v.T - x_ref) <= tol * np.linalg.norm(x_ref)
+    np.testing.assert_allclose(v.T @ v, np.eye(rank), rtol=0, atol=1e-12)
+
+
+class TestGramEigh:
+    def test_matches_thin_svd_on_random_input(self, rng):
+        y = rng.standard_normal((200, 10))
+        evals, vecs = gram_eigh(y)
+        f = thin_svd(y)
+        np.testing.assert_allclose(evals, f.singular_values**2, rtol=1e-12)
+        assert np.linalg.norm(vecs - f.right_vectors) <= 1e-10 * np.sqrt(10)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(10), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 3, 7])
+    def test_init_matches_svd_on_random_input(self, rng, rank):
+        assert_matches_svd_init(rng.standard_normal((300, 12)), rank)
+
+    def test_init_matches_svd_on_gapped_cube(self):
+        # Rank 4 plus the constant offset: the gap sits after 5 values.
+        # Vectors inside the flat noise tail past it are not unique enough
+        # to compare.
+        y = unfold_casorati(gapped_random_cube(20, 18, 31, 4, seed=3))
+        for rank in (1, 3, 5):
+            assert_matches_svd_init(y, rank)
+
+    def test_sign_convention(self, rng):
+        _, vecs = gram_eigh(rng.standard_normal((50, 7)))
+        pivots = np.argmax(np.abs(vecs), axis=0)
+        assert np.all(vecs[pivots, np.arange(7)] > 0)
+
+    def test_single_band(self, rng):
+        y = -rng.random((30, 1))
+        evals, vecs = gram_eigh(y)
+        np.testing.assert_allclose(evals, [np.vdot(y, y)], rtol=1e-14)
+        np.testing.assert_array_equal(vecs, [[1.0]])
+        u, v = truncated_svd_init(y, 1)
+        np.testing.assert_array_equal(v, [[1.0]])
+        np.testing.assert_array_equal(u, y)
+
+    def test_zero_column(self, rng):
+        y = rng.standard_normal((40, 6))
+        y[:, 2] = 0.0
+        evals, vecs = gram_eigh(y)
+        assert 0.0 <= evals[-1] <= 1e-12 * evals[0]
+        assert np.all(np.diff(evals) <= 0)
+        # The null direction is the zero column's coordinate vector.
+        np.testing.assert_allclose(np.abs(vecs[:, -1]), np.eye(6)[2], atol=1e-12)
+        assert_matches_svd_init(y, 5)
+
+    def test_exact_rank_below_requested(self, rng):
+        y = rng.standard_normal((50, 2)) @ rng.standard_normal((2, 8))
+        evals, _ = gram_eigh(y)
+        assert np.all((evals[2:] >= 0) & (evals[2:] <= 1e-12 * evals[0]))
+        u, v = truncated_svd_init(y, 4)
+        np.testing.assert_allclose(v.T @ v, np.eye(4), rtol=0, atol=1e-12)
+        assert np.linalg.norm(y - u @ v.T) <= 1e-10 * np.linalg.norm(y)
+        # The two directions Y spans match the SVD's; the rest carry nothing.
+        ref = thin_svd(y).right_vectors[:, :2]
+        assert np.linalg.norm(v[:, :2] - ref) <= 1e-10
+        assert np.linalg.norm(u[:, 2:]) <= 1e-10 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("rank", [4, 10, 15, 19])
+    def test_geometric_decay_to_1e7(self, rank):
+        # Squaring the condition number (1e7 -> 1e14) leaves the trailing
+        # eigenvectors inaccurate; the rank-R reconstruction must not be.
+        y = with_spectrum(np.logspace(0, -7, 20), rows=400, seed=5)
+        _, vecs = gram_eigh(y)
+        v = vecs[:, :rank]
+        np.testing.assert_allclose(v.T @ v, np.eye(rank), rtol=0, atol=1e-12)
+        f = thin_svd(y)
+        x_ref = (f.left_vectors[:, :rank] * f.singular_values[:rank]) @ (
+            f.right_vectors[:, :rank].T
+        )
+        assert np.linalg.norm(y @ v @ v.T - x_ref) <= 1e-6 * np.linalg.norm(y)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_rejected(self, rng, bad):
+        y = rng.standard_normal((10, 4))
+        y[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            gram_eigh(y)
+        with pytest.raises(ValueError, match="non-finite"):
+            truncated_svd_init(y, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bands=st.integers(1, 16),
+        extra_rows=st.integers(0, 60),
+        rank_frac=st.floats(0.0, 1.0),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_svd(self, bands, extra_rows, rank_frac, scale, seed):
+        # Harmonic spectrum: distinct singular values, condition number B.
+        s = scale / np.arange(1, bands + 1)
+        y = with_spectrum(s, rows=bands + extra_rows, seed=seed)
+        rank = 1 + int(rank_frac * (bands - 1))
+        assert_matches_svd_init(y, rank)
 
 
 class TestSoftThreshold:

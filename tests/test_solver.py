@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import rctv.solver
 from conftest import gapped_random_cube, smooth_rank_cube
 from rctv.cube import fold_casorati, unfold_casorati
 from rctv.diffops import HORIZONTAL, VERTICAL, apply_diff, build_transfer_functions
@@ -393,6 +394,21 @@ class TestFusedLoopOracle:
             got = (d.fit_residual, d.split_residual_h, d.split_residual_v,
                    d.objective, d.rel_change)
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+
+    def test_differences_formed_once_per_iteration(self, monkeypatch):
+        # D(U) from each dual step feeds the next G update: two apply_diff
+        # calls for the initial U, then two per iteration.
+        calls = []
+
+        def counting_diff(*args):
+            calls.append(args)
+            return apply_diff(*args)
+
+        monkeypatch.setattr(rctv.solver, "apply_diff", counting_diff)
+        cfg = DenoiseConfig.preset("mixed", rank=2, max_iter=5, epsilon=1e-30)
+        _, diags = solve(smooth_rank_cube(8, 6, 5, 2, seed=1), cfg)
+        assert len(diags) == 5
+        assert len(calls) == 2 + 2 * len(diags)
 
     def test_factored_rel_change_matches_dense(self, rng):
         mn, b, r = 300, 20, 4
