@@ -155,10 +155,9 @@ def _parse_rank(text: str):
 def cmd_denoise(args) -> int:
     t0 = time.perf_counter()
     cube = read_cube(args.input)
-    y = unfold_casorati(cube)
 
     if args.rank == "auto":
-        rank = estimate_rank(y)
+        rank = estimate_rank(unfold_casorati(cube))
     else:
         rank = args.rank
     overrides = {}

@@ -22,18 +22,24 @@ stops when the squared relative data-fit and both split residuals all drop
 below epsilon, or after max_iter sweeps.  The restored cube is the folded
 U V^T.
 
-solve() forms each M*N x B quantity once per iteration.  The residual
-P = Y - E - S + Gam_3/mu is built once and shared by the V update
-(Procrustes on P^T U) and the U right-hand side (mu * P V).  After the U
-update, X = U V^T is formed once and T = Y - X + Gam_3/mu derived from it;
-then E = mu*(T - S)/(mu + 2*beta), S = shrink(T - E, lam/mu), the data-fit
-residual T - E - S - Gam_3/mu and Gam_3 = mu*(T - E - S) all follow from T
-and are written in place into preallocated buffers.  rel_change is
-computed from the factors in O(M*N*R^2), with no copy of the previous
-U V^T.  D(U) is formed once per iteration, in the dual step, and carried
-into the next iteration's G update.  The per-block update_* functions and
-update_multipliers evaluate the same updates densely, one block at a time;
-they are the reference kernels the fused loop is tested against.
+solve() makes two passes over the M*N x B iterates per iteration, each
+over row tiles of a few hundred KiB, so that every step of a pass finds
+its tile's rows in cache instead of streaming whole arrays from memory.
+Pass 1 writes P = Y - E - S + Gam_3/mu, which the V update (Procrustes on
+P^T U) and the U right-hand side (mu * P V) share.  Pass 2 runs after the
+U update and, per tile of rows r, forms X_r = U_r V^T and
+T_r = Y_r - X_r + Gam_3r/mu, then E_r = mu*(T_r - S_r)/(mu + 2*beta),
+S_r = shrink(T_r - E_r, lam/mu) and Gam_3r = mu*(T_r - E_r - S_r) in place,
+and sums ||fit||^2, ||E||^2 and sum|S| for the diagnostics and the
+objective; the data-fit residual is T_r - E_r - S_r - Gam_3r/mu with the
+old Gam_3.  The (M*N, R) splits and multipliers are updated in place too.
+rel_change is computed from the factors in O(M*N*R^2), with no copy of
+the previous U V^T.  D(U) is formed once per iteration, in the dual step,
+and carried into the next iteration's G update.  A non-finite residual or
+objective stops the solve with a ValueError naming the iteration.  The
+per-block update_* functions, update_multipliers and model_objective
+evaluate the same quantities densely, one block at a time; they are the
+reference kernels the tiled loop is tested against.
 
 The initial U V^T is the rank-R truncated SVD of Y, found without an SVD
 of Y: V is the top-R eigenvectors of the B x B Gram matrix Y^T Y and
@@ -50,7 +56,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from rctv.cube import HsiCube, fold_casorati, unfold_casorati
+from rctv.cube import HsiCube, unfold_casorati
 from rctv.diffops import (
     HORIZONTAL,
     VERTICAL,
@@ -67,6 +73,12 @@ V_ORTHONORMALITY_TOL = 1e-8
 # Relative slack for the per-block Lagrangian non-increase check; each
 # block update is an exact minimizer, so only roundoff can push it up.
 LAGRANGIAN_SLACK = 1e-8
+
+# Bytes in each of solve()'s two row-tile buffers.  A pass over the MN x B
+# iterates runs one tile through all of its steps while the tile's rows of
+# every operand are still in cache, instead of streaming each whole array
+# from memory once per step.
+_TILE_BYTES = 256 * 1024
 
 _PRESETS = {
     # Mostly-Gaussian noise: the sparse term is effectively disabled.
@@ -338,18 +350,13 @@ def model_objective(
     cfg: DenoiseConfig,
     grad_h: np.ndarray,
     grad_v: np.ndarray,
-    scratch: Optional[np.ndarray] = None,
 ) -> float:
-    """Value of the constrained model objective at the current iterates.
-
-    scratch, if given, is an array of S's shape that receives |S| so that
-    no temporary of that size is made.
-    """
+    """Value of the constrained model objective at the current iterates."""
     return (
         cfg.tau1 * np.abs(grad_h).sum()
         + cfg.tau2 * np.abs(grad_v).sum()
         + cfg.beta * float(np.vdot(state.e, state.e))
-        + cfg.lam * np.abs(state.s, out=scratch).sum()
+        + cfg.lam * np.abs(state.s).sum()
     )
 
 
@@ -392,7 +399,8 @@ def solve(
     else, so the first feasibility residual is the SVD truncation tail.
     Returns the folded U V^T and the per-iteration diagnostics.
     Non-convergence inside max_iter shows up in the diagnostics rather than
-    raising.
+    raising; divergence does not: a non-finite fit residual, split residual
+    or objective raises ValueError naming the iteration and the quantity.
 
     With debug=True, the augmented Lagrangian is evaluated around every
     block update and the worst relative increase per iteration is recorded
@@ -422,11 +430,19 @@ def solve(
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
-    # MN x B work buffers.  resid holds P, then U V^T, T and the fit
-    # residual in turn; scratch holds Gam3/mu, then |S| for the objective.
-    # E, S and Gam3 are updated in place.
+    # resid holds P for the V and U updates, the one MN x B work buffer.
+    # The other MN x B work streams over row tiles in two (rows, B)
+    # buffers, and E, S and Gam3 are updated in place.
     resid = np.empty((mn, b))
-    scratch = np.empty((mn, b))
+    rows = max(1, _TILE_BYTES // (8 * b))
+    tile = np.empty((rows, b))
+    tile2 = np.empty((rows, b))
+    tiles = [slice(lo, min(lo + rows, mn)) for lo in range(0, mn, rows)]
+    # (M*N, R) buffers for the split residuals, and one for Gam_i/mu and
+    # mu * split_i in turn; G_i, Gam_1 and Gam_2 are updated in place.
+    split1 = np.empty((mn, cfg.rank))
+    split2 = np.empty((mn, cfg.rank))
+    work = np.empty((mn, cfg.rank))
     diags: list[IterationDiagnostics] = []
     # D(U) for the TV splits; each dual step recomputes it for the next
     # iteration, so only the initial U is differenced here.
@@ -454,57 +470,95 @@ def solve(
             return rise if worst is None else max(worst, rise)
 
         # update_g on the current U, with D(U) from the previous dual step.
-        state.g1 = soft_threshold(grad_h + state.gam1 / mu, cfg.tau1 / mu)
-        state.g2 = soft_threshold(grad_v + state.gam2 / mu, cfg.tau2 / mu)
+        np.divide(state.gam1, mu, out=work)
+        work += grad_h
+        soft_threshold(work, cfg.tau1 / mu, out=state.g1)
+        np.divide(state.gam2, mu, out=work)
+        work += grad_v
+        soft_threshold(work, cfg.tau2 / mu, out=state.g2)
         if debug:
             worst_increase = checkpoint(worst_increase)
 
-        # P = Y - E - S + Gam3/mu, shared by the V and U updates.  scratch
-        # holds Gam3/mu until the dual step.
-        np.divide(state.gam3, mu, out=scratch)
-        np.subtract(y, state.e, out=resid)
-        resid -= state.s
-        resid += scratch
+        # Pass 1: P = Y - E - S + Gam3/mu, shared by the V and U updates.
+        for sl in tiles:
+            gam3_mu = np.divide(state.gam3[sl], mu, out=tile[: sl.stop - sl.start])
+            p = resid[sl]
+            np.subtract(y[sl], state.e[sl], out=p)
+            p -= state.s[sl]
+            p += gam3_mu
         state.v = procrustes_v(resid.T @ state.u)
         if debug:
             worst_increase = checkpoint(worst_increase)
+        rhs_data = resid @ state.v
+        rhs_data *= mu
         state.u = solve_u_system(
-            mu * (resid @ state.v), state.g1, state.g2, state.gam1, state.gam2, mu, tf
+            rhs_data, state.g1, state.g2, state.gam1, state.gam2, mu, tf
         )
         if debug:
             worst_increase = checkpoint(worst_increase)
+            s_before, gam3_before = state.s.copy(), state.gam3.copy()
 
-        # T = Y - U V^T + Gam3/mu, with U V^T formed in place of P.
-        np.matmul(state.u, state.v.T, out=resid)
-        np.subtract(y, resid, out=resid)
-        resid += scratch
-        np.subtract(resid, state.s, out=state.e)
-        state.e *= mu / (mu + 2.0 * cfg.beta)
+        # Pass 2: per tile, T = Y - U V^T + Gam3/mu, then E, S, Gam3 and
+        # the fit residual T - E - S - Gam3/mu, with the sums that the
+        # diagnostics and the objective need.
+        vt = state.v.T
+        e_scale = mu / (mu + 2.0 * cfg.beta)
+        fit_sq = e_sq = s_abs = 0.0
+        for sl in tiles:
+            t = tile[: sl.stop - sl.start]
+            gam3_mu = tile2[: sl.stop - sl.start]
+            e_r, s_r, gam3_r = state.e[sl], state.s[sl], state.gam3[sl]
+            np.matmul(state.u[sl], vt, out=t)
+            np.subtract(y[sl], t, out=t)
+            np.divide(gam3_r, mu, out=gam3_mu)
+            t += gam3_mu
+            np.subtract(t, s_r, out=e_r)
+            e_r *= e_scale
+            t -= e_r
+            soft_threshold(t, cfg.lam / mu, out=s_r)
+            t -= s_r
+            np.multiply(t, mu, out=gam3_r)
+            t -= gam3_mu
+            fit_sq += float(np.vdot(t, t))
+            e_sq += float(np.vdot(e_r, e_r))
+            s_abs += float(np.abs(s_r, out=gam3_mu).sum())
         if debug:
+            # The pass updated E, S and Gam3 together; check E and S as the
+            # sequential block updates would have left them.
+            s_new, gam3_new = state.s, state.gam3
+            state.s, state.gam3 = s_before, gam3_before
             worst_increase = checkpoint(worst_increase)
-        resid -= state.e
-        soft_threshold(resid, cfg.lam / mu, out=state.s)
-        if debug:
+            state.s = s_new
             worst_increase = checkpoint(worst_increase)
+            state.gam3 = gam3_new
         _check_v_orthonormal(state.v)
 
-        # Dual ascent.  resid becomes T - E - S, so Gam3 + mu*fit = mu*resid
-        # and fit = resid - Gam3/mu.
-        resid -= state.s
-        np.multiply(resid, mu, out=state.gam3)
-        resid -= scratch
+        # Dual ascent on the TV splits (Gam3 was updated in pass 2).
         grad_h = apply_diff(state.u, m, n, HORIZONTAL)
         grad_v = apply_diff(state.u, m, n, VERTICAL)
-        split1 = grad_h - state.g1
-        split2 = grad_v - state.g2
-        state.gam1 = state.gam1 + mu * split1
-        state.gam2 = state.gam2 + mu * split2
+        np.subtract(grad_h, state.g1, out=split1)
+        np.subtract(grad_v, state.g2, out=split2)
+        state.gam1 += np.multiply(split1, mu, out=work)
+        state.gam2 += np.multiply(split2, mu, out=work)
         state.mu = min(cfg.rho * mu, cfg.mu_max)
 
-        fit_res = float(np.vdot(resid, resid)) / denom
+        fit_res = fit_sq / denom
         split_h = float(np.vdot(split1, split1)) / denom
         split_v = float(np.vdot(split2, split2)) / denom
-        objective = model_objective(state, cfg, grad_h, grad_v, scratch)
+        objective = (
+            cfg.tau1 * np.abs(grad_h, out=work).sum()
+            + cfg.tau2 * np.abs(grad_v, out=work).sum()
+            + cfg.beta * e_sq
+            + cfg.lam * s_abs
+        )
+        for name, value in (
+            ("fit_res", fit_res),
+            ("split_res1", split_h),
+            ("split_res2", split_v),
+            ("objective", objective),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"ADMM diverged: {name} is {value} at iteration {it}")
         rel_change = _rel_change(state.u, state.v, u_prev, v_prev)
         diags.append(
             IterationDiagnostics(
@@ -523,5 +577,4 @@ def solve(
         if fit_res <= cfg.epsilon and split_h <= cfg.epsilon and split_v <= cfg.epsilon:
             break
 
-    restored = fold_casorati(state.u @ state.v.T, m, n)
-    return restored, diags
+    return HsiCube(m, n, b, (state.v @ state.u.T).reshape(-1)), diags

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rctv.cube import HsiCube, fold_casorati
+from rctv.diffops import solve_u_system
 
 
 def smooth_rank_cube(
@@ -72,6 +73,17 @@ def dense_diff_matrix(m: int, n: int, direction: str) -> np.ndarray:
             a[k, k_next] += 1.0
             a[k, k] -= 1.0
     return a
+
+
+def nan_u_solve(calls: list, first_nan_call: int = 3):
+    """A solve_u_system that records its calls and returns NaN from the given one on."""
+
+    def fake(*args):
+        calls.append(args)
+        u = solve_u_system(*args)
+        return u if len(calls) < first_nan_call else np.full_like(u, np.nan)
+
+    return fake
 
 
 @pytest.fixture

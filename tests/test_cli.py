@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_cube, smooth_rank_cube
+from conftest import nan_u_solve, random_cube, smooth_rank_cube
 import rctv.cli
+import rctv.solver
 from rctv.cli import bench_cube, estimate_rank, main, run_bench
 from rctv.cube import read_cube, write_cube
 from rctv.solver import DenoiseConfig
@@ -109,6 +110,17 @@ class TestDenoise:
         assert len(lines) == manifest["iterations"]
         first = json.loads(lines[0])
         assert first["iter"] == 1
+
+    def test_divergence_exits_before_writing(self, tmp_path, clean_path, monkeypatch, capsys):
+        solves = []
+        monkeypatch.setattr(rctv.solver, "solve_u_system", nan_u_solve(solves))
+        out = tmp_path / "never.hsic"
+        code = main(["denoise", "--input", str(clean_path), "--output", str(out),
+                     "--rank", "2", "--max-iter", "10"])
+        assert code == 2
+        assert len(solves) == 3
+        assert "iteration 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gaussian_preset_values(self, tmp_path, clean_path):
         out = tmp_path / "out.hsic"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rctv.solver
-from conftest import gapped_random_cube, smooth_rank_cube
+from conftest import gapped_random_cube, nan_u_solve, smooth_rank_cube
 from rctv.cube import fold_casorati, unfold_casorati
 from rctv.diffops import HORIZONTAL, VERTICAL, apply_diff, build_transfer_functions
 from rctv.linalg import truncated_svd_init
@@ -217,6 +217,49 @@ class TestUpdateMultipliers:
         assert st.mu == 1e6
 
 
+def force_tile_rows(monkeypatch, cube, rows):
+    """Shrink solve()'s row tiles to `rows` rows of `cube`.
+
+    At the default tile size the small test cubes fit in one tile, so the
+    tests that cover tile boundaries force smaller ones.  Unless one tile
+    is one row, the cube must span at least 3 tiles with a ragged last one.
+    """
+    mn = cube.height * cube.width
+    assert rows == 1 or (mn // rows >= 3 and mn % rows)
+    monkeypatch.setattr(rctv.solver, "_TILE_BYTES", rows * 8 * cube.bands)
+
+
+def check_against_reference_kernels(before_solve=lambda cube: None):
+    clean = smooth_rank_cube(16, 14, 9, 3, seed=11)
+    noisy, _ = apply_case(clean, "e", "msi31", seed=4)
+    before_solve(noisy)
+    # A low lam/mu0 threshold so that S leaves zero within 8 iterations.
+    cfg = DenoiseConfig.preset(
+        "mixed", rank=3, tau=0.1, lam=0.02, mu0=0.5, max_iter=8, epsilon=1e-30
+    )
+    ref_cube, ref_rows, ref_state = reference_solve(noisy, cfg, 8)
+    # The sparse block must be active for the comparison to cover it.
+    assert np.count_nonzero(ref_state.s) > 0
+    restored, diags = solve(noisy, cfg)
+    assert len(diags) == 8
+    np.testing.assert_allclose(restored.data, ref_cube.data, rtol=1e-10, atol=0)
+    for d, ref in zip(diags, ref_rows):
+        got = (d.fit_residual, d.split_residual_h, d.split_residual_v,
+               d.objective, d.rel_change)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+
+
+def check_debug_block_decrease(before_solve=lambda cube: None):
+    clean = smooth_rank_cube(12, 12, 6, 2, seed=9)
+    noisy, _ = apply_case(clean, "c", "msi31", seed=1)
+    before_solve(noisy)
+    cfg = DenoiseConfig.preset("mixed", rank=2, tau=0.1, max_iter=15)
+    _, diags = solve(noisy, cfg, debug=True)
+    for d in diags:
+        assert d.block_increase is not None
+        assert d.block_increase <= 1e-8
+
+
 class TestSolve:
     def test_exact_recovery_on_clean_cube(self):
         clean = smooth_rank_cube(16, 16, 8, 3, seed=3)
@@ -269,13 +312,19 @@ class TestSolve:
             assert a.rel_change == b.rel_change
 
     def test_debug_block_decrease(self):
-        clean = smooth_rank_cube(12, 12, 6, 2, seed=9)
-        noisy, _ = apply_case(clean, "c", "msi31", seed=1)
-        cfg = DenoiseConfig.preset("mixed", rank=2, tau=0.1, max_iter=15)
-        _, diags = solve(noisy, cfg, debug=True)
-        for d in diags:
-            assert d.block_increase is not None
-            assert d.block_increase <= 1e-8
+        check_debug_block_decrease()
+
+    @pytest.mark.parametrize("tile_rows", [40, 1])
+    def test_debug_block_decrease_in_row_tiles(self, monkeypatch, tile_rows):
+        check_debug_block_decrease(lambda cube: force_tile_rows(monkeypatch, cube, tile_rows))
+
+    def test_divergence_fails_fast(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(rctv.solver, "solve_u_system", nan_u_solve(solves))
+        cfg = DenoiseConfig.preset("mixed", rank=2, max_iter=10, epsilon=1e-30)
+        with pytest.raises(ValueError, match="fit_res is nan at iteration 3"):
+            solve(smooth_rank_cube(8, 6, 5, 2, seed=1), cfg)
+        assert len(solves) == 3
 
     def test_rank_exceeding_bands_rejected(self):
         cube = smooth_rank_cube(6, 6, 4, 2, seed=0)
@@ -378,22 +427,13 @@ def reference_solve(cube, cfg, iters):
 
 class TestFusedLoopOracle:
     def test_matches_reference_kernels(self):
-        clean = smooth_rank_cube(16, 14, 9, 3, seed=11)
-        noisy, _ = apply_case(clean, "e", "msi31", seed=4)
-        # A low lam/mu0 threshold so that S leaves zero within 8 iterations.
-        cfg = DenoiseConfig.preset(
-            "mixed", rank=3, tau=0.1, lam=0.02, mu0=0.5, max_iter=8, epsilon=1e-30
+        check_against_reference_kernels()
+
+    @pytest.mark.parametrize("tile_rows", [50, 13, 1])
+    def test_matches_reference_kernels_in_row_tiles(self, monkeypatch, tile_rows):
+        check_against_reference_kernels(
+            lambda cube: force_tile_rows(monkeypatch, cube, tile_rows)
         )
-        ref_cube, ref_rows, ref_state = reference_solve(noisy, cfg, 8)
-        # The sparse block must be active for the comparison to cover it.
-        assert np.count_nonzero(ref_state.s) > 0
-        restored, diags = solve(noisy, cfg)
-        assert len(diags) == 8
-        np.testing.assert_allclose(restored.data, ref_cube.data, rtol=1e-10, atol=0)
-        for d, ref in zip(diags, ref_rows):
-            got = (d.fit_residual, d.split_residual_h, d.split_residual_v,
-                   d.objective, d.rel_change)
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
 
     def test_differences_formed_once_per_iteration(self, monkeypatch):
         # D(U) from each dual step feeds the next G update: two apply_diff
