@@ -577,4 +577,7 @@ def solve(
         if fit_res <= cfg.epsilon and split_h <= cfg.epsilon and split_v <= cfg.epsilon:
             break
 
-    return HsiCube(m, n, b, (state.v @ state.u.T).reshape(-1)), diags
+    # V U^T is the band-sequential (B, M*N) layout of the cube, built in
+    # resid's buffer, which the loop no longer needs.
+    restored = np.matmul(state.v, state.u.T, out=resid.reshape(b, mn))
+    return HsiCube(m, n, b, restored.reshape(-1)), diags
