@@ -49,19 +49,14 @@ except ImportError:  # declared dep; without it _thread_cap warns
     threadpool_limits = None
 
 
-def estimate_rank(
-    y: np.ndarray,
-    energy_fraction: float = DEFAULT_ENERGY_FRACTION,
-    bounds: tuple[int, int] | None = None,
-) -> int:
+def estimate_rank(y: np.ndarray, energy_fraction: float = DEFAULT_ENERGY_FRACTION) -> int:
     """Smallest R whose leading singular values carry the energy fraction.
 
     Energy is cumulative squared singular values over their total; the
     squared singular values are the eigenvalues of the B x B Gram matrix
-    Y^T Y.  The result is clamped to bounds, which default to
-    (2, ceil(0.15 * B)): the typical subspace dimension of a B-band cube is
-    a small fraction of B.  It never exceeds B, so a 1-band cube gets
-    rank 1.
+    Y^T Y.  The result is clamped to [2, ceil(0.15 * B)]: the typical
+    subspace dimension of a B-band cube is a small fraction of B.  It never
+    exceeds B, so a 1-band cube gets rank 1.
     """
     if not 0 < energy_fraction <= 1:
         raise ValueError("energy_fraction must lie in (0, 1]")
@@ -69,13 +64,10 @@ def estimate_rank(
     total = float(np.sum(energy))
     if total == 0.0:
         raise ValueError("cannot estimate rank of an all-zero matrix")
-    if bounds is None:
-        bounds = (2, math.ceil(0.15 * energy.size))
-    lo, hi = bounds
-    hi = max(hi, lo)
     cum = np.cumsum(energy) / total
     r = int(np.searchsorted(cum, energy_fraction) + 1)
-    return min(max(r, lo), hi, energy.size)
+    hi = max(math.ceil(0.15 * energy.size), 2)
+    return min(max(r, 2), hi, energy.size)
 
 
 @contextmanager

@@ -67,10 +67,6 @@ class HsiCube:
         plane = self.data[b * mn : (b + 1) * mn]
         return plane.reshape((self.height, self.width), order="F")
 
-    def to_array(self) -> np.ndarray:
-        """Copy out as an (M, N, B) array indexed [i, j, b]."""
-        return np.stack([self.band(b) for b in range(self.bands)], axis=2)
-
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "HsiCube":
         """Build from an (M, N, B) array indexed [i, j, b]."""
@@ -108,13 +104,15 @@ class NormalizationRecord:
 
 
 def unfold_casorati(cube: HsiCube) -> np.ndarray:
-    """Unfold to the (M*N, B) Casorati matrix.
+    """Unfold to the (M*N, B) Casorati matrix as a read-only view.
 
     Column b is the vectorized band b; row k = j*M + i (0-based) is the
-    spectrum of pixel (i, j).
+    spectrum of pixel (i, j).  The view shares the cube's band-sequential
+    storage, so it is column-major (Fortran-ordered) and costs no copy;
+    a caller that streams over rows makes its own C-ordered copy.
     """
     mn = cube.height * cube.width
-    return cube.data.reshape(cube.bands, mn).T.copy()
+    return cube.data.reshape(cube.bands, mn).T
 
 
 def fold_casorati(mat: np.ndarray, height: int, width: int) -> HsiCube:

@@ -2,7 +2,7 @@
 
 PSNR/SSIM are band-wise spatial metrics averaged over bands; ERGAS and
 MSAM compare spectra.  All of them assume band-normalized data, so the
-PSNR/SSIM peak defaults to 1.  SSIM uses the single-scale Gaussian-window
+PSNR/SSIM peak is 1.  SSIM uses the single-scale Gaussian-window
 form (11x11, sigma 1.5, K1=0.01, K2=0.03) with valid-region averaging; on
 bands too small for the 11-pixel window the window shrinks to the largest
 odd size that fits.  MSAM is reported in radians.
@@ -84,27 +84,24 @@ def _check_same_dims(ref, test):
         raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
 
 
-def psnr_band(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE); identical bands give math.inf."""
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+def psnr_band(ref_band: np.ndarray, test_band: np.ndarray) -> float:
+    """10*log10(1 / MSE); identical bands give math.inf."""
     ref_band = np.asarray(ref_band, dtype=np.float64)
     test_band = np.asarray(test_band, dtype=np.float64)
     _check_same_dims(ref_band, test_band)
     mse = float(np.mean((ref_band - test_band) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
-def mpsnr(ref: HsiCube, test: HsiCube, peak: float = 1.0) -> float:
-    return float(np.mean(per_band_psnr(ref, test, peak)))
+def mpsnr(ref: HsiCube, test: HsiCube) -> float:
+    return float(np.mean(per_band_psnr(ref, test)))
 
 
-def per_band_psnr(ref: HsiCube, test: HsiCube, peak: float = 1.0) -> list[float]:
-    if ref.shape != test.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    return [psnr_band(ref.band(b), test.band(b), peak) for b in range(ref.bands)]
+def per_band_psnr(ref: HsiCube, test: HsiCube) -> list[float]:
+    _check_same_dims(ref, test)
+    return [psnr_band(ref.band(b), test.band(b)) for b in range(ref.bands)]
 
 
 def gaussian_window(win_size: int, sigma: float) -> np.ndarray:
@@ -134,15 +131,15 @@ def effective_ssim_window(height: int, width: int) -> int:
     return win
 
 
-def ssim_band(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> float:
+def ssim_band(ref_band: np.ndarray, test_band: np.ndarray) -> float:
     """Mean local SSIM over the valid window positions of one band."""
     x = np.asarray(ref_band, dtype=np.float64)
     y = np.asarray(test_band, dtype=np.float64)
     _check_same_dims(x, y)
     win = effective_ssim_window(*x.shape)
     taps = gaussian_window(win, SSIM_SIGMA)
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
+    c1 = SSIM_K1**2
+    c2 = SSIM_K2**2
     mu_x = _correlate_valid(x, taps)
     mu_y = _correlate_valid(y, taps)
     var_x = _correlate_valid(x * x, taps) - mu_x * mu_x
@@ -154,14 +151,13 @@ def ssim_band(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) ->
     return float(ssim_map.mean())
 
 
-def mssim(ref: HsiCube, test: HsiCube, peak: float = 1.0) -> float:
-    return float(np.mean(per_band_ssim(ref, test, peak)))
+def mssim(ref: HsiCube, test: HsiCube) -> float:
+    return float(np.mean(per_band_ssim(ref, test)))
 
 
-def per_band_ssim(ref: HsiCube, test: HsiCube, peak: float = 1.0) -> list[float]:
-    if ref.shape != test.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    return [ssim_band(ref.band(b), test.band(b), peak) for b in range(ref.bands)]
+def per_band_ssim(ref: HsiCube, test: HsiCube) -> list[float]:
+    _check_same_dims(ref, test)
+    return [ssim_band(ref.band(b), test.band(b)) for b in range(ref.bands)]
 
 
 def ergas(ref: HsiCube, test: HsiCube) -> float:
@@ -171,8 +167,7 @@ def ergas(ref: HsiCube, test: HsiCube) -> float:
 
 
 def ergas_with_exclusions(ref: HsiCube, test: HsiCube) -> tuple[float, list[int]]:
-    if ref.shape != test.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
+    _check_same_dims(ref, test)
     x = unfold_casorati(ref)
     y = unfold_casorati(test)
     means = x.mean(axis=0)
@@ -192,8 +187,7 @@ def msam(ref: HsiCube, test: HsiCube) -> float:
 
 
 def msam_with_exclusions(ref: HsiCube, test: HsiCube) -> tuple[float, int]:
-    if ref.shape != test.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
+    _check_same_dims(ref, test)
     x = unfold_casorati(ref)
     y = unfold_casorati(test)
     dots = np.einsum("ij,ij->i", x, y)
@@ -207,18 +201,12 @@ def msam_with_exclusions(ref: HsiCube, test: HsiCube) -> tuple[float, int]:
     return value, int((~included).sum())
 
 
-def column_mean_profile(cube: HsiCube, band: int) -> np.ndarray:
-    """Per-column mean of one band; deadline columns show up as dips."""
-    return cube.band(band).mean(axis=0)
-
-
-def compute_report(ref: HsiCube, test: HsiCube, peak: float = 1.0) -> MetricsReport:
+def compute_report(ref: HsiCube, test: HsiCube) -> MetricsReport:
     """All four indices plus per-band breakdowns, with wall-clock timing."""
-    if ref.shape != test.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
+    _check_same_dims(ref, test)
     t0 = time.perf_counter()
-    band_psnr = per_band_psnr(ref, test, peak)
-    band_ssim = per_band_ssim(ref, test, peak)
+    band_psnr = per_band_psnr(ref, test)
+    band_ssim = per_band_ssim(ref, test)
     ergas_val, ergas_excl = ergas_with_exclusions(ref, test)
     msam_val, msam_excl = msam_with_exclusions(ref, test)
     wall_ms = (time.perf_counter() - t0) * 1e3

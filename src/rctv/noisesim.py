@@ -23,8 +23,8 @@ SigmaLike = Union[float, tuple[float, float], np.ndarray]
 
 _U64_MASK = (1 << 64) - 1
 
-# Stage tags double as sub-seed entropy so replaying one stage in isolation
-# is possible from a record.
+# Stage tags double as sub-seed entropy, so replaying one stage in isolation
+# is possible from the record's seed: stage_rng(record.seed, stage).
 _STAGE_CODES = {"gaussian": 1, "impulse": 2, "deadline": 3, "stripe": 4}
 
 CASES = ("a", "b", "c", "d", "e", "f")
@@ -81,7 +81,6 @@ class StripeSpec:
     band_hi: int
     count_range: tuple[int, int]
     offset_range: tuple[float, float] = (-0.25, 0.25)
-    clamp: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         if self.band_lo < 0 or self.band_hi < self.band_lo:
@@ -132,7 +131,6 @@ class NoiseSpec:
                 band_hi=stripes["band_hi"],
                 count_range=tuple(stripes["count_range"]),
                 offset_range=tuple(stripes["offset_range"]),
-                clamp=tuple(stripes["clamp"]) if stripes.get("clamp") else None,
             )
             if stripes
             else None,
@@ -153,7 +151,6 @@ class NoiseRecord:
     impulse_count: Optional[list[int]]
     deadlines: Optional[dict[int, list[tuple[int, int]]]]
     stripes: Optional[dict[int, list[tuple[int, float]]]]
-    stage_entropy: dict[str, list[int]]
     spec: dict
 
     def to_json_obj(self) -> dict:
@@ -166,6 +163,7 @@ class NoiseRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NoiseRecord":
+        """Load a record; the stage_entropy key of older records is ignored."""
         deadlines = obj.get("deadlines")
         if deadlines is not None:
             deadlines = {
@@ -186,7 +184,6 @@ class NoiseRecord:
             impulse_count=obj.get("impulse_count"),
             deadlines=deadlines,
             stripes=stripes,
-            stage_entropy=obj.get("stage_entropy", {}),
             spec=obj["spec"],
         )
 
@@ -253,6 +250,12 @@ def add_impulse(
     return HsiCube(cube.height, cube.width, cube.bands, data), ratios, counts
 
 
+def _free_starts(occupied: np.ndarray, width: int) -> np.ndarray:
+    """Starts p, ascending, where no column in [p, p + width) is occupied."""
+    taken = np.concatenate(([0], np.cumsum(occupied)))
+    return np.flatnonzero(taken[width:] == taken[:-width])
+
+
 def add_deadlines(
     cube: HsiCube, spec: DeadlineSpec, rng: np.random.Generator
 ) -> tuple[HsiCube, dict[int, list[tuple[int, int]]]]:
@@ -280,9 +283,7 @@ def add_deadlines(
             width = int(
                 rng.integers(spec.width_range[0], spec.width_range[1], endpoint=True)
             )
-            free = np.flatnonzero(
-                [not occupied[p : p + width].any() for p in range(n - width + 1)]
-            )
+            free = _free_starts(occupied, width)
             if free.size == 0:
                 break
             start = int(free[rng.integers(free.size)])
@@ -301,8 +302,8 @@ def add_stripes(
 
     Per band, a stripe count is drawn from count_range (capped at the image
     width), distinct columns are sampled without replacement, and each gets
-    an offset drawn uniformly from offset_range.  With clamp set, the
-    struck columns are clipped into that range afterwards.
+    an offset drawn uniformly from offset_range.  Struck values are not
+    clipped, so they may leave [0, 1].
     Returns (cube, {band: [(col, offset), ...]}).
     """
     m, n = cube.height, cube.width
@@ -318,10 +319,7 @@ def add_stripes(
         placed = []
         for col, off in zip(cols, offsets):
             col = int(col)
-            sl = slice(b * mn + col * m, b * mn + (col + 1) * m)
-            data[sl] += off
-            if spec.clamp is not None:
-                np.clip(data[sl], spec.clamp[0], spec.clamp[1], out=data[sl])
+            data[b * mn + col * m : b * mn + (col + 1) * m] += off
             placed.append((col, float(off)))
         placements[b] = placed
     return HsiCube(m, n, cube.bands, data), placements
@@ -408,29 +406,24 @@ def apply_spec(cube: HsiCube, spec: NoiseSpec) -> tuple[HsiCube, NoiseRecord]:
         impulse_count=None,
         deadlines=None,
         stripes=None,
-        stage_entropy={},
         spec=spec.to_dict(),
     )
     out = cube
     if spec.gaussian_sigma is not None:
         rng = stage_rng(spec.seed, "gaussian")
-        record.stage_entropy["gaussian"] = [spec.seed & _U64_MASK, _STAGE_CODES["gaussian"]]
         out, sigmas = add_gaussian(out, spec.gaussian_sigma, rng)
         record.gaussian_sigma = [float(s) for s in sigmas]
     if spec.impulse_ratio is not None:
         rng = stage_rng(spec.seed, "impulse")
-        record.stage_entropy["impulse"] = [spec.seed & _U64_MASK, _STAGE_CODES["impulse"]]
         out, ratios, counts = add_impulse(out, spec.impulse_ratio, rng)
         record.impulse_ratio = [float(r) for r in ratios]
         record.impulse_count = [int(c) for c in counts]
     if spec.deadline is not None:
         rng = stage_rng(spec.seed, "deadline")
-        record.stage_entropy["deadline"] = [spec.seed & _U64_MASK, _STAGE_CODES["deadline"]]
         out, placements = add_deadlines(out, spec.deadline, rng)
         record.deadlines = placements
     if spec.stripes is not None:
         rng = stage_rng(spec.seed, "stripe")
-        record.stage_entropy["stripe"] = [spec.seed & _U64_MASK, _STAGE_CODES["stripe"]]
         out, placements = add_stripes(out, spec.stripes, rng)
         record.stripes = placements
     return out, record

@@ -70,10 +70,6 @@ from rctv.metrics import encode_float
 
 V_ORTHONORMALITY_TOL = 1e-8
 
-# Relative slack for the per-block Lagrangian non-increase check; each
-# block update is an exact minimizer, so only roundoff can push it up.
-LAGRANGIAN_SLACK = 1e-8
-
 # Bytes in each of solve()'s two row-tile buffers.  A pass over the MN x B
 # iterates runs one tile through all of its steps while the tile's rows of
 # every operand are still in cache, instead of streaming each whole array
@@ -410,7 +406,10 @@ def solve(
     m, n, b = y_cube.height, y_cube.width, y_cube.bands
     if cfg.rank > b:
         raise ValueError(f"rank {cfg.rank} exceeds band count {b}")
-    y = unfold_casorati(y_cube)
+    # The row-tiled passes below read Y one block of rows at a time, and
+    # rows of the column-major Casorati view are strided; one C-ordered
+    # copy up front is cheaper than strided tiles on every pass.
+    y = np.ascontiguousarray(unfold_casorati(y_cube))
     tf = build_transfer_functions(m, n)
 
     u, v = truncated_svd_init(y, cfg.rank)

@@ -43,6 +43,14 @@ def test_fold_unfold_roundtrip(dims, rng):
     np.testing.assert_array_equal(back.data, cube.data)
 
 
+def test_unfold_is_read_only_view(rng):
+    cube = HsiCube(3, 4, 2, rng.random(24))
+    mat = unfold_casorati(cube)
+    assert np.shares_memory(mat, cube.data)
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+
+
 def test_fold_dimension_mismatch():
     with pytest.raises(ValueError, match="row count"):
         fold_casorati(np.zeros((5, 1)), 2, 2)
@@ -63,6 +71,12 @@ def test_cube_validation():
         HsiCube(2, 2, 1, np.zeros(5))
     with pytest.raises(ValueError, match="finite"):
         HsiCube(1, 1, 2, np.array([1.0, np.nan]))
+
+
+def test_band_out_of_range(rng):
+    cube = HsiCube(2, 2, 2, rng.random(8))
+    with pytest.raises(IndexError):
+        cube.band(2)
 
 
 def test_cube_immutable(rng):

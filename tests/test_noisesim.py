@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rctv.noisesim import (
     NoiseRecord,
     NoiseSpec,
     StripeSpec,
+    _free_starts,
     add_deadlines,
     add_gaussian,
     add_impulse,
@@ -118,6 +121,19 @@ class TestDeadlines:
             covered[start : start + width] += 1
         assert covered.max() <= 1
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_free_starts_match_window_scan(self, n):
+        # Against a scan of every window, on random occupancy masks and
+        # every width up to n.
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            occupied = rng.random(n) < rng.random()
+            for width in range(1, n + 1):
+                expected = np.flatnonzero(
+                    [not occupied[p : p + width].any() for p in range(n - width + 1)]
+                )
+                np.testing.assert_array_equal(_free_starts(occupied, width), expected)
+
     def test_width_exceeding_image_rejected(self):
         cube = random_cube(4, 3, 1, seed=0)
         with pytest.raises(ValueError, match="width"):
@@ -159,12 +175,6 @@ class TestStripes:
                 assert abs(diff[j]) > 0
             else:
                 assert diff[j] == 0.0
-
-    def test_clamp(self):
-        cube = fold_casorati(np.full((20, 1), 0.95), 4, 5)
-        spec = self.spec(offset_range=(0.2, 0.2), clamp=(0.0, 1.0))
-        out, _ = add_stripes(cube, spec, np.random.default_rng(4))
-        assert out.data.max() <= 1.0
 
 
 class TestApplyCase:
@@ -247,11 +257,28 @@ class TestReplay:
         cube = random_cube(6, 6, 31, seed=22)
         noisy, record = apply_case(cube, "f", "msi31", seed=79)
         obj = record.to_json_obj()
-        import json
-
         back = NoiseRecord.from_json_obj(json.loads(json.dumps(obj)))
         again = replay(back, cube)
         np.testing.assert_array_equal(noisy.data, again.data)
+
+    def test_record_with_stage_entropy_replays(self):
+        # Records written before stage_entropy and the stripe clamp were
+        # dropped still carry both.
+        cube = random_cube(6, 6, 31, seed=23)
+        noisy, record = apply_case(cube, "f", "msi31", seed=80)
+        obj = record.to_json_obj()
+        obj["spec"]["stripes"]["clamp"] = None
+        obj["stage_entropy"] = {
+            stage: [80, code]
+            for stage, code in (("gaussian", 1), ("impulse", 2), ("deadline", 3), ("stripe", 4))
+        }
+        back = NoiseRecord.from_json_obj(json.loads(json.dumps(obj)))
+        assert back.to_json_obj().keys() == record.to_json_obj().keys()
+        np.testing.assert_array_equal(replay(back, cube).data, noisy.data)
+        # The dropped field held the entropy stage_rng rebuilds from the seed.
+        for stage, entropy in obj["stage_entropy"].items():
+            old = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+            np.testing.assert_array_equal(old.random(4), stage_rng(80, stage).random(4))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="well-ordered"):
