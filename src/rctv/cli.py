@@ -11,6 +11,11 @@ to one thread.  The denoise and bench manifests record the cap asked for
 as threads_requested (null when none was) and the cap in force as
 threads_applied.  Caps go through threadpoolctl: without it no cap
 applies, a warning goes to stderr, and threads_applied is null.
+
+The denoise manifest also records why the solver stopped (stop_reason,
+"converged" or "max_iter"), the first iteration in which the sparse term S
+left zero (s_first_iter, null if it never did), and the process's peak
+resident memory in MiB (peak_rss_mib).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -187,7 +193,11 @@ def cmd_denoise(args) -> int:
             },
             "rank_source": "auto" if args.rank == "auto" else "flag",
             "iterations": len(diags),
+            "stop_reason": "converged" if diags[-1].converged(cfg.epsilon) else "max_iter",
+            "s_first_iter": next((d.iteration for d in diags if d.s_active), None),
             "solve_ms": solve_ms,
+            # ru_maxrss is in KiB on Linux.
+            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "threads_requested": threads_requested,
             "threads_applied": threads_applied,
         },

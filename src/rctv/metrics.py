@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from rctv.cube import HsiCube, unfold_casorati
 
@@ -112,12 +111,26 @@ def gaussian_window(win_size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _correlate_valid(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Separable valid-mode correlation with the same 1-D taps on both axes."""
+def _tap_matrix(length: int, taps: np.ndarray) -> np.ndarray:
+    """Banded (length - w + 1, length) matrix whose row k holds the w taps
+    in columns k .. k + w - 1, so A @ x correlates x's columns with the
+    taps in valid mode."""
     w = taps.size
-    out = np.tensordot(sliding_window_view(img, w, axis=0), taps, axes=([2], [0]))
-    out = np.tensordot(sliding_window_view(out, w, axis=1), taps, axes=([2], [0]))
-    return out
+    a = np.zeros((length - w + 1, length))
+    rows = np.arange(length - w + 1)[:, None]
+    a[rows, rows + np.arange(w)] = taps
+    return a
+
+
+def _ssim_tap_matrices(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tap matrices of the SSIM window for the rows and columns of a band."""
+    taps = gaussian_window(effective_ssim_window(height, width), SSIM_SIGMA)
+    return _tap_matrix(height, taps), _tap_matrix(width, taps)
+
+
+def _correlate_valid(img: np.ndarray, row_taps: np.ndarray, col_taps: np.ndarray) -> np.ndarray:
+    """Separable valid-mode correlation with the _tap_matrix of each axis."""
+    return row_taps @ img @ col_taps.T
 
 
 def effective_ssim_window(height: int, width: int) -> int:
@@ -136,15 +149,19 @@ def ssim_band(ref_band: np.ndarray, test_band: np.ndarray) -> float:
     x = np.asarray(ref_band, dtype=np.float64)
     y = np.asarray(test_band, dtype=np.float64)
     _check_same_dims(x, y)
-    win = effective_ssim_window(*x.shape)
-    taps = gaussian_window(win, SSIM_SIGMA)
+    return _ssim_with_taps(x, y, *_ssim_tap_matrices(*x.shape))
+
+
+def _ssim_with_taps(
+    x: np.ndarray, y: np.ndarray, row_taps: np.ndarray, col_taps: np.ndarray
+) -> float:
     c1 = SSIM_K1**2
     c2 = SSIM_K2**2
-    mu_x = _correlate_valid(x, taps)
-    mu_y = _correlate_valid(y, taps)
-    var_x = _correlate_valid(x * x, taps) - mu_x * mu_x
-    var_y = _correlate_valid(y * y, taps) - mu_y * mu_y
-    cov = _correlate_valid(x * y, taps) - mu_x * mu_y
+    mu_x = _correlate_valid(x, row_taps, col_taps)
+    mu_y = _correlate_valid(y, row_taps, col_taps)
+    var_x = _correlate_valid(x * x, row_taps, col_taps) - mu_x * mu_x
+    var_y = _correlate_valid(y * y, row_taps, col_taps) - mu_y * mu_y
+    cov = _correlate_valid(x * y, row_taps, col_taps) - mu_x * mu_y
     ssim_map = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     )
@@ -157,7 +174,9 @@ def mssim(ref: HsiCube, test: HsiCube) -> float:
 
 def per_band_ssim(ref: HsiCube, test: HsiCube) -> list[float]:
     _check_same_dims(ref, test)
-    return [ssim_band(ref.band(b), test.band(b)) for b in range(ref.bands)]
+    # Every band has the same shape, so the tap matrices are built once.
+    taps = _ssim_tap_matrices(ref.height, ref.width)
+    return [_ssim_with_taps(ref.band(b), test.band(b), *taps) for b in range(ref.bands)]
 
 
 def ergas(ref: HsiCube, test: HsiCube) -> float:

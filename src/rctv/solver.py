@@ -25,21 +25,36 @@ U V^T.
 solve() makes two passes over the M*N x B iterates per iteration, each
 over row tiles of a few hundred KiB, so that every step of a pass finds
 its tile's rows in cache instead of streaming whole arrays from memory.
-Pass 1 writes P = Y - E - S + Gam_3/mu, which the V update (Procrustes on
-P^T U) and the U right-hand side (mu * P V) share.  Pass 2 runs after the
-U update and, per tile of rows r, forms X_r = U_r V^T and
-T_r = Y_r - X_r + Gam_3r/mu, then E_r = mu*(T_r - S_r)/(mu + 2*beta),
-S_r = shrink(T_r - E_r, lam/mu) and Gam_3r = mu*(T_r - E_r - S_r) in place,
-and sums ||fit||^2, ||E||^2 and sum|S| for the diagnostics and the
-objective; the data-fit residual is T_r - E_r - S_r - Gam_3r/mu with the
-old Gam_3.  The (M*N, R) splits and multipliers are updated in place too.
+Pass 1 writes P = Y - E - S + Gam_3/mu, which the U right-hand side
+(mu * P V) reads, and sums P^T U tile by tile for the V update
+(Procrustes on P^T U).  Pass 2 runs after the U update and, per tile of
+rows r, forms X_r = U_r V^T and T_r = Y_r - X_r + Gam_3r/mu, then
+E_r = mu*(T_r - S_r)/(mu + 2*beta), S_r = shrink(T_r - E_r, lam/mu) and
+Gam_3r = mu*(T_r - E_r - S_r) in place, and sums ||fit||^2, ||E||^2 and
+sum|S| for the diagnostics and the objective; the data-fit residual is
+T_r - E_r - S_r - Gam_3r/mu with the old Gam_3.
+
+E and S are stored only once they are needed.  S starts as None and
+stays None while the S update would leave it zero: with S = 0 it shrinks
+(1 - c)*T_r by lam/mu, c = mu/(mu + 2*beta), so pass 2 allocates S as
+zeros on the first tile where (1 - c)*max|T_r| exceeds lam/mu.  While S
+is None and beta > 0, the E update's optimality condition after the dual
+step gives E = Gam_3/(2*beta) (dual feasibility of the E block), so E is
+not stored either: pass 1 writes P = Y + Gam_3*(1/mu - 1/(2*beta)), and
+pass 2 sets Gam_3r = mu*(1 - c)*T_r, with fit residual
+(1 - c)*T_r - Gam_3r_old/mu and ||E||^2 = ||Gam_3||^2/(4*beta^2).  When S
+turns on part-way through pass 2, E is filled in as Gam_3/(2*beta) for
+the tiles already done, and the stored path runs from that tile on.  With
+beta = 0 (c = 1, so S can never turn on) E is stored from the start.
+
+The (M*N, R) splits and multipliers are updated in place too.
 rel_change is computed from the factors in O(M*N*R^2), with no copy of
 the previous U V^T.  D(U) is formed once per iteration, in the dual step,
 and carried into the next iteration's G update.  A non-finite residual or
 objective stops the solve with a ValueError naming the iteration.  The
 per-block update_* functions, update_multipliers and model_objective
-evaluate the same quantities densely, one block at a time; they are the
-reference kernels the tiled loop is tested against.
+evaluate the same quantities densely, one block at a time, with E and S
+stored; they are the reference kernels the tiled loop is tested against.
 
 The initial U V^T is the rank-R truncated SVD of Y, found without an SVD
 of Y: V is the top-R eigenvectors of the B x B Gram matrix Y^T Y and
@@ -51,7 +66,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -144,12 +159,17 @@ class DenoiseConfig:
 
 @dataclass
 class SolverState:
-    """All ADMM iterates; owned by one solve call, not shareable mid-run."""
+    """All ADMM iterates; owned by one solve call, not shareable mid-run.
+
+    e and s are None while solve() does not store them: s while S is zero,
+    e while S is zero and beta > 0, when E = gam3 / (2 * beta).  The
+    reference kernels take them as arrays.
+    """
 
     u: np.ndarray
     v: np.ndarray
-    e: np.ndarray
-    s: np.ndarray
+    e: Optional[np.ndarray]
+    s: Optional[np.ndarray]
     g1: np.ndarray
     g2: np.ndarray
     gam1: np.ndarray
@@ -166,8 +186,10 @@ class IterationDiagnostics:
     Residuals are squared Frobenius norms relative to ||Y||_F^2; mu is the
     penalty in force during the iteration (before growth); rel_change is
     the relative Frobenius change of U V^T versus the previous iterate.
-    block_increase is populated in debug mode with the worst relative
-    Lagrangian increase observed across the five block updates.
+    s_active says whether the sparse term S was stored (had left zero) by
+    the end of the iteration.  block_increase is populated in debug mode
+    with the worst relative Lagrangian increase observed across the five
+    block updates.
     """
 
     iteration: int
@@ -178,7 +200,16 @@ class IterationDiagnostics:
     mu: float
     wall_ms: float
     rel_change: float
+    s_active: bool = False
     block_increase: Optional[float] = None
+
+    def converged(self, epsilon: float) -> bool:
+        """The stop rule: the fit and both split residuals are <= epsilon."""
+        return (
+            self.fit_residual <= epsilon
+            and self.split_residual_h <= epsilon
+            and self.split_residual_v <= epsilon
+        )
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -190,6 +221,7 @@ class IterationDiagnostics:
             "mu": encode_float(self.mu),
             "wall_ms": encode_float(self.wall_ms),
             "rel_change": encode_float(self.rel_change),
+            "s_active": self.s_active,
         }
         if self.block_increase is not None:
             obj["block_increase"] = encode_float(self.block_increase)
@@ -377,6 +409,18 @@ def _rel_change(
     return math.sqrt(float(np.vdot(in_span, in_span)) + out_span) / base
 
 
+def _materialized(state: SolverState, beta: float) -> SolverState:
+    """state with E and S as arrays, for augmented_lagrangian.
+
+    E that solve() does not store is gam3 / (2 * beta), S is zero.
+    """
+    return replace(
+        state,
+        e=state.gam3 / (2.0 * beta) if state.e is None else state.e,
+        s=np.zeros_like(state.gam3) if state.s is None else state.s,
+    )
+
+
 def _check_v_orthonormal(v: np.ndarray) -> None:
     dev = np.max(np.abs(v.T @ v - np.eye(v.shape[1])))
     if dev > V_ORTHONORMALITY_TOL:
@@ -401,7 +445,8 @@ def solve(
     With debug=True, the augmented Lagrangian is evaluated around every
     block update and the worst relative increase per iteration is recorded
     in the diagnostics (each block is an exact minimizer, so anything
-    beyond roundoff indicates a broken update).
+    beyond roundoff indicates a broken update).  E and S that the loop
+    does not store enter it as gam3 / (2 * beta) and zero.
     """
     m, n, b = y_cube.height, y_cube.width, y_cube.bands
     if cfg.rank > b:
@@ -417,8 +462,8 @@ def solve(
     state = SolverState(
         u=u,
         v=v,
-        e=np.zeros((mn, b)),
-        s=np.zeros((mn, b)),
+        e=None if cfg.beta > 0 else np.zeros((mn, b)),
+        s=None,
         g1=np.zeros((mn, cfg.rank)),
         g2=np.zeros((mn, cfg.rank)),
         gam1=np.zeros((mn, cfg.rank)),
@@ -429,9 +474,9 @@ def solve(
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
-    # resid holds P for the V and U updates, the one MN x B work buffer.
-    # The other MN x B work streams over row tiles in two (rows, B)
-    # buffers, and E, S and Gam3 are updated in place.
+    # resid holds P for the U update, the one MN x B work buffer.  The
+    # other MN x B work streams over row tiles in two (rows, B) buffers,
+    # and E, S and Gam3 are updated in place.
     resid = np.empty((mn, b))
     rows = max(1, _TILE_BYTES // (8 * b))
     tile = np.empty((rows, b))
@@ -458,12 +503,13 @@ def solve(
         worst_increase = None
         if debug:
             # Multipliers and mu changed since the last check; re-baseline.
-            lag = augmented_lagrangian(y, state, cfg, m, n)
+            lag = augmented_lagrangian(y, _materialized(state, cfg.beta), cfg, m, n)
 
-        def checkpoint(worst):
+        def checkpoint(worst, at=None):
             # Debug-only: Lagrangian must not rise across a block update.
             nonlocal lag
-            lag_new = augmented_lagrangian(y, state, cfg, m, n)
+            at = _materialized(state, cfg.beta) if at is None else at
+            lag_new = augmented_lagrangian(y, at, cfg, m, n)
             rise = (lag_new - lag) / max(1.0, abs(lag))
             lag = lag_new
             return rise if worst is None else max(worst, rise)
@@ -478,14 +524,23 @@ def solve(
         if debug:
             worst_increase = checkpoint(worst_increase)
 
-        # Pass 1: P = Y - E - S + Gam3/mu, shared by the V and U updates.
+        # Pass 1: P = Y - E - S + Gam3/mu for the U update, and P^T U for
+        # the V update while each tile of P is in cache.
+        pu = np.zeros((b, cfg.rank))
         for sl in tiles:
-            gam3_mu = np.divide(state.gam3[sl], mu, out=tile[: sl.stop - sl.start])
             p = resid[sl]
-            np.subtract(y[sl], state.e[sl], out=p)
-            p -= state.s[sl]
-            p += gam3_mu
-        state.v = procrustes_v(resid.T @ state.u)
+            if state.e is None:
+                # E = Gam3/(2*beta) and S = 0.
+                np.multiply(state.gam3[sl], 1.0 / mu - 0.5 / cfg.beta, out=p)
+                p += y[sl]
+            else:
+                gam3_mu = np.divide(state.gam3[sl], mu, out=tile[: sl.stop - sl.start])
+                np.subtract(y[sl], state.e[sl], out=p)
+                if state.s is not None:
+                    p -= state.s[sl]
+                p += gam3_mu
+            pu += p.T @ state.u[sl]
+        state.v = procrustes_v(pu)
         if debug:
             worst_increase = checkpoint(worst_increase)
         rhs_data = resid @ state.v
@@ -495,41 +550,64 @@ def solve(
         )
         if debug:
             worst_increase = checkpoint(worst_increase)
-            s_before, gam3_before = state.s.copy(), state.gam3.copy()
+            s_before = np.zeros_like(y) if state.s is None else state.s.copy()
+            gam3_before = state.gam3.copy()
 
         # Pass 2: per tile, T = Y - U V^T + Gam3/mu, then E, S, Gam3 and
         # the fit residual T - E - S - Gam3/mu, with the sums that the
         # diagnostics and the objective need.
         vt = state.v.T
         e_scale = mu / (mu + 2.0 * cfg.beta)
+        one_minus_c = 2.0 * cfg.beta / (mu + 2.0 * cfg.beta)
+        s_thresh = cfg.lam / mu
         fit_sq = e_sq = s_abs = 0.0
         for sl in tiles:
             t = tile[: sl.stop - sl.start]
             gam3_mu = tile2[: sl.stop - sl.start]
-            e_r, s_r, gam3_r = state.e[sl], state.s[sl], state.gam3[sl]
+            gam3_r = state.gam3[sl]
             np.matmul(state.u[sl], vt, out=t)
             np.subtract(y[sl], t, out=t)
             np.divide(gam3_r, mu, out=gam3_mu)
             t += gam3_mu
-            np.subtract(t, s_r, out=e_r)
-            e_r *= e_scale
-            t -= e_r
-            soft_threshold(t, cfg.lam / mu, out=s_r)
-            t -= s_r
+            # With S = 0 the S update shrinks T - E = (1 - c)*T by lam/mu,
+            # where c = e_scale.
+            # A NaN tile compares False here and shows up in fit_sq.
+            if state.s is None and one_minus_c * max(t.max(), -t.min()) > s_thresh:
+                state.s = np.zeros((mn, b))
+                if state.e is None:
+                    state.e = np.empty((mn, b))
+                    done = slice(0, sl.start)
+                    np.divide(state.gam3[done], 2.0 * cfg.beta, out=state.e[done])
+            if state.e is None:
+                t *= one_minus_c  # T - E, with E = c*T implicit
+            elif state.s is None:
+                e_r = state.e[sl]
+                np.multiply(t, e_scale, out=e_r)
+                t -= e_r
+            else:
+                e_r, s_r = state.e[sl], state.s[sl]
+                np.subtract(t, s_r, out=e_r)
+                e_r *= e_scale
+                t -= e_r
+                soft_threshold(t, s_thresh, out=s_r)
+                t -= s_r
             np.multiply(t, mu, out=gam3_r)
             t -= gam3_mu
             fit_sq += float(np.vdot(t, t))
-            e_sq += float(np.vdot(e_r, e_r))
-            s_abs += float(np.abs(s_r, out=gam3_mu).sum())
+            if state.e is None:
+                e_sq += float(np.vdot(gam3_r, gam3_r)) / (4.0 * cfg.beta**2)
+            else:
+                e_sq += float(np.vdot(e_r, e_r))
+            if state.s is not None:
+                s_abs += float(np.abs(s_r, out=gam3_mu).sum())
         if debug:
             # The pass updated E, S and Gam3 together; check E and S as the
             # sequential block updates would have left them.
-            s_new, gam3_new = state.s, state.gam3
-            state.s, state.gam3 = s_before, gam3_before
-            worst_increase = checkpoint(worst_increase)
-            state.s = s_new
-            worst_increase = checkpoint(worst_increase)
-            state.gam3 = gam3_new
+            after = _materialized(state, cfg.beta)
+            worst_increase = checkpoint(
+                worst_increase, replace(after, s=s_before, gam3=gam3_before)
+            )
+            worst_increase = checkpoint(worst_increase, replace(after, gam3=gam3_before))
         _check_v_orthonormal(state.v)
 
         # Dual ascent on the TV splits (Gam3 was updated in pass 2).
@@ -569,11 +647,12 @@ def solve(
                 mu=mu,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 rel_change=rel_change,
+                s_active=state.s is not None,
                 block_increase=worst_increase,
             )
         )
 
-        if fit_res <= cfg.epsilon and split_h <= cfg.epsilon and split_v <= cfg.epsilon:
+        if diags[-1].converged(cfg.epsilon):
             break
 
     # V U^T is the band-sequential (B, M*N) layout of the cube, built in

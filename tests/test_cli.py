@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import resource
 import subprocess
 import sys
 
@@ -11,8 +12,9 @@ from conftest import nan_u_solve, random_cube, smooth_rank_cube
 import rctv.cli
 import rctv.solver
 from rctv.cli import bench_cube, estimate_rank, main, run_bench
-from rctv.cube import read_cube, write_cube
+from rctv.cube import normalize_bands, read_cube, write_cube
 from rctv.solver import DenoiseConfig
+from test_solver import reference_solve
 
 
 @pytest.fixture
@@ -111,6 +113,31 @@ class TestDenoise:
         assert len(lines) == manifest["iterations"]
         first = json.loads(lines[0])
         assert first["iter"] == 1
+        last = json.loads(lines[-1])
+        assert manifest["iterations"] < manifest["config"]["max_iter"]
+        assert all(last[k] <= manifest["config"]["epsilon"]
+                   for k in ("fit_res", "split_res1", "split_res2"))
+        assert manifest["stop_reason"] == "converged"
+
+    def test_manifest_records_sparse_onset_and_peak_rss(self, tmp_path, clean_path):
+        noisy_path = tmp_path / "noisy.hsic"
+        main(["simulate", "--input", str(clean_path), "--output", str(noisy_path),
+              "--case", "c", "--seed", "3"])
+        out = tmp_path / "restored.hsic"
+        rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        main(["denoise", "--input", str(noisy_path), "--output", str(out),
+              "--tau", "0.3", "--rank", "3"])
+        rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        manifest = json.loads((tmp_path / "restored.hsic.manifest.json").read_text())
+        assert rss_before <= manifest["peak_rss_mib"] <= rss_after
+        # The first iteration where the dense reference loop's S is nonzero.
+        normalized, _ = normalize_bands(read_cube(noisy_path))
+        cfg = DenoiseConfig.preset("mixed", rank=3, tau=0.3)
+        _, _, _, ref_s_active = reference_solve(normalized, cfg, manifest["iterations"])
+        assert manifest["s_first_iter"] == ref_s_active.index(True) + 1
+        assert manifest["s_first_iter"] > 1
+        lines = (tmp_path / "restored.hsic.diag.jsonl").read_text().strip().split("\n")
+        assert [json.loads(line)["s_active"] for line in lines] == ref_s_active
 
     def test_divergence_exits_before_writing(self, tmp_path, clean_path, monkeypatch, capsys):
         solves = []
@@ -130,6 +157,9 @@ class TestDenoise:
         manifest = json.loads((tmp_path / "out.hsic.manifest.json").read_text())
         assert manifest["config"]["beta"] == 1.0
         assert manifest["config"]["lambda"] == 100.0
+        # lam = 100 keeps S at zero, and 3 iterations do not converge.
+        assert manifest["s_first_iter"] is None
+        assert manifest["stop_reason"] == "max_iter"
 
     def test_auto_rank_logged(self, tmp_path, clean_path):
         out = tmp_path / "auto.hsic"

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_cube
 from rctv.cube import fold_casorati, unfold_casorati
 from rctv.metrics import (
     MetricsReport,
+    _correlate_valid,
+    _ssim_tap_matrices,
     compute_report,
     effective_ssim_window,
     ergas,
@@ -151,6 +154,17 @@ class TestSsim:
         b = rng.random((13, 12))
         assert effective_ssim_window(13, 12) == 11
         assert abs(ssim_band(a, b) - ssim_oracle(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(128, 96), (13, 12), (8, 8), (4, 7), (3, 3)])
+    def test_tap_matrix_correlation_matches_sliding_windows(self, rng, shape):
+        img = rng.standard_normal(shape)
+        win = effective_ssim_window(*shape)
+        taps = gaussian_window(win, 1.5)
+        windows = sliding_window_view(img, (win, win))
+        expected = np.einsum("ijab,a,b->ij", windows, taps, taps)
+        got = _correlate_valid(img, *_ssim_tap_matrices(*shape))
+        assert got.shape == (shape[0] - win + 1, shape[1] - win + 1)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_too_small_band_rejected(self):
         with pytest.raises(ValueError, match="small"):

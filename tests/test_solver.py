@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rctv.solver
 from conftest import gapped_random_cube, nan_u_solve, smooth_rank_cube
 from rctv.cube import fold_casorati, unfold_casorati
 from rctv.diffops import HORIZONTAL, VERTICAL, apply_diff, build_transfer_functions
-from rctv.linalg import truncated_svd_init
+from rctv.linalg import soft_threshold, truncated_svd_init
 from rctv.metrics import mpsnr
 from rctv.noisesim import apply_case
 from rctv.solver import (
@@ -229,35 +233,56 @@ def force_tile_rows(monkeypatch, cube, rows):
     monkeypatch.setattr(rctv.solver, "_TILE_BYTES", rows * 8 * cube.bands)
 
 
-def check_against_reference_kernels(before_solve=lambda cube: None):
+def oracle_cube():
     clean = smooth_rank_cube(16, 14, 9, 3, seed=11)
     noisy, _ = apply_case(clean, "e", "msi31", seed=4)
-    before_solve(noisy)
-    # A low lam/mu0 threshold so that S leaves zero within 8 iterations.
-    cfg = DenoiseConfig.preset(
-        "mixed", rank=3, tau=0.1, lam=0.02, mu0=0.5, max_iter=8, epsilon=1e-30
-    )
-    ref_cube, ref_rows, ref_state = reference_solve(noisy, cfg, 8)
-    # The sparse block must be active for the comparison to cover it.
-    assert np.count_nonzero(ref_state.s) > 0
+    return noisy
+
+
+def oracle_config(**overrides):
+    """Mixed preset with a low lam/mu0 threshold: S leaves zero at iteration 1."""
+    params = dict(tau=0.1, lam=0.02, mu0=0.5, max_iter=8, epsilon=1e-30)
+    params.update(overrides)
+    return DenoiseConfig.preset("mixed", rank=3, **params)
+
+
+# lam = 0.8 puts S's first nonzero at iteration 2, in Casorati row 8 only.
+MID_RUN_LAM = 0.8
+
+
+def check_against_reference_kernels(noisy, cfg, fit_atol=0.0):
+    """solve() against the dense reference loop, every iteration to 1e-10.
+
+    fit_atol is an absolute tolerance on the fit residual alone, for runs
+    where it is zero and the reference leaves roundoff.  Also checks
+    s_active against the iterations where the reference S has left zero.
+    Returns solve()'s diagnostics and the final reference state.
+    """
+    ref_cube, ref_rows, ref_state, ref_s_active = reference_solve(noisy, cfg, cfg.max_iter)
     restored, diags = solve(noisy, cfg)
-    assert len(diags) == 8
+    assert len(diags) == cfg.max_iter
     np.testing.assert_allclose(restored.data, ref_cube.data, rtol=1e-10, atol=0)
     for d, ref in zip(diags, ref_rows):
-        got = (d.fit_residual, d.split_residual_h, d.split_residual_v,
-               d.objective, d.rel_change)
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(d.fit_residual, ref[0], rtol=1e-10, atol=fit_atol)
+        got = (d.split_residual_h, d.split_residual_v, d.objective, d.rel_change)
+        np.testing.assert_allclose(got, ref[1:], rtol=1e-10, atol=0)
+    assert [d.s_active for d in diags] == ref_s_active
+    return diags, ref_state
 
 
-def check_debug_block_decrease(before_solve=lambda cube: None):
-    clean = smooth_rank_cube(12, 12, 6, 2, seed=9)
-    noisy, _ = apply_case(clean, "c", "msi31", seed=1)
-    before_solve(noisy)
-    cfg = DenoiseConfig.preset("mixed", rank=2, tau=0.1, max_iter=15)
+def check_debug_block_decrease(noisy, cfg):
     _, diags = solve(noisy, cfg, debug=True)
     for d in diags:
         assert d.block_increase is not None
         assert d.block_increase <= 1e-8
+    return diags
+
+
+def debug_case():
+    """A mixed-preset solve whose S stays zero: E is never stored."""
+    clean = smooth_rank_cube(12, 12, 6, 2, seed=9)
+    noisy, _ = apply_case(clean, "c", "msi31", seed=1)
+    return noisy, DenoiseConfig.preset("mixed", rank=2, tau=0.1, max_iter=15)
 
 
 class TestSolve:
@@ -312,11 +337,58 @@ class TestSolve:
             assert a.rel_change == b.rel_change
 
     def test_debug_block_decrease(self):
-        check_debug_block_decrease()
+        diags = check_debug_block_decrease(*debug_case())
+        assert not any(d.s_active for d in diags)
 
     @pytest.mark.parametrize("tile_rows", [40, 1])
     def test_debug_block_decrease_in_row_tiles(self, monkeypatch, tile_rows):
-        check_debug_block_decrease(lambda cube: force_tile_rows(monkeypatch, cube, tile_rows))
+        noisy, cfg = debug_case()
+        force_tile_rows(monkeypatch, noisy, tile_rows)
+        check_debug_block_decrease(noisy, cfg)
+
+    def test_debug_lagrangian_at_implicit_e(self, monkeypatch):
+        # Each iteration re-baselines the Lagrangian, then checks it after
+        # 5 block updates.  The baseline at E = Gam3/(2*beta) and S = 0 must
+        # equal the Lagrangian at the dense reference loop's stored E and S.
+        noisy, cfg = debug_case()
+        cfg = dataclasses.replace(cfg, max_iter=4)
+        values = []
+
+        def recording(*args):
+            values.append(augmented_lagrangian(*args))
+            return values[-1]
+
+        monkeypatch.setattr(rctv.solver, "augmented_lagrangian", recording)
+        _, diags = solve(noisy, cfg, debug=True)
+        assert not any(d.s_active for d in diags)
+        assert len(values) == 6 * cfg.max_iter
+        y = unfold_casorati(noisy)
+        for k, value in enumerate(values[::6]):
+            _, _, ref_state, _ = reference_solve(noisy, cfg, k)
+            expected = augmented_lagrangian(y, ref_state, cfg, noisy.height, noisy.width)
+            assert value == pytest.approx(expected, rel=1e-10, abs=0)
+
+    def test_debug_block_decrease_when_s_turns_on_mid_run(self, monkeypatch):
+        noisy = oracle_cube()
+        force_tile_rows(monkeypatch, noisy, 5)
+        diags = check_debug_block_decrease(noisy, oracle_config(lam=MID_RUN_LAM))
+        assert [d.s_active for d in diags[:2]] == [False, True]
+
+    def test_peak_allocation_while_s_is_zero(self):
+        # Y's copy, Gam3 and the P buffer are the MN x B arrays a solve needs
+        # while S is zero; E and S would add two more.
+        m, n, b = 48, 48, 96
+        clean = smooth_rank_cube(m, n, b, 2, seed=3)
+        noisy, _ = apply_case(clean, "c", "msi31", seed=2)
+        cfg = DenoiseConfig.preset("mixed", rank=2, max_iter=3, epsilon=1e-30)
+        tracemalloc.start()
+        try:
+            _, diags = solve(noisy, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(d.s_active for d in diags)
+        assert peak <= 4.0 * m * n * b * 8
 
     def test_divergence_fails_fast(self, monkeypatch):
         solves = []
@@ -386,6 +458,7 @@ class TestSolve:
             for key in ("fit_res", "split_res1", "split_res2", "objective",
                         "mu", "wall_ms", "rel_change"):
                 assert key in obj
+            assert obj["s_active"] is diags[i].s_active
 
 
 def reference_solve(cube, cfg, iters):
@@ -404,6 +477,7 @@ def reference_solve(cube, cfg, iters):
     denom = float(np.vdot(y, y))
     prev_x = st.u @ st.v.T
     rows = []
+    s_active = []
     for _ in range(iters):
         st.g1 = update_g(st.u, st.gam1, st.mu, cfg.tau1, m, n, HORIZONTAL)
         st.g2 = update_g(st.u, st.gam2, st.mu, cfg.tau2, m, n, VERTICAL)
@@ -422,18 +496,88 @@ def reference_solve(cube, cfg, iters):
             np.linalg.norm(x - prev_x) / np.linalg.norm(prev_x),
         ))
         prev_x = x
-    return fold_casorati(prev_x, m, n), rows, st
+        s_active.append(bool(s_active and s_active[-1]) or bool(np.any(st.s)))
+    return fold_casorati(prev_x, m, n), rows, st, s_active
 
 
 class TestFusedLoopOracle:
     def test_matches_reference_kernels(self):
-        check_against_reference_kernels()
+        _, ref_state = check_against_reference_kernels(oracle_cube(), oracle_config())
+        # The sparse block must be active for the comparison to cover it.
+        assert np.count_nonzero(ref_state.s) > 0
 
     @pytest.mark.parametrize("tile_rows", [50, 13, 1])
     def test_matches_reference_kernels_in_row_tiles(self, monkeypatch, tile_rows):
-        check_against_reference_kernels(
-            lambda cube: force_tile_rows(monkeypatch, cube, tile_rows)
+        noisy = oracle_cube()
+        force_tile_rows(monkeypatch, noisy, tile_rows)
+        _, ref_state = check_against_reference_kernels(noisy, oracle_config())
+        assert np.count_nonzero(ref_state.s) > 0
+
+    def test_matches_reference_kernels_when_s_turns_on_mid_run(self, monkeypatch):
+        # S turns on in iteration 2, in tile 1 of 45 with a ragged last tile:
+        # E is filled in for tile 0 and the stored path runs from tile 1.
+        noisy, rows = oracle_cube(), 5
+        force_tile_rows(monkeypatch, noisy, rows)
+        cfg = oracle_config(lam=MID_RUN_LAM)
+        _, _, ref_state, _ = reference_solve(noisy, cfg, 2)
+        first_row = int(np.flatnonzero(np.any(ref_state.s, axis=1))[0])
+        assert first_row // rows == 1
+        widths = []
+
+        def recording(a, threshold, out=None):
+            if out is not None:  # solve(), not the reference kernels
+                widths.append(a.shape[1])
+            return soft_threshold(a, threshold, out=out)
+
+        monkeypatch.setattr(rctv.solver, "soft_threshold", recording)
+        diags, _ = check_against_reference_kernels(noisy, cfg)
+        assert next(d.iteration for d in diags if d.s_active) == 2
+        # Each iteration shrinks the two G splits (R columns), then S once
+        # per tile (B columns) from the tile where S turned on.
+        per_iter = "".join("g" if w == cfg.rank else "s" for w in widths).split("gg")[1:]
+        tiles = -(-noisy.height * noisy.width // rows)
+        assert [len(x) for x in per_iter] == [0, tiles - 1] + [tiles] * 6
+
+    def test_matches_reference_kernels_with_beta_zero(self, monkeypatch):
+        # beta = 0 stores E from the start; S can never leave zero (c = 1).
+        # E = Y - U V^T + Gam3/mu absorbs the whole data-fit residual, so
+        # Gam3 stays 0 and the fit residual is 0, where the reference's
+        # squared relative residual is roundoff of order 1e-34.
+        noisy = oracle_cube()
+        force_tile_rows(monkeypatch, noisy, 13)
+        diags, ref_state = check_against_reference_kernels(
+            noisy, oracle_config(beta=0.0), fit_atol=1e-30
         )
+        assert all(d.fit_residual == 0.0 for d in diags)
+        assert not any(d.s_active for d in diags)
+        assert np.count_nonzero(ref_state.e) > 0
+
+    def test_matches_reference_kernels_while_s_stays_zero(self, monkeypatch):
+        noisy = oracle_cube()
+        force_tile_rows(monkeypatch, noisy, 13)
+        diags, ref_state = check_against_reference_kernels(noisy, oracle_config(lam=100.0))
+        assert not any(d.s_active for d in diags)
+        assert not np.any(ref_state.s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.01, 10.0),
+        mu0=st.floats(1e-3, 2.0),
+        beta=st.just(0.0) | st.floats(0.01, 100.0),
+        tile_rows=st.integers(1, 64),
+    )
+    def test_matches_reference_solve_on_random_cubes(self, seed, lam, mu0, beta, tile_rows):
+        cube = gapped_random_cube(9, 7, 6, 2, seed=seed)
+        cfg = DenoiseConfig(rank=2, tau1=0.05, tau2=0.05, beta=beta, lam=lam,
+                            mu0=mu0, max_iter=6, epsilon=1e-30)
+        ref_cube, _, _, ref_s_active = reference_solve(cube, cfg, cfg.max_iter)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rctv.solver, "_TILE_BYTES", tile_rows * 8 * cube.bands)
+            restored, diags = solve(cube, cfg)
+        rel = np.linalg.norm(restored.data - ref_cube.data) / np.linalg.norm(ref_cube.data)
+        assert rel <= 1e-9
+        assert [d.s_active for d in diags] == ref_s_active
 
     def test_differences_formed_once_per_iteration(self, monkeypatch):
         # D(U) from each dual step feeds the next G update: two apply_diff
