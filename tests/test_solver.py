@@ -571,13 +571,12 @@ class TestFusedLoopOracle:
         cube = gapped_random_cube(9, 7, 6, 2, seed=seed)
         cfg = DenoiseConfig(rank=2, tau1=0.05, tau2=0.05, beta=beta, lam=lam,
                             mu0=mu0, max_iter=6, epsilon=1e-30)
-        ref_cube, _, _, ref_s_active = reference_solve(cube, cfg, cfg.max_iter)
+        ref_cube, _, _, _ = reference_solve(cube, cfg, cfg.max_iter)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rctv.solver, "_TILE_BYTES", tile_rows * 8 * cube.bands)
-            restored, diags = solve(cube, cfg)
+            restored, _ = solve(cube, cfg)
         rel = np.linalg.norm(restored.data - ref_cube.data) / np.linalg.norm(ref_cube.data)
         assert rel <= 1e-9
-        assert [d.s_active for d in diags] == ref_s_active
 
     def test_differences_formed_once_per_iteration(self, monkeypatch):
         # D(U) from each dual step feeds the next G update: two apply_diff
