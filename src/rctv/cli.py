@@ -7,10 +7,11 @@ seed); denoise is deterministic for fixed inputs on one platform.
 
 BLAS thread count is capped by --threads or the RCTV_THREADS environment
 variable (default: machine parallelism); the benchmark subcommand caps it
-to one thread.  The denoise and bench manifests record the cap asked for
-as threads_requested (null when none was) and the cap in force as
-threads_applied.  Caps go through threadpoolctl: without it no cap
-applies, a warning goes to stderr, and threads_applied is null.
+to one thread.  A cap must be an integer >= 1; denoise rejects any other
+value before it reads the input.  The denoise and bench manifests record
+the cap asked for as threads_requested (null when none was) and the cap
+in force as threads_applied.  Caps go through threadpoolctl: without it
+no cap applies, a warning goes to stderr, and threads_applied is null.
 
 The denoise manifest also records why the solver stopped (stop_reason,
 "converged" or "max_iter"), the first iteration in which the sparse term S
@@ -97,11 +98,21 @@ def _thread_cap(threads: int | None):
             yield threads
 
 
+def _parse_threads(text: str) -> int:
+    threads = int(text) if text.strip().isdecimal() else 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"thread cap must be an integer >= 1, got {text!r}")
+    return threads
+
+
 def _resolve_threads(args) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
     env = os.environ.get("RCTV_THREADS")
-    return int(env) if env else None
+    if args.threads is not None or not env:
+        return args.threads
+    try:
+        return _parse_threads(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"RCTV_THREADS: {exc}") from None
 
 
 def _write_manifest(path, command: str, args_snapshot: dict, wall_ms: float, extra=None):
@@ -152,6 +163,7 @@ def _parse_rank(text: str):
 
 def cmd_denoise(args) -> int:
     t0 = time.perf_counter()
+    threads_requested = _resolve_threads(args)
     cube = read_cube(args.input)
 
     if args.rank == "auto":
@@ -172,7 +184,6 @@ def cmd_denoise(args) -> int:
     cfg = DenoiseConfig.preset(args.preset, rank=rank, tau=args.tau, **overrides)
 
     normalized, rec = normalize_bands(cube)
-    threads_requested = _resolve_threads(args)
     with _thread_cap(threads_requested) as threads_applied:
         t_solve = time.perf_counter()
         restored, diags = solve(normalized, cfg)
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=None, help="penalty growth factor")
     p.add_argument("--eps", type=float, default=None, help="convergence tolerance")
     p.add_argument("--max-iter", type=int, default=None, help="iteration cap")
-    p.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
+    p.add_argument("--threads", type=_parse_threads, default=None, help="BLAS thread cap")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("metrics", help="score a restored cube against a reference")

@@ -22,30 +22,28 @@ stops when the squared relative data-fit and both split residuals all drop
 below epsilon, or after max_iter sweeps.  The restored cube is the folded
 U V^T.
 
-solve() makes two passes over the M*N x B iterates per iteration, each
-over row tiles of a few hundred KiB, so that every step of a pass finds
-its tile's rows in cache instead of streaming whole arrays from memory.
-Pass 1 writes P = Y - E - S + Gam_3/mu, which the U right-hand side
-(mu * P V) reads, and sums P^T U tile by tile for the V update
-(Procrustes on P^T U).  Pass 2 runs after the U update and, per tile of
-rows r, forms X_r = U_r V^T and T_r = Y_r - X_r + Gam_3r/mu, then
-E_r = mu*(T_r - S_r)/(mu + 2*beta), S_r = shrink(T_r - E_r, lam/mu) and
-Gam_3r = mu*(T_r - E_r - S_r) in place, and sums ||fit||^2, ||E||^2 and
+solve() makes one pass over the M*N x B iterates per iteration, over row
+tiles of a few hundred KiB, so that every step of the pass finds its
+tile's rows in cache instead of streaming whole arrays from memory.  The
+V and U updates read only P = Y - E - S + Gam_3/mu: the V update is
+Procrustes on P^T U and the U right-hand side is mu * P V.  The pass runs
+after the U update and, per tile of rows r, forms X_r = U_r V^T and
+T_r = Y_r - X_r + Gam_3r/mu, then E_r = c*(T_r - S_r) with
+c = mu/(mu + 2*beta), S_r = shrink(T_r - E_r, lam/mu) and
+Gam_3r = mu*(T_r - E_r - S_r) in place.  It sums ||fit||^2, ||E||^2 and
 sum|S| for the diagnostics and the objective; the data-fit residual is
-T_r - E_r - S_r - Gam_3r/mu with the old Gam_3.
+T_r - E_r - S_r - Gam_3r/mu with the old Gam_3.  The grown penalty
+mu' = min(rho*mu, mu_max) is known before the pass, so the same tile then
+writes the next iteration's P_r = Y_r - E_r - S_r + Gam_3r/mu' and adds
+P_r^T U_r for the next V update.
 
-E and S are stored only once they are needed.  S starts as None and
-stays None while the S update would leave it zero: with S = 0 it shrinks
-(1 - c)*T_r by lam/mu, c = mu/(mu + 2*beta), so pass 2 allocates S as
-zeros on the first tile where (1 - c)*max|T_r| exceeds lam/mu.  While S
-is None and beta > 0, the E update's optimality condition after the dual
-step gives E = Gam_3/(2*beta) (dual feasibility of the E block), so E is
-not stored either: pass 1 writes P = Y + Gam_3*(1/mu - 1/(2*beta)), and
-pass 2 sets Gam_3r = mu*(1 - c)*T_r, with fit residual
-(1 - c)*T_r - Gam_3r_old/mu and ||E||^2 = ||Gam_3||^2/(4*beta^2).  When S
-turns on part-way through pass 2, E is filled in as Gam_3/(2*beta) for
-the tiles already done, and the stored path runs from that tile on.  With
-beta = 0 (c = 1, so S can never turn on) E is stored from the start.
+E is never stored: once S is stored, E_r lives in P's tile between its
+update and the write of the next P_r.  S starts as None and stays None
+while the S update would leave it zero: with S = 0 it shrinks
+(1 - c)*T_r by lam/mu, so the pass allocates S as zeros on the first
+tile where (1 - c)*max|T_r| exceeds lam/mu.  While S is None, E_r = c*T_r and Gam_3r = mu*(1 - c)*T_r,
+so P_r = Y_r + ((mu/mu')*(1 - c) - c)*T_r and ||E_r||^2 = c^2*||T_r||^2.
+With beta = 0, c = 1 and S never turns on.
 
 The (M*N, R) splits and multipliers are updated in place too.
 rel_change is computed from the factors in O(M*N*R^2), with no copy of
@@ -161,9 +159,8 @@ class DenoiseConfig:
 class SolverState:
     """All ADMM iterates; owned by one solve call, not shareable mid-run.
 
-    e and s are None while solve() does not store them: s while S is zero,
-    e while S is zero and beta > 0, when E = gam3 / (2 * beta).  The
-    reference kernels take them as arrays.
+    solve() never stores e, which stays None, and keeps s None while S is
+    zero.  The reference kernels take both as arrays.
     """
 
     u: np.ndarray
@@ -409,16 +406,16 @@ def _rel_change(
     return math.sqrt(float(np.vdot(in_span, in_span)) + out_span) / base
 
 
-def _materialized(state: SolverState, beta: float) -> SolverState:
+def _materialized(
+    state: SolverState, y: np.ndarray, p: np.ndarray, mu_p: float
+) -> SolverState:
     """state with E and S as arrays, for augmented_lagrangian.
 
-    E that solve() does not store is gam3 / (2 * beta), S is zero.
+    solve() holds P = Y - E - S + gam3 / mu_p in place of E, so
+    E = Y - S + gam3 / mu_p - P; S that it does not store is zero.
     """
-    return replace(
-        state,
-        e=state.gam3 / (2.0 * beta) if state.e is None else state.e,
-        s=np.zeros_like(state.gam3) if state.s is None else state.s,
-    )
+    s = np.zeros_like(y) if state.s is None else state.s
+    return replace(state, e=y - s + state.gam3 / mu_p - p, s=s)
 
 
 def _check_v_orthonormal(v: np.ndarray) -> None:
@@ -445,13 +442,13 @@ def solve(
     With debug=True, the augmented Lagrangian is evaluated around every
     block update and the worst relative increase per iteration is recorded
     in the diagnostics (each block is an exact minimizer, so anything
-    beyond roundoff indicates a broken update).  E and S that the loop
-    does not store enter it as gam3 / (2 * beta) and zero.
+    beyond roundoff indicates a broken update).  E enters it as recovered
+    from P, and S that the loop does not store as zero.
     """
     m, n, b = y_cube.height, y_cube.width, y_cube.bands
     if cfg.rank > b:
         raise ValueError(f"rank {cfg.rank} exceeds band count {b}")
-    # The row-tiled passes below read Y one block of rows at a time, and
+    # The row-tiled pass below reads Y one block of rows at a time, and
     # rows of the column-major Casorati view are strided; one C-ordered
     # copy up front is cheaper than strided tiles on every pass.
     y = np.ascontiguousarray(unfold_casorati(y_cube))
@@ -462,7 +459,7 @@ def solve(
     state = SolverState(
         u=u,
         v=v,
-        e=None if cfg.beta > 0 else np.zeros((mn, b)),
+        e=None,
         s=None,
         g1=np.zeros((mn, cfg.rank)),
         g2=np.zeros((mn, cfg.rank)),
@@ -474,10 +471,12 @@ def solve(
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
-    # resid holds P for the U update, the one MN x B work buffer.  The
-    # other MN x B work streams over row tiles in two (rows, B) buffers,
-    # and E, S and Gam3 are updated in place.
-    resid = np.empty((mn, b))
+    # resid holds P = Y - E - S + Gam3/mu, the one MN x B work buffer; E,
+    # S and Gam3 start at zero, so the first P is Y.  The other MN x B work
+    # streams over row tiles in two (rows, B) buffers, and S and Gam3 are
+    # updated in place.
+    resid = y.copy()
+    pu = y.T @ state.u  # P^T U for the next V update
     rows = max(1, _TILE_BYTES // (8 * b))
     tile = np.empty((rows, b))
     tile2 = np.empty((rows, b))
@@ -499,16 +498,17 @@ def solve(
         t0 = time.perf_counter()
         state.iteration = it
         mu = state.mu
+        mu_next = min(cfg.rho * mu, cfg.mu_max)
         u_prev, v_prev = state.u, state.v
         worst_increase = None
         if debug:
             # Multipliers and mu changed since the last check; re-baseline.
-            lag = augmented_lagrangian(y, _materialized(state, cfg.beta), cfg, m, n)
+            lag = augmented_lagrangian(y, _materialized(state, y, resid, mu), cfg, m, n)
 
         def checkpoint(worst, at=None):
             # Debug-only: Lagrangian must not rise across a block update.
             nonlocal lag
-            at = _materialized(state, cfg.beta) if at is None else at
+            at = _materialized(state, y, resid, mu) if at is None else at
             lag_new = augmented_lagrangian(y, at, cfg, m, n)
             rise = (lag_new - lag) / max(1.0, abs(lag))
             lag = lag_new
@@ -524,22 +524,6 @@ def solve(
         if debug:
             worst_increase = checkpoint(worst_increase)
 
-        # Pass 1: P = Y - E - S + Gam3/mu for the U update, and P^T U for
-        # the V update while each tile of P is in cache.
-        pu = np.zeros((b, cfg.rank))
-        for sl in tiles:
-            p = resid[sl]
-            if state.e is None:
-                # E = Gam3/(2*beta) and S = 0.
-                np.multiply(state.gam3[sl], 1.0 / mu - 0.5 / cfg.beta, out=p)
-                p += y[sl]
-            else:
-                gam3_mu = np.divide(state.gam3[sl], mu, out=tile[: sl.stop - sl.start])
-                np.subtract(y[sl], state.e[sl], out=p)
-                if state.s is not None:
-                    p -= state.s[sl]
-                p += gam3_mu
-            pu += p.T @ state.u[sl]
         state.v = procrustes_v(pu)
         if debug:
             worst_increase = checkpoint(worst_increase)
@@ -553,71 +537,71 @@ def solve(
             s_before = np.zeros_like(y) if state.s is None else state.s.copy()
             gam3_before = state.gam3.copy()
 
-        # Pass 2: per tile, T = Y - U V^T + Gam3/mu, then E, S, Gam3 and
-        # the fit residual T - E - S - Gam3/mu, with the sums that the
-        # diagnostics and the objective need.
+        # Per tile, T = Y - U V^T + Gam3/mu, then E (in P's tile), S, Gam3
+        # and the fit residual T - E - S - Gam3/mu, with the sums that the
+        # diagnostics and the objective need; then the next P and P^T U.
         vt = state.v.T
-        e_scale = mu / (mu + 2.0 * cfg.beta)
+        c = mu / (mu + 2.0 * cfg.beta)
         one_minus_c = 2.0 * cfg.beta / (mu + 2.0 * cfg.beta)
+        # While S = 0: E = c*T and Gam3 = mu*(1 - c)*T, so the next P is
+        # Y + p_scale*T.
+        p_scale = (mu / mu_next) * one_minus_c - c
         s_thresh = cfg.lam / mu
         fit_sq = e_sq = s_abs = 0.0
+        pu = np.zeros((b, cfg.rank))
         for sl in tiles:
             t = tile[: sl.stop - sl.start]
             gam3_mu = tile2[: sl.stop - sl.start]
-            gam3_r = state.gam3[sl]
+            gam3_r, p = state.gam3[sl], resid[sl]
             np.matmul(state.u[sl], vt, out=t)
             np.subtract(y[sl], t, out=t)
             np.divide(gam3_r, mu, out=gam3_mu)
             t += gam3_mu
-            # With S = 0 the S update shrinks T - E = (1 - c)*T by lam/mu,
-            # where c = e_scale.
+            # With S = 0 the S update shrinks T - E = (1 - c)*T by lam/mu.
             # A NaN tile compares False here and shows up in fit_sq.
             if state.s is None and one_minus_c * max(t.max(), -t.min()) > s_thresh:
                 state.s = np.zeros((mn, b))
-                if state.e is None:
-                    state.e = np.empty((mn, b))
-                    done = slice(0, sl.start)
-                    np.divide(state.gam3[done], 2.0 * cfg.beta, out=state.e[done])
-            if state.e is None:
-                t *= one_minus_c  # T - E, with E = c*T implicit
-            elif state.s is None:
-                e_r = state.e[sl]
-                np.multiply(t, e_scale, out=e_r)
-                t -= e_r
+            if state.s is None:
+                e_sq += c * c * float(np.vdot(t, t))
+                np.multiply(t, p_scale, out=p)
+                p += y[sl]
+                t *= one_minus_c  # T - E
+                np.multiply(t, mu, out=gam3_r)
+                t -= gam3_mu
             else:
-                e_r, s_r = state.e[sl], state.s[sl]
-                np.subtract(t, s_r, out=e_r)
-                e_r *= e_scale
-                t -= e_r
+                s_r = state.s[sl]
+                np.subtract(t, s_r, out=p)
+                p *= c  # E
+                t -= p
                 soft_threshold(t, s_thresh, out=s_r)
                 t -= s_r
-            np.multiply(t, mu, out=gam3_r)
-            t -= gam3_mu
-            fit_sq += float(np.vdot(t, t))
-            if state.e is None:
-                e_sq += float(np.vdot(gam3_r, gam3_r)) / (4.0 * cfg.beta**2)
-            else:
-                e_sq += float(np.vdot(e_r, e_r))
-            if state.s is not None:
+                np.multiply(t, mu, out=gam3_r)
+                t -= gam3_mu
+                e_sq += float(np.vdot(p, p))
                 s_abs += float(np.abs(s_r, out=gam3_mu).sum())
+                p += s_r
+                np.subtract(y[sl], p, out=p)
+                p += np.divide(gam3_r, mu_next, out=gam3_mu)
+            fit_sq += float(np.vdot(t, t))
+            pu += p.T @ state.u[sl]
         if debug:
             # The pass updated E, S and Gam3 together; check E and S as the
             # sequential block updates would have left them.
-            after = _materialized(state, cfg.beta)
+            after = _materialized(state, y, resid, mu_next)
             worst_increase = checkpoint(
                 worst_increase, replace(after, s=s_before, gam3=gam3_before)
             )
             worst_increase = checkpoint(worst_increase, replace(after, gam3=gam3_before))
         _check_v_orthonormal(state.v)
 
-        # Dual ascent on the TV splits (Gam3 was updated in pass 2).
+        # Dual ascent on the TV splits (Gam3 was updated in the pass).
         grad_h = apply_diff(state.u, m, n, HORIZONTAL)
         grad_v = apply_diff(state.u, m, n, VERTICAL)
         np.subtract(grad_h, state.g1, out=split1)
         np.subtract(grad_v, state.g2, out=split2)
         state.gam1 += np.multiply(split1, mu, out=work)
         state.gam2 += np.multiply(split2, mu, out=work)
-        state.mu = min(cfg.rho * mu, cfg.mu_max)
+        state.mu = mu_next
 
         fit_res = fit_sq / denom
         split_h = float(np.vdot(split1, split1)) / denom

@@ -237,6 +237,32 @@ class TestDenoise:
         assert manifest["threads_requested"] is None
         assert manifest["threads_applied"] is None
 
+    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
+    def test_bad_thread_flag_rejected(self, tmp_path, clean_path, value, capsys):
+        out = tmp_path / "t.hsic"
+        with pytest.raises(SystemExit) as exc:
+            main(["denoise", "--input", str(clean_path), "--output", str(out),
+                  "--rank", "2", "--max-iter", "2", "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic"]
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
+    def test_bad_thread_env_rejected_before_solve(
+        self, tmp_path, clean_path, value, monkeypatch, capsys
+    ):
+        solves = []
+        monkeypatch.setattr(rctv.cli, "solve", lambda *a, **k: solves.append(a))
+        monkeypatch.setenv("RCTV_THREADS", value)
+        out = tmp_path / "t.hsic"
+        code = main(["denoise", "--input", str(clean_path), "--output", str(out),
+                     "--rank", "2", "--max-iter", "2"])
+        assert code == 2
+        assert solves == []
+        err = capsys.readouterr().err
+        assert "RCTV_THREADS" in err and repr(value) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic"]
+
     def test_flag_overrides(self, tmp_path, clean_path):
         out = tmp_path / "o.hsic"
         main(["denoise", "--input", str(clean_path), "--output", str(out),
@@ -319,13 +345,15 @@ class TestBench:
 
     def test_time_grows_with_spatial_size(self):
         # The minimum over 5 repetitions keeps one slow run on a busy host
-        # from deciding the ratio.  At 64x64 and up the work that scales
-        # with the pixel count outweighs the fixed per-call overhead.
-        rows = run_bench([(64, 64, 8), (128, 128, 8)], [3], reps=5, max_iter=5)
+        # from deciding the ratio, and alternating the two sizes one
+        # repetition at a time keeps a load change from landing on one
+        # size only.  At 64x64 and up the work that scales with the pixel
+        # count outweighs the fixed per-call overhead.
         best = {}
-        for m, n, b, r, rep, ms in rows:
-            key = (m, n)
-            best[key] = min(best.get(key, float("inf")), ms)
+        for _ in range(5):
+            for size in [(64, 64, 8), (128, 128, 8)]:
+                for m, n, b, r, rep, ms in run_bench([size], [3], reps=1, max_iter=5):
+                    best[(m, n)] = min(best.get((m, n), float("inf")), ms)
         # 4x the pixels; generous margin against timing noise.
         assert best[(128, 128)] >= 1.5 * best[(64, 64)]
 

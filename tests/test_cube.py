@@ -1,7 +1,12 @@
 import json
+import os
+import tempfile
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rctv.cube import (
     CubeFormatError,
@@ -41,6 +46,36 @@ def test_fold_unfold_roundtrip(dims, rng):
     cube = HsiCube(m, n, b, rng.random(m * n * b))
     back = fold_casorati(unfold_casorati(cube), m, n)
     np.testing.assert_array_equal(back.data, cube.data)
+
+
+@st.composite
+def float32_exact_cubes(draw):
+    """Cubes of 1..6 per dimension whose values are all float32-exact."""
+    m, n, b = (draw(st.integers(1, 6)) for _ in range(3))
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    values = draw(hnp.arrays(np.float32, m * n * b, elements=finite))
+    return HsiCube(m, n, b, values.astype(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cube=float32_exact_cubes())
+def test_fold_unfold_roundtrip_on_random_shapes(cube):
+    mat = unfold_casorati(cube)
+    back = fold_casorati(mat, cube.height, cube.width)
+    assert back.shape == cube.shape
+    assert back.data.tobytes() == cube.data.tobytes()
+    np.testing.assert_array_equal(unfold_casorati(back), mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cube=float32_exact_cubes())
+def test_file_roundtrip_on_random_shapes(cube):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.hsic")
+        write_cube(cube, path)
+        back = read_cube(path)
+    assert back.shape == cube.shape
+    assert back.data.tobytes() == cube.data.tobytes()
 
 
 def test_unfold_is_read_only_view(rng):

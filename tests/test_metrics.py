@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_cube
@@ -13,6 +15,7 @@ from rctv.metrics import (
     _ssim_tap_matrices,
     compute_report,
     effective_ssim_window,
+    encode_float,
     ergas,
     ergas_with_exclusions,
     gaussian_window,
@@ -309,3 +312,17 @@ class TestNonFiniteEncoding:
 
     def test_csv_row(self):
         assert self.report().to_csv_row() == "nan,inf,-inf,0.25,1.5"
+
+
+@given(x=st.floats(allow_nan=True, allow_infinity=True)
+       | st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_encode_float_round_trips(x):
+    encoded = encode_float(x)
+    back = float(encoded)
+    if math.isnan(x):
+        assert encoded == "nan" and math.isnan(back)
+    elif math.isinf(x):
+        assert encoded == ("inf" if x > 0 else "-inf") and back == x
+    else:
+        assert encoded is x
+    json.dumps(encoded, allow_nan=False)

@@ -278,8 +278,22 @@ def check_debug_block_decrease(noisy, cfg):
     return diags
 
 
+def peak_allocation(m, n, b, case, **overrides):
+    """tracemalloc peak of a mixed-preset rank-2 solve on a noisy smooth cube."""
+    clean = smooth_rank_cube(m, n, b, 2, seed=3)
+    noisy, _ = apply_case(clean, case, "msi31", seed=2)
+    cfg = DenoiseConfig.preset("mixed", rank=2, **overrides)
+    tracemalloc.start()
+    try:
+        _, diags = solve(noisy, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return diags, peak
+
+
 def debug_case():
-    """A mixed-preset solve whose S stays zero: E is never stored."""
+    """A mixed-preset solve whose S stays zero."""
     clean = smooth_rank_cube(12, 12, 6, 2, seed=9)
     noisy, _ = apply_case(clean, "c", "msi31", seed=1)
     return noisy, DenoiseConfig.preset("mixed", rank=2, tau=0.1, max_iter=15)
@@ -348,7 +362,7 @@ class TestSolve:
 
     def test_debug_lagrangian_at_implicit_e(self, monkeypatch):
         # Each iteration re-baselines the Lagrangian, then checks it after
-        # 5 block updates.  The baseline at E = Gam3/(2*beta) and S = 0 must
+        # 5 block updates.  The baseline at E recovered from P and S = 0 must
         # equal the Lagrangian at the dense reference loop's stored E and S.
         noisy, cfg = debug_case()
         cfg = dataclasses.replace(cfg, max_iter=4)
@@ -376,19 +390,21 @@ class TestSolve:
 
     def test_peak_allocation_while_s_is_zero(self):
         # Y's copy, Gam3 and the P buffer are the MN x B arrays a solve needs
-        # while S is zero; E and S would add two more.
+        # while S is zero; S adds one more once it turns on.
         m, n, b = 48, 48, 96
-        clean = smooth_rank_cube(m, n, b, 2, seed=3)
-        noisy, _ = apply_case(clean, "c", "msi31", seed=2)
-        cfg = DenoiseConfig.preset("mixed", rank=2, max_iter=3, epsilon=1e-30)
-        tracemalloc.start()
-        try:
-            _, diags = solve(noisy, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        diags, peak = peak_allocation(m, n, b, "c", max_iter=3, epsilon=1e-30)
         assert not any(d.s_active for d in diags)
         assert peak <= 4.0 * m * n * b * 8
+
+    def test_peak_allocation_while_s_is_active(self):
+        # S is stored from iteration 1; E never is, so S adds one MN x B
+        # array to the S-zero working set.
+        m, n, b = 48, 48, 96
+        diags, peak = peak_allocation(
+            m, n, b, "e", lam=0.02, mu0=0.5, max_iter=3, epsilon=1e-30
+        )
+        assert all(d.s_active for d in diags)
+        assert peak <= 5.0 * m * n * b * 8
 
     def test_divergence_fails_fast(self, monkeypatch):
         solves = []
@@ -515,7 +531,7 @@ class TestFusedLoopOracle:
 
     def test_matches_reference_kernels_when_s_turns_on_mid_run(self, monkeypatch):
         # S turns on in iteration 2, in tile 1 of 45 with a ragged last tile:
-        # E is filled in for tile 0 and the stored path runs from tile 1.
+        # tile 0 takes the S-zero path and the stored-S path runs from tile 1.
         noisy, rows = oracle_cube(), 5
         force_tile_rows(monkeypatch, noisy, rows)
         cfg = oracle_config(lam=MID_RUN_LAM)
@@ -539,7 +555,7 @@ class TestFusedLoopOracle:
         assert [len(x) for x in per_iter] == [0, tiles - 1] + [tiles] * 6
 
     def test_matches_reference_kernels_with_beta_zero(self, monkeypatch):
-        # beta = 0 stores E from the start; S can never leave zero (c = 1).
+        # With beta = 0, c = 1, so E = T and S can never leave zero.
         # E = Y - U V^T + Gam3/mu absorbs the whole data-fit residual, so
         # Gam3 stays 0 and the fit residual is 0, where the reference's
         # squared relative residual is roundoff of order 1e-34.
