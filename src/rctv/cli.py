@@ -98,11 +98,11 @@ def _thread_cap(threads: int | None):
             yield threads
 
 
-def _parse_threads(text: str) -> int:
-    threads = int(text) if text.strip().isdecimal() else 0
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"thread cap must be an integer >= 1, got {text!r}")
-    return threads
+def _positive_int(text: str) -> int:
+    value = int(text) if text.strip().isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _resolve_threads(args) -> int | None:
@@ -110,7 +110,7 @@ def _resolve_threads(args) -> int | None:
     if args.threads is not None or not env:
         return args.threads
     try:
-        return _parse_threads(env)
+        return _positive_int(env)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"RCTV_THREADS: {exc}") from None
 
@@ -164,12 +164,6 @@ def _parse_rank(text: str):
 def cmd_denoise(args) -> int:
     t0 = time.perf_counter()
     threads_requested = _resolve_threads(args)
-    cube = read_cube(args.input)
-
-    if args.rank == "auto":
-        rank = estimate_rank(unfold_casorati(cube))
-    else:
-        rank = args.rank
     overrides = {}
     for name, flag in (
         ("beta", args.beta),
@@ -181,7 +175,12 @@ def cmd_denoise(args) -> int:
     ):
         if flag is not None:
             overrides[name] = flag
-    cfg = DenoiseConfig.preset(args.preset, rank=rank, tau=args.tau, **overrides)
+    # Rank 1 stands in until the cube is read, so that a bad flag fails
+    # before the read and the rank estimate.
+    cfg = DenoiseConfig.preset(args.preset, rank=1, tau=args.tau, **overrides)
+    cube = read_cube(args.input)
+    rank = estimate_rank(unfold_casorati(cube)) if args.rank == "auto" else args.rank
+    cfg = dataclasses.replace(cfg, rank=rank)
 
     normalized, rec = normalize_bands(cube)
     with _thread_cap(threads_requested) as threads_applied:
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=None, help="penalty growth factor")
     p.add_argument("--eps", type=float, default=None, help="convergence tolerance")
     p.add_argument("--max-iter", type=int, default=None, help="iteration cap")
-    p.add_argument("--threads", type=_parse_threads, default=None, help="BLAS thread cap")
+    p.add_argument("--threads", type=_positive_int, default=None, help="BLAS thread cap")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("metrics", help="score a restored cube against a reference")
@@ -438,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ranks", type=_parse_ranks, default=[2, 4, 8, 16], help="comma-separated ranks"
     )
-    p.add_argument("--reps", type=int, default=1, help="repetitions per cell")
+    p.add_argument("--reps", type=_positive_int, default=1, help="repetitions per cell")
     p.add_argument("--max-iter", type=int, default=20, help="iterations per solve")
     p.add_argument("--seed", type=int, default=0, help="synthetic cube seed")
     p.add_argument("--output", required=True, help="CSV path")

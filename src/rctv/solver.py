@@ -22,37 +22,50 @@ stops when the squared relative data-fit and both split residuals all drop
 below epsilon, or after max_iter sweeps.  The restored cube is the folded
 U V^T.
 
+solve() runs this ADMM in scaled form (Boyd et al., "Distributed
+Optimization and Statistical Learning via the Alternating Direction
+Method of Multipliers", 2011, sections 3.1.1 and 3.4.1): it holds
+Lam_i = Gam_i/mu in place of the multipliers.  Then G_i = shrink(D_i(U) +
+Lam_i, tau_i/mu), mu cancels from the U normal equations, the dual step
+is Lam_i += D_i(U) - G_i, and growing the penalty to mu' rescales
+Lam_i by mu/mu'.  mu enters the arithmetic only through the thresholds,
+c = mu/(mu + 2*beta) and that rescale.  The iterates are plain local
+variables of solve().
+
 solve() makes one pass over the M*N x B iterates per iteration, over row
 tiles of a few hundred KiB, so that every step of the pass finds its
 tile's rows in cache instead of streaming whole arrays from memory.  The
-V and U updates read only P = Y - E - S + Gam_3/mu: the V update is
-Procrustes on P^T U and the U right-hand side is mu * P V.  The pass runs
-after the U update and, per tile of rows r, forms X_r = U_r V^T and
-T_r = Y_r - X_r + Gam_3r/mu, then E_r = c*(T_r - S_r) with
-c = mu/(mu + 2*beta), S_r = shrink(T_r - E_r, lam/mu) and
-Gam_3r = mu*(T_r - E_r - S_r) in place.  It sums ||fit||^2, ||E||^2 and
-sum|S| for the diagnostics and the objective; the data-fit residual is
-T_r - E_r - S_r - Gam_3r/mu with the old Gam_3.  The grown penalty
-mu' = min(rho*mu, mu_max) is known before the pass, so the same tile then
-writes the next iteration's P_r = Y_r - E_r - S_r + Gam_3r/mu' and adds
-P_r^T U_r for the next V update.
+V and U updates read only P = Y - E - S + Lam_3: the V update is
+Procrustes on P^T U and the U right-hand side is P V.  The pass runs
+after the U update and, per tile of rows r, forms
+T_r = Y_r - U_r V^T + Lam_3r, then -E_r = c*(S_r - T_r) in P's tile,
+S_r = shrink(T_r - E_r, lam/mu) in place and T_r - E_r - S_r in the tile
+buffer.  A tail shared by both S cases then takes the data-fit residual
+T_r - E_r - S_r - Lam_3r, writes Lam_3r = (mu/mu')*(T_r - E_r - S_r) for
+the grown penalty mu' = min(rho*mu, mu_max), writes the next iteration's
+P_r = Y_r - E_r - S_r + Lam_3r and adds P_r^T U_r for the next V update.
+It sums ||fit||^2, ||E||^2 and sum|S| for the diagnostics and the
+objective.
 
-E is never stored: once S is stored, E_r lives in P's tile between its
-update and the write of the next P_r.  S starts as None and stays None
-while the S update would leave it zero: with S = 0 it shrinks
-(1 - c)*T_r by lam/mu, so the pass allocates S as zeros on the first
-tile where (1 - c)*max|T_r| exceeds lam/mu.  While S is None, E_r = c*T_r and Gam_3r = mu*(1 - c)*T_r,
-so P_r = Y_r + ((mu/mu')*(1 - c) - c)*T_r and ||E_r||^2 = c^2*||T_r||^2.
-With beta = 0, c = 1 and S never turns on.
+E is never stored: it lives in P's tile between its update and the write
+of the next P_r.  S starts as None and stays None while the S update
+would leave it zero: with S = 0 it shrinks T_r - E_r = (1 - c)*T_r by
+lam/mu, so the pass allocates S as zeros on the first tile where
+(1 - c)*max|T_r| exceeds lam/mu.  With beta = 0, c = 1 and S never turns
+on.  The first P is Y, and the first V update reads V_0 in place of
+Y^T U_0, which is V_0 scaled by the Gram eigenvalues: V_0 maximizes
+<Y^T U_0, V> either way.
 
-The (M*N, R) splits and multipliers are updated in place too.
+G_i and the scaled multipliers are updated in place too, through one
+(M*N, R) work buffer.
 rel_change is computed from the factors in O(M*N*R^2), with no copy of
 the previous U V^T.  D(U) is formed once per iteration, in the dual step,
 and carried into the next iteration's G update.  A non-finite residual or
 objective stops the solve with a ValueError naming the iteration.  The
 per-block update_* functions, update_multipliers and model_objective
-evaluate the same quantities densely, one block at a time, with E and S
-stored; they are the reference kernels the tiled loop is tested against.
+evaluate the same quantities densely, one block at a time, on a
+SolverState with the unscaled multipliers and E and S stored; they are
+the reference kernels the tiled loop is tested against.
 
 The initial U V^T is the rank-R truncated SVD of Y, found without an SVD
 of Y: V is the top-R eigenvectors of the B x B Gram matrix Y^T Y and
@@ -64,7 +77,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -83,10 +96,10 @@ from rctv.metrics import encode_float
 
 V_ORTHONORMALITY_TOL = 1e-8
 
-# Bytes in each of solve()'s two row-tile buffers.  A pass over the MN x B
-# iterates runs one tile through all of its steps while the tile's rows of
-# every operand are still in cache, instead of streaming each whole array
-# from memory once per step.
+# Bytes in solve()'s row-tile buffer.  A pass over the MN x B iterates
+# runs one tile through all of its steps while the tile's rows of every
+# operand are still in cache, instead of streaming each whole array from
+# memory once per step.
 _TILE_BYTES = 256 * 1024
 
 _PRESETS = {
@@ -157,23 +170,23 @@ class DenoiseConfig:
 
 @dataclass
 class SolverState:
-    """All ADMM iterates; owned by one solve call, not shareable mid-run.
+    """All ADMM iterates, with the unscaled multipliers Gam_i.
 
-    solve() never stores e, which stays None, and keeps s None while S is
-    zero.  The reference kernels take both as arrays.
+    The reference kernels and augmented_lagrangian take their iterates in
+    this form.  solve() keeps its own as local variables and builds a
+    SolverState only in debug mode, to evaluate the Lagrangian.
     """
 
     u: np.ndarray
     v: np.ndarray
-    e: Optional[np.ndarray]
-    s: Optional[np.ndarray]
+    e: np.ndarray
+    s: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
     gam1: np.ndarray
     gam2: np.ndarray
     gam3: np.ndarray
     mu: float
-    iteration: int = 0
 
 
 @dataclass
@@ -406,18 +419,6 @@ def _rel_change(
     return math.sqrt(float(np.vdot(in_span, in_span)) + out_span) / base
 
 
-def _materialized(
-    state: SolverState, y: np.ndarray, p: np.ndarray, mu_p: float
-) -> SolverState:
-    """state with E and S as arrays, for augmented_lagrangian.
-
-    solve() holds P = Y - E - S + gam3 / mu_p in place of E, so
-    E = Y - S + gam3 / mu_p - P; S that it does not store is zero.
-    """
-    s = np.zeros_like(y) if state.s is None else state.s
-    return replace(state, e=y - s + state.gam3 / mu_p - p, s=s)
-
-
 def _check_v_orthonormal(v: np.ndarray) -> None:
     dev = np.max(np.abs(v.T @ v - np.eye(v.shape[1])))
     if dev > V_ORTHONORMALITY_TOL:
@@ -446,166 +447,153 @@ def solve(
     from P, and S that the loop does not store as zero.
     """
     m, n, b = y_cube.height, y_cube.width, y_cube.bands
-    if cfg.rank > b:
-        raise ValueError(f"rank {cfg.rank} exceeds band count {b}")
+    r = cfg.rank
+    if r > b:
+        raise ValueError(f"rank {r} exceeds band count {b}")
     # The row-tiled pass below reads Y one block of rows at a time, and
     # rows of the column-major Casorati view are strided; one C-ordered
     # copy up front is cheaper than strided tiles on every pass.
     y = np.ascontiguousarray(unfold_casorati(y_cube))
     tf = build_transfer_functions(m, n)
-
-    u, v = truncated_svd_init(y, cfg.rank)
     mn = m * n
-    state = SolverState(
-        u=u,
-        v=v,
-        e=None,
-        s=None,
-        g1=np.zeros((mn, cfg.rank)),
-        g2=np.zeros((mn, cfg.rank)),
-        gam1=np.zeros((mn, cfg.rank)),
-        gam2=np.zeros((mn, cfg.rank)),
-        gam3=np.zeros((mn, b)),
-        mu=cfg.mu0,
-    )
+
+    u, v = truncated_svd_init(y, r)
+    s = None
+    g1, g2 = np.zeros((mn, r)), np.zeros((mn, r))
+    lam1, lam2 = np.zeros((mn, r)), np.zeros((mn, r))
+    lam3 = np.zeros((mn, b))
+    mu = cfg.mu0
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
-    # resid holds P = Y - E - S + Gam3/mu, the one MN x B work buffer; E,
-    # S and Gam3 start at zero, so the first P is Y.  The other MN x B work
-    # streams over row tiles in two (rows, B) buffers, and S and Gam3 are
-    # updated in place.
-    resid = y.copy()
-    pu = y.T @ state.u  # P^T U for the next V update
+    # P = Y - E - S + Lam3 is Y while E, S and Lam3 are zero; each pass
+    # writes the next P into resid, the one MN x B work buffer.  The first
+    # P^T U = Y^T U0 is V0 scaled by the Gram eigenvalues, so V0 maximizes
+    # <P^T U, V> (an exact V-block minimizer, even where an eigenvalue is
+    # 0) and seeds the first V update in its place.
+    p = y
+    pu = v
+    resid = np.empty((mn, b))
     rows = max(1, _TILE_BYTES // (8 * b))
     tile = np.empty((rows, b))
-    tile2 = np.empty((rows, b))
     tiles = [slice(lo, min(lo + rows, mn)) for lo in range(0, mn, rows)]
-    # (M*N, R) buffers for the split residuals, and one for Gam_i/mu and
-    # mu * split_i in turn; G_i, Gam_1 and Gam_2 are updated in place.
-    split1 = np.empty((mn, cfg.rank))
-    split2 = np.empty((mn, cfg.rank))
-    work = np.empty((mn, cfg.rank))
+    # (M*N, R) buffer for D_i(U) + Lam_i and then for the split residuals.
+    work = np.empty((mn, r))
     diags: list[IterationDiagnostics] = []
     # D(U) for the TV splits; each dual step recomputes it for the next
     # iteration, so only the initial U is differenced here.
-    grad_h = apply_diff(state.u, m, n, HORIZONTAL)
-    grad_v = apply_diff(state.u, m, n, VERTICAL)
+    grad_h = apply_diff(u, m, n, HORIZONTAL)
+    grad_v = apply_diff(u, m, n, VERTICAL)
+
+    def lagrangian(s_at=None, lam3_at=None):
+        # Debug-only: the Lagrangian at the loop's iterates, optionally with
+        # S or Lam3 replaced.  P always pairs with the Lam3 stored now, so
+        # E = Y - S + Lam3 - P; S that the loop does not store is zero.
+        s_now = np.zeros_like(y) if s is None else s
+        state = SolverState(
+            u=u, v=v, e=y - s_now + lam3 - p, s=s_now if s_at is None else s_at,
+            g1=g1, g2=g2, gam1=mu * lam1, gam2=mu * lam2,
+            gam3=mu * (lam3 if lam3_at is None else lam3_at), mu=mu,
+        )
+        return augmented_lagrangian(y, state, cfg, m, n)
 
     lag = 0.0
 
+    def checkpoint(worst, **at):
+        # Debug-only: the Lagrangian must not rise across a block update.
+        nonlocal lag
+        lag_new = lagrangian(**at)
+        rise = (lag_new - lag) / max(1.0, abs(lag))
+        lag = lag_new
+        return rise if worst is None else max(worst, rise)
+
     for it in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        state.iteration = it
-        mu = state.mu
         mu_next = min(cfg.rho * mu, cfg.mu_max)
-        u_prev, v_prev = state.u, state.v
+        u_prev, v_prev = u, v
         worst_increase = None
         if debug:
             # Multipliers and mu changed since the last check; re-baseline.
-            lag = augmented_lagrangian(y, _materialized(state, y, resid, mu), cfg, m, n)
+            lag = lagrangian()
 
-        def checkpoint(worst, at=None):
-            # Debug-only: Lagrangian must not rise across a block update.
-            nonlocal lag
-            at = _materialized(state, y, resid, mu) if at is None else at
-            lag_new = augmented_lagrangian(y, at, cfg, m, n)
-            rise = (lag_new - lag) / max(1.0, abs(lag))
-            lag = lag_new
-            return rise if worst is None else max(worst, rise)
-
-        # update_g on the current U, with D(U) from the previous dual step.
-        np.divide(state.gam1, mu, out=work)
-        work += grad_h
-        soft_threshold(work, cfg.tau1 / mu, out=state.g1)
-        np.divide(state.gam2, mu, out=work)
-        work += grad_v
-        soft_threshold(work, cfg.tau2 / mu, out=state.g2)
+        # The G update on the current U, with D(U) from the previous dual step.
+        soft_threshold(np.add(grad_h, lam1, out=work), cfg.tau1 / mu, out=g1)
+        soft_threshold(np.add(grad_v, lam2, out=work), cfg.tau2 / mu, out=g2)
         if debug:
             worst_increase = checkpoint(worst_increase)
 
-        state.v = procrustes_v(pu)
+        v = procrustes_v(pu)
         if debug:
             worst_increase = checkpoint(worst_increase)
-        rhs_data = resid @ state.v
-        rhs_data *= mu
-        state.u = solve_u_system(
-            rhs_data, state.g1, state.g2, state.gam1, state.gam2, mu, tf
-        )
+        # mu cancels from the U normal equations in scaled form.
+        u = solve_u_system(p @ v, g1, g2, lam1, lam2, 1.0, tf)
         if debug:
             worst_increase = checkpoint(worst_increase)
-            s_before = np.zeros_like(y) if state.s is None else state.s.copy()
-            gam3_before = state.gam3.copy()
+            s_before = np.zeros_like(y) if s is None else s.copy()
+            lam3_before = lam3.copy()
 
-        # Per tile, T = Y - U V^T + Gam3/mu, then E (in P's tile), S, Gam3
-        # and the fit residual T - E - S - Gam3/mu, with the sums that the
-        # diagnostics and the objective need; then the next P and P^T U.
-        vt = state.v.T
+        # Per tile, T = Y - U V^T + Lam3, then -E in P's tile, S, and
+        # T - E - S in the tile buffer; the shared tail takes the fit
+        # residual T - E - S - Lam3, the next Lam3 = (mu/mu')*(T - E - S),
+        # the next P and P^T U, with the sums the diagnostics need.
+        vt = v.T
+        rescale = mu / mu_next
         c = mu / (mu + 2.0 * cfg.beta)
         one_minus_c = 2.0 * cfg.beta / (mu + 2.0 * cfg.beta)
-        # While S = 0: E = c*T and Gam3 = mu*(1 - c)*T, so the next P is
-        # Y + p_scale*T.
-        p_scale = (mu / mu_next) * one_minus_c - c
         s_thresh = cfg.lam / mu
         fit_sq = e_sq = s_abs = 0.0
-        pu = np.zeros((b, cfg.rank))
+        pu = np.zeros((b, r))
         for sl in tiles:
             t = tile[: sl.stop - sl.start]
-            gam3_mu = tile2[: sl.stop - sl.start]
-            gam3_r, p = state.gam3[sl], resid[sl]
-            np.matmul(state.u[sl], vt, out=t)
+            lam3_r, p_r = lam3[sl], resid[sl]
+            np.matmul(u[sl], vt, out=t)
             np.subtract(y[sl], t, out=t)
-            np.divide(gam3_r, mu, out=gam3_mu)
-            t += gam3_mu
+            t += lam3_r
             # With S = 0 the S update shrinks T - E = (1 - c)*T by lam/mu.
             # A NaN tile compares False here and shows up in fit_sq.
-            if state.s is None and one_minus_c * max(t.max(), -t.min()) > s_thresh:
-                state.s = np.zeros((mn, b))
-            if state.s is None:
-                e_sq += c * c * float(np.vdot(t, t))
-                np.multiply(t, p_scale, out=p)
-                p += y[sl]
+            if s is None and one_minus_c * max(t.max(), -t.min()) > s_thresh:
+                s = np.zeros((mn, b))
+            if s is None:
+                np.multiply(t, -c, out=p_r)  # -E
+                e_sq += float(np.vdot(p_r, p_r))
                 t *= one_minus_c  # T - E
-                np.multiply(t, mu, out=gam3_r)
-                t -= gam3_mu
             else:
-                s_r = state.s[sl]
-                np.subtract(t, s_r, out=p)
-                p *= c  # E
-                t -= p
+                s_r = s[sl]
+                np.subtract(s_r, t, out=p_r)
+                p_r *= c  # -E
+                e_sq += float(np.vdot(p_r, p_r))
+                t += p_r  # T - E
                 soft_threshold(t, s_thresh, out=s_r)
-                t -= s_r
-                np.multiply(t, mu, out=gam3_r)
-                t -= gam3_mu
-                e_sq += float(np.vdot(p, p))
-                s_abs += float(np.abs(s_r, out=gam3_mu).sum())
-                p += s_r
-                np.subtract(y[sl], p, out=p)
-                p += np.divide(gam3_r, mu_next, out=gam3_mu)
-            fit_sq += float(np.vdot(t, t))
-            pu += p.T @ state.u[sl]
+                s_abs += float(np.abs(s_r).sum())
+                t -= s_r  # T - E - S
+                p_r -= s_r  # -E - S
+            lam3_r -= t  # minus the fit residual
+            fit_sq += float(np.vdot(lam3_r, lam3_r))
+            np.multiply(t, rescale, out=lam3_r)
+            p_r += y[sl]
+            p_r += lam3_r
+            pu += p_r.T @ u[sl]
+        p = resid
         if debug:
-            # The pass updated E, S and Gam3 together; check E and S as the
+            # The pass updated E, S and Lam3 together; check E and S as the
             # sequential block updates would have left them.
-            after = _materialized(state, y, resid, mu_next)
-            worst_increase = checkpoint(
-                worst_increase, replace(after, s=s_before, gam3=gam3_before)
-            )
-            worst_increase = checkpoint(worst_increase, replace(after, gam3=gam3_before))
-        _check_v_orthonormal(state.v)
+            worst_increase = checkpoint(worst_increase, s_at=s_before, lam3_at=lam3_before)
+            worst_increase = checkpoint(worst_increase, lam3_at=lam3_before)
+        _check_v_orthonormal(v)
 
-        # Dual ascent on the TV splits (Gam3 was updated in the pass).
-        grad_h = apply_diff(state.u, m, n, HORIZONTAL)
-        grad_v = apply_diff(state.u, m, n, VERTICAL)
-        np.subtract(grad_h, state.g1, out=split1)
-        np.subtract(grad_v, state.g2, out=split2)
-        state.gam1 += np.multiply(split1, mu, out=work)
-        state.gam2 += np.multiply(split2, mu, out=work)
-        state.mu = mu_next
+        # Dual ascent on the TV splits (Lam3 was updated in the pass).
+        grad_h = apply_diff(u, m, n, HORIZONTAL)
+        grad_v = apply_diff(u, m, n, VERTICAL)
+        np.subtract(grad_h, g1, out=work)
+        split_h = float(np.vdot(work, work)) / denom
+        lam1 += work
+        lam1 *= rescale
+        np.subtract(grad_v, g2, out=work)
+        split_v = float(np.vdot(work, work)) / denom
+        lam2 += work
+        lam2 *= rescale
 
         fit_res = fit_sq / denom
-        split_h = float(np.vdot(split1, split1)) / denom
-        split_v = float(np.vdot(split2, split2)) / denom
         objective = (
             cfg.tau1 * np.abs(grad_h, out=work).sum()
             + cfg.tau2 * np.abs(grad_v, out=work).sum()
@@ -620,7 +608,7 @@ def solve(
         ):
             if not math.isfinite(value):
                 raise ValueError(f"ADMM diverged: {name} is {value} at iteration {it}")
-        rel_change = _rel_change(state.u, state.v, u_prev, v_prev)
+        rel_change = _rel_change(u, v, u_prev, v_prev)
         diags.append(
             IterationDiagnostics(
                 iteration=it,
@@ -631,15 +619,16 @@ def solve(
                 mu=mu,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 rel_change=rel_change,
-                s_active=state.s is not None,
+                s_active=s is not None,
                 block_increase=worst_increase,
             )
         )
 
         if diags[-1].converged(cfg.epsilon):
             break
+        mu = mu_next
 
     # V U^T is the band-sequential (B, M*N) layout of the cube, built in
     # resid's buffer, which the loop no longer needs.
-    restored = np.matmul(state.v, state.u.T, out=resid.reshape(b, mn))
+    restored = np.matmul(v, u.T, out=resid.reshape(b, mn))
     return HsiCube(m, n, b, restored.reshape(-1)), diags

@@ -263,6 +263,17 @@ class TestDenoise:
         assert "RCTV_THREADS" in err and repr(value) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic"]
 
+    @pytest.mark.parametrize("rank", ["2", "auto"])
+    def test_bad_flag_rejected_before_reading_input(self, tmp_path, rank, monkeypatch, capsys):
+        reads = []
+        monkeypatch.setattr(rctv.cli, "read_cube", lambda *a: reads.append(a))
+        code = main(["denoise", "--input", str(tmp_path / "missing.hsic"),
+                     "--output", str(tmp_path / "o.hsic"), "--rank", rank, "--rho", "1.0"])
+        assert code == 2
+        assert "rho" in capsys.readouterr().err
+        assert reads == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_flag_overrides(self, tmp_path, clean_path):
         out = tmp_path / "o.hsic"
         main(["denoise", "--input", str(clean_path), "--output", str(out),
@@ -327,6 +338,15 @@ class TestBench:
         assert lines[0] == "M,N,B,R,rep,wall_ms"
         assert len(lines) == 1 + 1 * 2 * 2
         assert (tmp_path / "bench.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_bad_reps_rejected(self, tmp_path, reps, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "8x8x4", "--ranks", "2", "--reps", reps,
+                  "--max-iter", "1", "--output", str(tmp_path / "bench.csv")])
+        assert exc.value.code == 2
+        assert "--reps" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_thread_cap_unavailable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(rctv.cli, "threadpool_limits", None)

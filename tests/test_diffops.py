@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_diff_matrix
 from rctv.diffops import (
@@ -12,10 +14,9 @@ from rctv.diffops import (
 )
 
 
-def _check_dense_solve(m, n, r, rng):
+def _check_dense_solve(m, n, r, rng, mu=0.9):
     """FFT solve against a dense direct solve of the same normal equations."""
     tf = build_transfer_functions(m, n)
-    mu = 0.9
     rhs_data = rng.standard_normal((m * n, r))
     g1, g2, gam1, gam2 = (rng.standard_normal((m * n, r)) for _ in range(4))
     u = solve_u_system(rhs_data, g1, g2, gam1, gam2, mu, tf)
@@ -155,6 +156,19 @@ class TestSolveUSystem:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 7), (7, 2), (5, 4), (6, 3)])
     def test_dense_solve_oracle_odd_even_dims(self, dims, rank, rng):
         _check_dense_solve(*dims, rank, rng)
+
+    # solve() passes mu = 1.0: it holds the multipliers scaled by 1/mu, and
+    # mu cancels from its normal equations.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 7),
+        n=st.integers(2, 7),
+        rank=st.integers(1, 4),
+        mu=st.just(1.0) | st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_dense_solve_oracle(self, m, n, rank, mu, seed):
+        _check_dense_solve(m, n, rank, np.random.default_rng(seed), mu)
 
     def test_nonpositive_mu_rejected(self):
         tf = build_transfer_functions(2, 2)

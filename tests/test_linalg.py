@@ -273,6 +273,29 @@ class TestProcrustes:
             q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
             assert attained >= np.vdot(w, q) - 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bands=st.integers(1, 12),
+        rank_frac=st.floats(0.0, 1.0),
+        inner_frac=st.floats(0.0, 1.0),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_orthonormal_and_attains_nuclear_norm(
+        self, bands, rank_frac, inner_frac, scale, seed
+    ):
+        # W = A @ B^T has rank 1..R, so rank-deficient W, where the argmax
+        # is not unique, are drawn too.
+        rank = 1 + int(rank_frac * (bands - 1))
+        inner = 1 + int(inner_frac * (rank - 1))
+        rng = np.random.default_rng(seed)
+        w = scale * rng.standard_normal((bands, inner)) @ rng.standard_normal((inner, rank))
+        v = procrustes_v(w)
+        assert v.shape == (bands, rank)
+        np.testing.assert_allclose(v.T @ v, np.eye(rank), rtol=0, atol=1e-12)
+        nuclear = np.linalg.svd(w, compute_uv=False).sum()
+        assert abs(np.vdot(w, v) - nuclear) <= 1e-9 * nuclear
+
 
 class TestProjectCoefficients:
     def test_recovers_coefficients(self, rng):

@@ -12,7 +12,7 @@ import rctv.solver
 from conftest import gapped_random_cube, nan_u_solve, smooth_rank_cube
 from rctv.cube import fold_casorati, unfold_casorati
 from rctv.diffops import HORIZONTAL, VERTICAL, apply_diff, build_transfer_functions
-from rctv.linalg import soft_threshold, truncated_svd_init
+from rctv.linalg import procrustes_v, soft_threshold, truncated_svd_init
 from rctv.metrics import mpsnr
 from rctv.noisesim import apply_case
 from rctv.solver import (
@@ -608,6 +608,23 @@ class TestFusedLoopOracle:
         _, diags = solve(smooth_rank_cube(8, 6, 5, 2, seed=1), cfg)
         assert len(diags) == 5
         assert len(calls) == 2 + 2 * len(diags)
+
+    def test_first_v_update_reads_init_basis(self, monkeypatch):
+        # Y^T U0 is V0 scaled by the Gram eigenvalues, and V0 maximizes
+        # <Y^T U0, V>, so the first V update starts from V0 itself and no
+        # MN x B x R product is formed for it.
+        args = []
+
+        def recording(w):
+            args.append(w.copy())
+            return procrustes_v(w)
+
+        monkeypatch.setattr(rctv.solver, "procrustes_v", recording)
+        noisy, cfg = oracle_cube(), oracle_config(max_iter=2)
+        solve(noisy, cfg)
+        _, v0 = truncated_svd_init(np.ascontiguousarray(unfold_casorati(noisy)), cfg.rank)
+        assert len(args) == 2
+        np.testing.assert_array_equal(args[0], v0)
 
     def test_factored_rel_change_matches_dense(self, rng):
         mn, b, r = 300, 20, 4
