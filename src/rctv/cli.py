@@ -105,6 +105,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _energy_fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+    return value
+
+
 def _resolve_threads(args) -> int | None:
     env = os.environ.get("RCTV_THREADS")
     if args.threads is not None or not env:
@@ -334,14 +344,7 @@ def cmd_bench(args) -> int:
     _write_manifest(
         str(args.output) + ".manifest.json",
         "bench",
-        {
-            "sizes": [list(s) for s in args.sizes],
-            "ranks": args.ranks,
-            "reps": args.reps,
-            "max_iter": args.max_iter,
-            "seed": args.seed,
-            "output": str(args.output),
-        },
+        _args_snapshot(args),
         (time.perf_counter() - t0) * 1e3,
         extra={
             "threads_requested": threads_requested,
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help=".hsic cube")
     p.add_argument(
         "--energy-fraction",
-        type=float,
+        type=_energy_fraction,
         default=DEFAULT_ENERGY_FRACTION,
         help="cumulative squared-singular-value energy threshold",
     )
@@ -438,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--ranks", type=_parse_ranks, default=[2, 4, 8, 16], help="comma-separated ranks"
     )
     p.add_argument("--reps", type=_positive_int, default=1, help="repetitions per cell")
-    p.add_argument("--max-iter", type=int, default=20, help="iterations per solve")
+    p.add_argument(
+        "--max-iter", type=_positive_int, default=20, help="iterations per solve"
+    )
     p.add_argument("--seed", type=int, default=0, help="synthetic cube seed")
     p.add_argument("--output", required=True, help="CSV path")
     p.set_defaults(func=cmd_bench)

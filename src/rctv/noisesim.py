@@ -5,7 +5,8 @@ impulses, zeroed full-height "deadline" columns, and constant-offset stripe
 columns.  Everything is driven by numpy's PCG64 generator: streams are
 identical across platforms for a fixed numpy version, each corruption stage
 derives its own sub-seed from the master seed, and a NoiseRecord carries
-enough information to replay a corruption bit-exactly.
+the seed, case, profile, window rescaling and the realized per-band values
+and placements, from which replay() reruns the case bit-exactly.
 
 Column and band indices in records are 0-based.
 """
@@ -27,7 +28,18 @@ _U64_MASK = (1 << 64) - 1
 # is possible from the record's seed: stage_rng(record.seed, stage).
 _STAGE_CODES = {"gaussian": 1, "impulse": 2, "deadline": 3, "stripe": 4}
 
-CASES = ("a", "b", "c", "d", "e", "f")
+# Gaussian sigma and impulse ratio of each case: a scalar for every band, a
+# (lo, hi) range with one value drawn per band, or None to skip the stage.
+_CASE_LEVELS = {
+    "a": (0.1, None),
+    "b": (0.1, None),
+    "c": (0.075, 0.1),
+    "d": (0.075, 0.1),
+    "e": ((0.05, 0.15), (0.05, 0.15)),
+    "f": ((0.05, 0.15), (0.05, 0.15)),
+}
+
+CASES = tuple(_CASE_LEVELS)
 
 _PROFILES = {
     "msi31": {
@@ -91,56 +103,9 @@ class StripeSpec:
             raise ValueError("bad stripe offset range")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Declarative description of one composite corruption.
-
-    gaussian_sigma / impulse_ratio may be a scalar (same for all bands) or
-    a (lo, hi) pair (one value drawn per band), or None to skip the stage.
-    """
-
-    gaussian_sigma: Optional[SigmaLike] = None
-    impulse_ratio: Optional[SigmaLike] = None
-    deadline: Optional[DeadlineSpec] = None
-    stripes: Optional[StripeSpec] = None
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSpec":
-        def pair(x):
-            return tuple(x) if isinstance(x, (list, tuple)) else x
-
-        deadline = d.get("deadline")
-        stripes = d.get("stripes")
-        return cls(
-            gaussian_sigma=pair(d.get("gaussian_sigma")),
-            impulse_ratio=pair(d.get("impulse_ratio")),
-            deadline=DeadlineSpec(
-                band_lo=deadline["band_lo"],
-                band_hi=deadline["band_hi"],
-                count_range=tuple(deadline["count_range"]),
-                width_range=tuple(deadline["width_range"]),
-            )
-            if deadline
-            else None,
-            stripes=StripeSpec(
-                band_lo=stripes["band_lo"],
-                band_hi=stripes["band_hi"],
-                count_range=tuple(stripes["count_range"]),
-                offset_range=tuple(stripes["offset_range"]),
-            )
-            if stripes
-            else None,
-            seed=d.get("seed", 0),
-        )
-
-
 @dataclass
 class NoiseRecord:
-    """Realized corruption parameters plus everything needed to replay."""
+    """Realized corruption parameters plus the (case, profile, seed) to replay."""
 
     seed: int
     case: Optional[str]
@@ -151,7 +116,6 @@ class NoiseRecord:
     impulse_count: Optional[list[int]]
     deadlines: Optional[dict[int, list[tuple[int, int]]]]
     stripes: Optional[dict[int, list[tuple[int, float]]]]
-    spec: dict
 
     def to_json_obj(self) -> dict:
         obj = asdict(self)
@@ -163,7 +127,7 @@ class NoiseRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NoiseRecord":
-        """Load a record; the stage_entropy key of older records is ignored."""
+        """Load a record; the spec and stage_entropy keys of older records are ignored."""
         deadlines = obj.get("deadlines")
         if deadlines is not None:
             deadlines = {
@@ -184,7 +148,6 @@ class NoiseRecord:
             impulse_count=obj.get("impulse_count"),
             deadlines=deadlines,
             stripes=stripes,
-            spec=obj["spec"],
         )
 
 
@@ -288,8 +251,8 @@ def add_deadlines(
                 break
             start = int(free[rng.integers(free.size)])
             occupied[start : start + width] = True
-            for j in range(start, start + width):
-                data[b * mn + j * m : b * mn + (j + 1) * m] = 0.0
+            # Columns of a column-major plane are contiguous: one slice.
+            data[b * mn + start * m : b * mn + (start + width) * m] = 0.0
             placed.append((start, width))
         placements[b] = placed
     return HsiCube(m, n, cube.bands, data), placements
@@ -307,8 +270,8 @@ def add_stripes(
     Returns (cube, {band: [(col, offset), ...]}).
     """
     m, n = cube.height, cube.width
-    mn = m * n
     data = cube.data.copy()
+    planes = data.reshape(cube.bands, n, m)
     placements: dict[int, list[tuple[int, float]]] = {}
     band_hi = min(spec.band_hi, cube.bands - 1)
     for b in range(spec.band_lo, band_hi + 1):
@@ -316,12 +279,9 @@ def add_stripes(
         count = min(count, n)
         cols = rng.choice(n, size=count, replace=False)
         offsets = rng.uniform(spec.offset_range[0], spec.offset_range[1], size=count)
-        placed = []
-        for col, off in zip(cols, offsets):
-            col = int(col)
-            data[b * mn + col * m : b * mn + (col + 1) * m] += off
-            placed.append((col, float(off)))
-        placements[b] = placed
+        # The columns are distinct, so one fancy-indexed add is exact.
+        planes[b, cols] += offsets[:, None]
+        placements[b] = [(int(c), float(o)) for c, o in zip(cols, offsets)]
     return HsiCube(m, n, cube.bands, data), placements
 
 
@@ -333,116 +293,59 @@ def _rescale_window(window: tuple[int, int], bands_ref: int, bands: int) -> tupl
     return lo, hi
 
 
-def case_spec(
-    case_id: str, profile: str, bands: int, seed: int
-) -> tuple[NoiseSpec, bool]:
-    """Build the NoiseSpec for one of the cases (a)-(f) under a profile.
+def apply_case(
+    cube: HsiCube, case_id: str, profile: str, seed: int
+) -> tuple[HsiCube, NoiseRecord]:
+    """Corrupt a cube per one of the named cases (a)-(f).
 
-    Profile band windows assume the profile's native band count; other
-    counts get proportionally rescaled windows and the fact is flagged.
+    Stages run Gaussian, then impulse, then deadlines (cases b, d, e, f),
+    then stripes (case f), each from its own stage_rng, so dropping or
+    adding a later stage never perturbs the earlier ones.  Profile band
+    windows assume the profile's native band count; other counts get
+    proportionally rescaled windows and the fact is flagged.
     """
     if case_id not in CASES:
         raise ValueError(f"unknown case {case_id!r}; choose from {CASES}")
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(_PROFILES)}")
     prof = _PROFILES[profile]
-    rescaled = bands != prof["bands"]
+    rescaled = cube.bands != prof["bands"]
 
     def window(key):
         lo, hi = prof[key]
         if rescaled:
-            lo, hi = _rescale_window((lo, hi), prof["bands"], bands)
+            lo, hi = _rescale_window((lo, hi), prof["bands"], cube.bands)
         # 1-based inclusive -> 0-based inclusive
         return lo - 1, hi - 1
 
-    deadline = None
-    if case_id in ("b", "d", "e", "f"):
-        lo, hi = window("deadline_window")
-        deadline = DeadlineSpec(
-            band_lo=lo,
-            band_hi=hi,
-            count_range=prof["deadline_count"],
-            width_range=prof["deadline_width"],
-        )
-    stripes = None
-    if case_id == "f":
-        lo, hi = window("stripe_window")
-        stripes = StripeSpec(
-            band_lo=lo, band_hi=hi, count_range=prof["stripe_count"]
-        )
-
-    gaussian: SigmaLike
-    impulse: Optional[SigmaLike]
-    if case_id in ("a", "b"):
-        gaussian, impulse = 0.1, None
-    elif case_id in ("c", "d"):
-        gaussian, impulse = 0.075, 0.1
-    else:  # e, f
-        gaussian, impulse = (0.05, 0.15), (0.05, 0.15)
-
-    spec = NoiseSpec(
-        gaussian_sigma=gaussian,
-        impulse_ratio=impulse,
-        deadline=deadline,
-        stripes=stripes,
-        seed=seed,
-    )
-    return spec, rescaled
-
-
-def apply_spec(cube: HsiCube, spec: NoiseSpec) -> tuple[HsiCube, NoiseRecord]:
-    """Execute a NoiseSpec: Gaussian, then impulse, then deadlines, then stripes.
-
-    Each stage runs from its own sub-seeded generator, so dropping or
-    adding trailing stages never perturbs the earlier ones.
-    """
+    sigma, ratio = _CASE_LEVELS[case_id]
+    out, sigmas = add_gaussian(cube, sigma, stage_rng(seed, "gaussian"))
     record = NoiseRecord(
-        seed=spec.seed,
-        case=None,
-        profile=None,
-        windows_rescaled=False,
-        gaussian_sigma=None,
+        seed=seed,
+        case=case_id,
+        profile=profile,
+        windows_rescaled=rescaled,
+        gaussian_sigma=[float(s) for s in sigmas],
         impulse_ratio=None,
         impulse_count=None,
         deadlines=None,
         stripes=None,
-        spec=spec.to_dict(),
     )
-    out = cube
-    if spec.gaussian_sigma is not None:
-        rng = stage_rng(spec.seed, "gaussian")
-        out, sigmas = add_gaussian(out, spec.gaussian_sigma, rng)
-        record.gaussian_sigma = [float(s) for s in sigmas]
-    if spec.impulse_ratio is not None:
-        rng = stage_rng(spec.seed, "impulse")
-        out, ratios, counts = add_impulse(out, spec.impulse_ratio, rng)
+    if ratio is not None:
+        out, ratios, counts = add_impulse(out, ratio, stage_rng(seed, "impulse"))
         record.impulse_ratio = [float(r) for r in ratios]
         record.impulse_count = [int(c) for c in counts]
-    if spec.deadline is not None:
-        rng = stage_rng(spec.seed, "deadline")
-        out, placements = add_deadlines(out, spec.deadline, rng)
-        record.deadlines = placements
-    if spec.stripes is not None:
-        rng = stage_rng(spec.seed, "stripe")
-        out, placements = add_stripes(out, spec.stripes, rng)
-        record.stripes = placements
-    return out, record
-
-
-def apply_case(
-    cube: HsiCube, case_id: str, profile: str, seed: int
-) -> tuple[HsiCube, NoiseRecord]:
-    """Corrupt a cube per one of the named cases (a)-(f)."""
-    spec, rescaled = case_spec(case_id, profile, cube.bands, seed)
-    out, record = apply_spec(cube, spec)
-    record.case = case_id
-    record.profile = profile
-    record.windows_rescaled = rescaled
+    if case_id in ("b", "d", "e", "f"):
+        deadline = DeadlineSpec(
+            *window("deadline_window"), prof["deadline_count"], prof["deadline_width"]
+        )
+        out, record.deadlines = add_deadlines(out, deadline, stage_rng(seed, "deadline"))
+    if case_id == "f":
+        stripes = StripeSpec(*window("stripe_window"), prof["stripe_count"])
+        out, record.stripes = add_stripes(out, stripes, stage_rng(seed, "stripe"))
     return out, record
 
 
 def replay(record: NoiseRecord, clean: HsiCube) -> HsiCube:
-    """Re-run the corruption described by a record; bit-exact by construction."""
-    spec = NoiseSpec.from_dict(record.spec)
-    out, _ = apply_spec(clean, spec)
-    return out
+    """Re-run the case a record names from (case, profile, seed); bit-exact."""
+    return apply_case(clean, record.case, record.profile, record.seed)[0]

@@ -13,6 +13,7 @@ import rctv.cli
 import rctv.solver
 from rctv.cli import bench_cube, estimate_rank, main, run_bench
 from rctv.cube import normalize_bands, read_cube, write_cube
+from rctv.noisesim import NoiseRecord, replay
 from rctv.solver import DenoiseConfig
 from test_solver import reference_solve
 
@@ -74,6 +75,12 @@ class TestSimulate:
         record = json.loads((tmp_path / "noisy1.hsic.noise.json").read_text())
         assert record["case"] == "c"
         assert record["gaussian_sigma"] == [0.075] * 8
+        assert "spec" not in record
+        # The record alone reruns the corruption the .hsic file holds.
+        again = replay(NoiseRecord.from_json_obj(record), read_cube(clean_path))
+        np.testing.assert_array_equal(
+            again.data.astype(np.float32), read_cube(out1).data
+        )
         manifest = json.loads((tmp_path / "noisy1.hsic.manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["args"]["seed"] == 9
@@ -327,6 +334,19 @@ class TestRankest:
         assert int(printed) == manifest["rank"]
         assert 2 <= manifest["rank"] <= 8
 
+    @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
+    def test_bad_fraction_rejected_before_reading_input(
+        self, tmp_path, fraction, monkeypatch, capsys
+    ):
+        reads = []
+        monkeypatch.setattr(rctv.cli, "read_cube", lambda *a: reads.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["rankest", "--input", str(tmp_path / "missing.hsic"),
+                  "--energy-fraction", fraction])
+        assert exc.value.code == 2
+        assert "--energy-fraction" in capsys.readouterr().err
+        assert reads == []
+
 
 class TestBench:
     def test_csv_rows(self, tmp_path):
@@ -346,6 +366,14 @@ class TestBench:
                   "--max-iter", "1", "--output", str(tmp_path / "bench.csv")])
         assert exc.value.code == 2
         assert "--reps" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_max_iter_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "8x8x4", "--ranks", "2", "--max-iter", "0",
+                  "--output", str(tmp_path / "bench.csv")])
+        assert exc.value.code == 2
+        assert "--max-iter" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_thread_cap_unavailable(self, tmp_path, monkeypatch, capsys):

@@ -8,7 +8,6 @@ from rctv.cube import HsiCube, fold_casorati
 from rctv.noisesim import (
     DeadlineSpec,
     NoiseRecord,
-    NoiseSpec,
     StripeSpec,
     _free_starts,
     add_deadlines,
@@ -16,8 +15,6 @@ from rctv.noisesim import (
     add_impulse,
     add_stripes,
     apply_case,
-    apply_spec,
-    case_spec,
     replay,
     stage_rng,
 )
@@ -201,8 +198,8 @@ class TestApplyCase:
         assert d_rec.deadlines is not None
         # Deadline window: bands 11..20 1-based -> 10..19 0-based.
         assert sorted(d_rec.deadlines) == list(range(10, 20))
-        spec, _ = case_spec("d", "msi31", 31, seed)
-        manual, _ = add_deadlines(c_cube, spec.deadline, stage_rng(seed, "deadline"))
+        spec = DeadlineSpec(10, 19, (5, 55), (1, 5))
+        manual, _ = add_deadlines(c_cube, spec, stage_rng(seed, "deadline"))
         np.testing.assert_array_equal(d_cube.data, manual.data)
 
     def test_case_e_ranges(self):
@@ -262,12 +259,20 @@ class TestReplay:
         np.testing.assert_array_equal(noisy.data, again.data)
 
     def test_record_with_stage_entropy_replays(self):
-        # Records written before stage_entropy and the stripe clamp were
-        # dropped still carry both.
+        # Records written before the spec, stage_entropy and the stripe
+        # clamp were dropped still carry all three.
         cube = random_cube(6, 6, 31, seed=23)
         noisy, record = apply_case(cube, "f", "msi31", seed=80)
         obj = record.to_json_obj()
-        obj["spec"]["stripes"]["clamp"] = None
+        obj["spec"] = {
+            "gaussian_sigma": [0.05, 0.15],
+            "impulse_ratio": [0.05, 0.15],
+            "deadline": {"band_lo": 10, "band_hi": 19, "count_range": [5, 55],
+                         "width_range": [1, 5]},
+            "stripes": {"band_lo": 20, "band_hi": 29, "count_range": [50, 100],
+                        "offset_range": [-0.25, 0.25], "clamp": None},
+            "seed": 80,
+        }
         obj["stage_entropy"] = {
             stage: [80, code]
             for stage, code in (("gaussian", 1), ("impulse", 2), ("deadline", 3), ("stripe", 4))
@@ -280,8 +285,16 @@ class TestReplay:
             old = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
             np.testing.assert_array_equal(old.random(4), stage_rng(80, stage).random(4))
 
+    def test_record_without_case_rejected(self):
+        # Only the removed general spec runner wrote records with no case.
+        cube = random_cube(6, 6, 31, seed=24)
+        _, record = apply_case(cube, "a", "msi31", seed=81)
+        obj = dict(record.to_json_obj(), case=None, profile=None)
+        with pytest.raises(ValueError, match="case"):
+            replay(NoiseRecord.from_json_obj(obj), cube)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="well-ordered"):
-            apply_spec(random_cube(4, 4, 2, seed=0), NoiseSpec(gaussian_sigma=(0.2, 0.1)))
+            add_gaussian(random_cube(4, 4, 2, seed=0), (0.2, 0.1), np.random.default_rng(0))
         with pytest.raises(ValueError, match="count"):
             DeadlineSpec(band_lo=0, band_hi=1, count_range=(3, 1), width_range=(1, 1))
