@@ -314,14 +314,17 @@ def run_bench(
 
     Returns (M, N, B, R, rep, wall_ms) rows.  epsilon is set tiny so every
     run executes exactly max_iter iterations.  Runs under the caller's BLAS
-    thread setting; the bench subcommand caps it to one thread.
+    thread setting; the bench subcommand caps it to one thread.  Every
+    (size, rank) pair is checked before the first cube is built.
     """
+    for m, n, b in sizes:
+        for rank in ranks:
+            if rank > b:
+                raise ValueError(f"rank {rank} exceeds bands {b} of size {m}x{n}x{b}")
     rows = []
     for m, n, b in sizes:
         cube = bench_cube(m, n, b, seed)
         for rank in ranks:
-            if rank > b:
-                raise ValueError(f"rank {rank} exceeds bands {b}")
             cfg = DenoiseConfig.preset(
                 "mixed", rank=rank, max_iter=max_iter, epsilon=1e-30
             )
@@ -401,7 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override preset lambda",
     )
-    p.add_argument("--mu0", type=float, default=None, help="initial ADMM penalty")
+    p.add_argument(
+        "--mu0",
+        type=float,
+        default=None,
+        help=f"initial ADMM penalty (default {DenoiseConfig.mu0:g})",
+    )
     p.add_argument("--rho", type=float, default=None, help="penalty growth factor")
     p.add_argument("--eps", type=float, default=None, help="convergence tolerance")
     p.add_argument("--max-iter", type=int, default=None, help="iteration cap")

@@ -118,7 +118,9 @@ class DenoiseConfig:
     tau1/tau2 TV weights for horizontal / vertical differences
     beta      Gaussian-noise weight (quadratic penalty on E)
     lam       sparse-noise weight (l1 penalty on S)
-    mu0       initial ADMM penalty
+    mu0       initial ADMM penalty; runs converge once mu reaches about
+              40-45, so the start sets the iteration count (about 39 at
+              the default with rho = 1.25)
     rho       penalty growth factor per iteration (> 1)
     epsilon   convergence tolerance on the squared relative residuals
     max_iter  iteration cap; hitting it is reported, not an error
@@ -130,7 +132,7 @@ class DenoiseConfig:
     tau2: float = 0.01
     beta: float = 50.0
     lam: float = 1.0
-    mu0: float = 1e-3
+    mu0: float = 1e-2
     rho: float = 1.25
     epsilon: float = 1e-6
     max_iter: int = 50

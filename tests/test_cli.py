@@ -285,15 +285,20 @@ class TestDenoise:
         out = tmp_path / "o.hsic"
         main(["denoise", "--input", str(clean_path), "--output", str(out),
               "--rank", "2", "--beta", "7.5", "--lambda", "2.5",
-              "--mu0", "0.01", "--rho", "1.5", "--eps", "1e-8",
+              "--mu0", "0.05", "--rho", "1.5", "--eps", "1e-8",
               "--max-iter", "4", "--threads", "1"])
         manifest = json.loads((tmp_path / "o.hsic.manifest.json").read_text())
         cfg = manifest["config"]
         assert cfg["beta"] == 7.5 and cfg["lambda"] == 2.5
-        assert cfg["mu0"] == 0.01 and cfg["rho"] == 1.5
+        assert cfg["mu0"] == 0.05 and cfg["rho"] == 1.5
         assert cfg["epsilon"] == 1e-8 and cfg["max_iter"] == 4
         fields = {f.name for f in dataclasses.fields(DenoiseConfig)}
         assert set(cfg) == (fields - {"lam"}) | {"lambda"}
+
+    def test_mu0_help_states_the_config_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["denoise", "--help"])
+        assert f"initial ADMM penalty (default {DenoiseConfig.mu0:g})" in capsys.readouterr().out
 
 
 class TestMetricsCommand:
@@ -390,6 +395,18 @@ class TestBench:
     def test_run_bench_rank_guard(self):
         with pytest.raises(ValueError, match="rank"):
             run_bench([(8, 8, 4)], [5], reps=1, max_iter=1)
+
+    def test_bad_grid_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        # The first size is valid for every rank; only the second is not.
+        solves, builds = [], []
+        monkeypatch.setattr(rctv.cli, "solve", lambda *a, **k: solves.append(a))
+        monkeypatch.setattr(rctv.cli, "bench_cube", lambda *a: builds.append(a))
+        code = main(["bench", "--sizes", "16x16x8,8x8x4", "--ranks", "2,8",
+                     "--max-iter", "1", "--output", str(tmp_path / "bench.csv")])
+        assert code == 2
+        assert solves == [] and builds == []
+        assert "rank 8 exceeds bands 4 of size 8x8x4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_time_grows_with_spatial_size(self):
         # The minimum over 5 repetitions keeps one slow run on a busy host

@@ -14,7 +14,7 @@ from rctv.cube import fold_casorati, unfold_casorati
 from rctv.diffops import HORIZONTAL, VERTICAL, apply_diff, build_transfer_functions
 from rctv.linalg import procrustes_v, soft_threshold, truncated_svd_init
 from rctv.metrics import mpsnr
-from rctv.noisesim import apply_case
+from rctv.noisesim import CASES, apply_case
 from rctv.solver import (
     DenoiseConfig,
     IterationDiagnostics,
@@ -293,10 +293,14 @@ def peak_allocation(m, n, b, case, **overrides):
 
 
 def debug_case():
-    """A mixed-preset solve whose S stays zero."""
+    """A mixed-preset solve whose S stays zero.
+
+    mu0 is pinned because S leaves zero once lam/mu is small enough; a
+    larger start could turn S on inside the 15 iterations.
+    """
     clean = smooth_rank_cube(12, 12, 6, 2, seed=9)
     noisy, _ = apply_case(clean, "c", "msi31", seed=1)
-    return noisy, DenoiseConfig.preset("mixed", rank=2, tau=0.1, max_iter=15)
+    return noisy, DenoiseConfig.preset("mixed", rank=2, tau=0.1, mu0=1e-3, max_iter=15)
 
 
 class TestSolve:
@@ -318,6 +322,27 @@ class TestSolve:
         assert last.split_residual_h <= cfg.epsilon
         assert last.split_residual_v <= cfg.epsilon
         assert len(diags) <= 50
+
+    def test_default_mu0_converges_sooner_at_the_same_quality(self):
+        # Runs converge once mu reaches about 40, so the default start must
+        # stop in fewer iterations than mu0 = 1e-3 on every case.  On one
+        # input the restored MPSNR moves by up to about 0.8 dB either way
+        # between any two nearby starts (1e-3 and 8e-4 too), so the quality
+        # bound applies to the mean over all inputs: a start that loses
+        # quality everywhere (mu0 = 10 loses about 1.6 dB) still fails it.
+        loss = []
+        for seed in (0, 1):
+            clean = smooth_rank_cube(32, 32, 31, 3, seed=seed)
+            for case in CASES:
+                noisy, _ = apply_case(clean, case, "msi31", seed=seed)
+                cfg = DenoiseConfig.preset("mixed", rank=3, tau=0.3)
+                slow = dataclasses.replace(cfg, mu0=1e-3)
+                restored, diags = solve(noisy, cfg)
+                slow_restored, slow_diags = solve(noisy, slow)
+                assert diags[-1].converged(cfg.epsilon), case
+                assert len(diags) < len(slow_diags), case
+                loss.append(mpsnr(clean, slow_restored) - mpsnr(clean, restored))
+        assert np.mean(loss) <= 0.2
 
     def test_degenerate_limit_matches_truncated_svd(self):
         cube = gapped_random_cube(12, 10, 7, 3, seed=5)
@@ -392,7 +417,9 @@ class TestSolve:
         # Y's copy, Gam3 and the P buffer are the MN x B arrays a solve needs
         # while S is zero; S adds one more once it turns on.
         m, n, b = 48, 48, 96
-        diags, peak = peak_allocation(m, n, b, "c", max_iter=3, epsilon=1e-30)
+        diags, peak = peak_allocation(
+            m, n, b, "c", mu0=1e-3, max_iter=3, epsilon=1e-30
+        )
         assert not any(d.s_active for d in diags)
         assert peak <= 4.0 * m * n * b * 8
 
