@@ -46,7 +46,7 @@ from rctv.cube import (
 from rctv.linalg import gram_eigh
 from rctv.metrics import CSV_COLUMNS, compute_report
 from rctv.noisesim import CASES, apply_case
-from rctv.solver import DenoiseConfig, diagnostics_to_jsonl, solve
+from rctv.solver import DenoiseConfig, check_solvable, diagnostics_to_jsonl, solve
 
 DEFAULT_ENERGY_FRACTION = 0.995
 
@@ -189,6 +189,10 @@ def cmd_denoise(args) -> int:
     # before the read and the rank estimate.
     cfg = DenoiseConfig.preset(args.preset, rank=1, tau=args.tau, **overrides)
     cube = read_cube(args.input)
+    # Fail on a bad plane or rank before the rank estimate and the
+    # normalization; --rank auto checks rank 1, as its estimate is at
+    # most the band count.
+    check_solvable(cube.height, cube.width, cube.bands, 1 if args.rank == "auto" else args.rank)
     rank = estimate_rank(unfold_casorati(cube)) if args.rank == "auto" else args.rank
     cfg = dataclasses.replace(cfg, rank=rank)
 

@@ -9,7 +9,14 @@ penalized least-squares system for the coefficient update is solved per
 slice with one real FFT pair.
 
 Directions: "horizontal" differences along j (width), "vertical" along i
-(height).  apply_diff computes next-minus-current with periodic wrap.
+(height).  apply_diff computes next-minus-current with periodic wrap, and
+apply_diff_adjoint its adjoint; both allocate their result and are the
+reference the in-place forms are tested against.  diff_columns writes the
+differences of a range of whole columns of the plane into a caller's
+buffer, for a pass over column tiles: the vertical wrap stays inside each
+column, and the horizontal difference reads one column past the range.
+solve_u_system builds its right-hand side with slice arithmetic and runs
+its transforms into buffers the caller may allocate once.
 """
 
 from __future__ import annotations
@@ -63,6 +70,41 @@ def apply_diff_adjoint(
     return diff.reshape(height * width, -1)
 
 
+def diff_columns(
+    grid: np.ndarray, start: int, stop: int, direction: str, out: np.ndarray
+) -> np.ndarray:
+    """apply_diff for columns start <= j < stop of an (N, M, R) grid view.
+
+    grid and out are C-ordered; out holds at least stop - start columns.
+    Writes the differences into out[: stop - start] and returns that part.
+    The horizontal difference also reads column stop, or column 0 when
+    stop = N.
+    """
+    width, height, r = grid.shape
+    cols = grid[start:stop]
+    d = out[: stop - start]
+    if _axis(direction) == 1:
+        # Consecutive rows of the (M*N, R) layout, then the last row of each
+        # column wraps to that column's first.
+        flat = cols.reshape(-1, r)
+        np.subtract(flat[1:], flat[:-1], out=d.reshape(-1, r)[:-1])
+        np.subtract(cols[:, 0], cols[:, height - 1], out=d[:, -1])
+    else:
+        inner = min(stop, width - 1) - start
+        np.subtract(grid[start + 1 : start + 1 + inner], cols[:inner], out=d[:inner])
+        if stop == width:
+            np.subtract(grid[0], grid[width - 1], out=d[-1])
+    return d
+
+
+def _add_diff_adjoint(w: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """out += D^T w on (N, M, R) grids: w shifted one step along axis, minus w."""
+    lead = (slice(None),) * axis
+    out[lead + (slice(1, None),)] += w[lead + (slice(None, -1),)]
+    out[lead + (0,)] += w[lead + (-1,)]
+    out -= w
+
+
 @dataclass(frozen=True)
 class TransferFunctions:
     """DFT diagonalization of D_1^T D_1 + D_2^T D_2 on an M x N grid.
@@ -100,6 +142,8 @@ def solve_u_system(
     gam2: np.ndarray,
     mu: float,
     tf: TransferFunctions,
+    out: np.ndarray | None = None,
+    hat: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve (mu*I + mu*sum_i D_i^T D_i)(U) = rhs_data + sum_i D_i^T(mu*G_i - Gam_i).
 
@@ -107,22 +151,40 @@ def solve_u_system(
     right-hand side is formed in space, then each slice is divided in the
     2-D DFT basis by the strictly positive diagonal mu * (1 + otf_laplacian),
     so the solve is exact and total for mu > 0.  The operator and the data
-    are real, so one rfft2/irfft2 pair over the half spectrum suffices.
+    are real, so one real FFT pair over the half spectrum suffices.
     D_1 is the horizontal difference, D_2 the vertical.
+
+    out and hat are buffers that a caller solving many times allocates
+    once, and each one not given is allocated here.  out is a C-ordered
+    (M*N, R) float64 array that receives U and is returned; it may be
+    rhs_data itself, which is then overwritten.  hat is a C-ordered
+    (N, M//2 + 1, R) complex128 array for the half spectrum.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     m, n = tf.height, tf.width
-    # One reused buffer for mu*G_i - Gam_i, and in-place differences: each
-    # (M*N, R) temporary freed per iteration is memory the allocator may
-    # return to the OS and fault in again on the next one.
-    w = mu * g1
-    w -= gam1
-    rhs = apply_diff_adjoint(w, m, n, HORIZONTAL)
-    np.multiply(g2, mu, out=w)
-    w -= gam2
-    rhs += apply_diff_adjoint(w, m, n, VERTICAL)
-    rhs += _grid(rhs_data, m, n).reshape(rhs.shape)
-    rhs_hat = np.fft.rfft2(_grid(rhs, m, n), axes=(0, 1))
-    rhs_hat /= mu * (1.0 + tf.otf_laplacian.T[:, : m // 2 + 1, None])
-    return np.fft.irfft2(rhs_hat, s=(n, m), axes=(0, 1)).reshape(m * n, -1)
+    data = _grid(rhs_data, m, n)
+    r = data.shape[2]
+    if out is None:
+        out = np.empty((m * n, r))
+    if hat is None:
+        hat = np.empty((n, m // 2 + 1, r), dtype=np.complex128)
+    if not (out.flags.c_contiguous and hat.flags.c_contiguous):
+        raise ValueError("out and hat must be C-ordered")
+    rhs = out.reshape(n, m, r)
+    if out is not rhs_data:
+        np.copyto(rhs, data)
+    # mu*G_i - Gam_i is formed in hat's memory, which holds at least
+    # M*N*R floats and is not read until the forward transform.
+    w = hat.reshape(-1).view(np.float64)[: m * n * r].reshape(n, m, r)
+    for g, gam, direction in ((g1, gam1, HORIZONTAL), (g2, gam2, VERTICAL)):
+        np.multiply(_grid(g, m, n), mu, out=w)
+        w -= _grid(gam, m, n)
+        _add_diff_adjoint(w, _axis(direction), rhs)
+    np.fft.rfft2(rhs, axes=(0, 1), out=hat)
+    hat /= mu * (1.0 + tf.otf_laplacian.T[:, : m // 2 + 1, None])
+    # irfft2(..., out=) does not leave its result in out on numpy 2.4, so
+    # the inverse runs one axis at a time.
+    np.fft.ifft(hat, axis=0, out=hat)
+    np.fft.irfft(hat, n=m, axis=1, out=rhs)
+    return out

@@ -32,17 +32,18 @@ Lam_i by mu/mu'.  mu enters the arithmetic only through the thresholds,
 c = mu/(mu + 2*beta) and that rescale.  The iterates are plain local
 variables of solve().
 
-solve() makes one pass over the M*N x B iterates per iteration, over row
-tiles of a few hundred KiB, so that every step of the pass finds its
-tile's rows in cache instead of streaming whole arrays from memory.  The
-V and U updates read only P = Y - E - S + Lam_3: the V update is
-Procrustes on P^T U and the U right-hand side is P V.  The pass runs
-after the U update and, per tile of rows r, forms
-T_r = Y_r - U_r V^T + Lam_3r, then -E_r = c*(S_r - T_r) in P's tile,
-S_r = shrink(T_r - E_r, lam/mu) in place and T_r - E_r - S_r in the tile
-buffer.  A tail shared by both S cases then takes the data-fit residual
-T_r - E_r - S_r - Lam_3r, writes Lam_3r = (mu/mu')*(T_r - E_r - S_r) for
-the grown penalty mu' = min(rho*mu, mu_max), writes the next iteration's
+solve() makes two passes per iteration, each over tiles of a few hundred
+KiB, so that every step of a pass finds its tile in cache instead of
+streaming whole arrays from memory: one over row tiles of the M*N x B
+iterates, then one over column tiles of the (M*N, R) ones.  The V and U
+updates read only P = Y - E - S + Lam_3: the V update is Procrustes on
+P^T U and the U right-hand side is P V.  The row pass runs after the U
+update and, per tile of rows r, forms T_r = Y_r - U_r V^T + Lam_3r, then
+-E_r = c*(S_r - T_r) in P's tile, S_r = shrink(T_r - E_r, lam/mu) in
+place and T_r - E_r - S_r in the tile buffer.  A tail shared by both S
+cases then takes the data-fit residual T_r - E_r - S_r - Lam_3r, writes
+Lam_3r = (mu/mu')*(T_r - E_r - S_r) for the grown penalty
+mu' = min(rho*mu, mu_max), writes the next iteration's
 P_r = Y_r - E_r - S_r + Lam_3r and adds P_r^T U_r for the next V update.
 It sums ||fit||^2, ||E||^2 and sum|S| for the diagnostics and the
 objective.
@@ -56,16 +57,28 @@ on.  The first P is Y, and the first V update reads V_0 in place of
 Y^T U_0, which is V_0 scaled by the Gram eigenvalues: V_0 maximizes
 <Y^T U_0, V> either way.
 
-G_i and the scaled multipliers are updated in place too, through one
-(M*N, R) work buffer.
-rel_change is computed from the factors in O(M*N*R^2), with no copy of
-the previous U V^T.  D(U) is formed once per iteration, in the dual step,
-and carried into the next iteration's G update.  A non-finite residual or
-objective stops the solve with a ValueError naming the iteration.  The
-per-block update_* functions, update_multipliers and model_objective
-evaluate the same quantities densely, one block at a time, on a
-SolverState with the unscaled multipliers and E and S stored; they are
-the reference kernels the tiled loop is tested against.
+The column pass (_column_pass) tiles the plane by whole columns of M
+pixels, so the vertical wrap stays inside a tile and the horizontal
+difference reads one column past it.  Per tile it forms D_i(U) in a tile
+buffer, sums the split residuals ||D_i(U) - G_i||^2, takes the TV dual
+step with the rescale, Lam_i <- (mu/mu')*(Lam_i + D_i(U) - G_i), and
+writes the next iteration's G_i = shrink(D_i(U) + Lam_i, tau_i/mu') over
+the G_i it read.  mu' is known by then, so the G update leaves the top of
+the loop; the first G is shrunk from U_0 before it.  The pass also sums
+|D_i(U)| for the objective, and ||U - U_prev C||^2 and U^T U for
+rel_change, which is computed from the factors in O(M*N*R^2) with no copy
+of the previous U V^T; the Gram is carried on as U_prev's.  The U solve
+runs in buffers allocated once and writes U into one of two buffers in
+turn, so U_prev survives until the pass and the loop allocates no
+(M*N, R) array.  In debug mode the G check re-baselines the Lagrangian
+at the G that the last pass read.
+
+A non-finite residual or objective stops the solve with a ValueError
+naming the iteration.  The per-block update_* functions,
+update_multipliers and model_objective evaluate the same quantities
+densely, one block at a time, on a SolverState with the unscaled
+multipliers and E and S stored; they are the reference kernels the tiled
+loop is tested against.
 
 The initial U V^T is the rank-R truncated SVD of Y, found without an SVD
 of Y: V is the top-R eigenvectors of the B x B Gram matrix Y^T Y and
@@ -89,6 +102,7 @@ from rctv.diffops import (
     TransferFunctions,
     apply_diff,
     build_transfer_functions,
+    diff_columns,
     solve_u_system,
 )
 from rctv.linalg import procrustes_v, soft_threshold, truncated_svd_init
@@ -96,10 +110,11 @@ from rctv.metrics import encode_float
 
 V_ORTHONORMALITY_TOL = 1e-8
 
-# Bytes in solve()'s row-tile buffer.  A pass over the MN x B iterates
-# runs one tile through all of its steps while the tile's rows of every
-# operand are still in cache, instead of streaming each whole array from
-# memory once per step.
+# Bytes in one of solve()'s tile buffers: the row tile of the MN x B pass,
+# and each of the two column tiles of the (MN, R) pass (whole columns of
+# the plane, at least one and at most N).  A pass runs one tile through
+# all of its steps while the tile of every operand is still in cache,
+# instead of streaming each whole array from memory once per step.
 _TILE_BYTES = 256 * 1024
 
 _PRESETS = {
@@ -400,31 +415,106 @@ def model_objective(
     )
 
 
+class _ColumnPassSums(NamedTuple):
+    """What one _column_pass sums, per direction (horizontal, vertical) where paired."""
+
+    split_sq: tuple[float, float]  # ||D_i(U) - G_i||^2 with the G_i it read
+    grad_abs: tuple[float, float]  # sum |D_i(U)|
+    in_span_sq: float  # ||U - U_prev C||^2
+    gram: np.ndarray  # U^T U
+
+
+def _column_pass(
+    u: np.ndarray,
+    u_prev: np.ndarray,
+    c: np.ndarray,
+    g: tuple[np.ndarray, np.ndarray],
+    lam: tuple[np.ndarray, np.ndarray],
+    thresholds: tuple[float, float],
+    rescale: float,
+    height: int,
+    buf: np.ndarray,
+) -> _ColumnPassSums:
+    """The (M*N, R) side of an iteration, in one pass over column tiles.
+
+    buf is two (cols, M, R) tile buffers; each tile is cols whole columns
+    of the M x N plane, with the last tile ragged.  Per tile and per
+    direction i, the pass forms D_i(U), sums ||D_i(U) - G_i||^2 and
+    |D_i(U)|, takes the dual step Lam_i <- rescale*(Lam_i + D_i(U) - G_i)
+    and writes the next G_i = shrink(D_i(U) + Lam_i, thresholds[i]) over
+    the G_i it read.  g and lam are updated in place.  It also sums
+    ||U - U_prev C||^2 and U^T U for rel_change.
+    """
+    r = u.shape[1]
+    width = u.shape[0] // height
+    grid = u.reshape(width, height, r)
+    cols = buf.shape[1]
+    split_sq, grad_abs = [0.0, 0.0], [0.0, 0.0]
+    in_span_sq = 0.0
+    gram = np.zeros((r, r))
+    for start in range(0, width, cols):
+        stop = min(start + cols, width)
+        rows = slice(start * height, stop * height)
+        t = buf[1, : stop - start].reshape(-1, r)
+        for i, direction in enumerate((HORIZONTAL, VERTICAL)):
+            d = diff_columns(grid, start, stop, direction, buf[0]).reshape(-1, r)
+            g_r, lam_r = g[i][rows], lam[i][rows]
+            grad_abs[i] += float(np.abs(d, out=t).sum())
+            np.subtract(d, g_r, out=t)
+            split_sq[i] += float(np.vdot(t, t))
+            lam_r += t
+            lam_r *= rescale
+            np.add(d, lam_r, out=t)
+            soft_threshold(t, thresholds[i], out=g_r)
+        u_r = u[rows]
+        np.matmul(u_prev[rows], c, out=t)
+        np.subtract(u_r, t, out=t)
+        in_span_sq += float(np.vdot(t, t))
+        gram += u_r.T @ u_r
+    return _ColumnPassSums(tuple(split_sq), tuple(grad_abs), in_span_sq, gram)
+
+
 def _rel_change(
-    u: np.ndarray, v: np.ndarray, u_prev: np.ndarray, v_prev: np.ndarray
+    in_span_sq: float,
+    gram_prev: np.ndarray,
+    c: np.ndarray,
+    v: np.ndarray,
+    v_prev: np.ndarray,
 ) -> float:
     """||U V^T - U' V'^T||_F / ||U' V'^T||_F for orthonormal V and V'.
 
     Splits the difference into its part in span(V) and the rest, which
     with C = V'^T V and D = V' - V C^T gives
         ||U - U' C||_F^2 + tr((U'^T U') (D^T D)).
-    Both terms are non-negative, so nothing cancels when the iterates are
-    close, and the cost is O(MN*R^2) instead of O(MN*B).
+    The first term is in_span_sq, summed by _column_pass, and gram_prev is
+    U'^T U', whose trace is ||U' V'^T||_F^2.  Both terms are non-negative,
+    so nothing cancels when the iterates are close, and the cost is
+    O(MN*R^2) instead of O(MN*B).
     """
-    c = v_prev.T @ v
     d = v_prev - v @ c.T
-    in_span = u - u_prev @ c
-    out_span = max(float(np.sum((u_prev.T @ u_prev) * (d.T @ d))), 0.0)
-    base = np.linalg.norm(u_prev)
-    if base == 0:
+    out_span = max(float(np.sum(gram_prev * (d.T @ d))), 0.0)
+    base_sq = float(np.trace(gram_prev))
+    if base_sq == 0:
         return math.inf
-    return math.sqrt(float(np.vdot(in_span, in_span)) + out_span) / base
+    return math.sqrt(in_span_sq + out_span) / math.sqrt(base_sq)
 
 
 def _check_v_orthonormal(v: np.ndarray) -> None:
     dev = np.max(np.abs(v.T @ v - np.eye(v.shape[1])))
     if dev > V_ORTHONORMALITY_TOL:
         raise RuntimeError(f"V lost orthonormality (deviation {dev:.3e})")
+
+
+def check_solvable(height: int, width: int, bands: int, rank: int) -> None:
+    """Raise ValueError for a plane or rank that solve() cannot run on.
+
+    The periodic differences need at least 2 pixels along each plane axis,
+    and the rank may not exceed the band count.
+    """
+    if height < 2 or width < 2:
+        raise ValueError(f"plane dims must be >= 2, got {height}x{width}")
+    if rank > bands:
+        raise ValueError(f"rank {rank} exceeds band count {bands}")
 
 
 def solve(
@@ -450,21 +540,27 @@ def solve(
     """
     m, n, b = y_cube.height, y_cube.width, y_cube.bands
     r = cfg.rank
-    if r > b:
-        raise ValueError(f"rank {r} exceeds band count {b}")
+    check_solvable(m, n, b, r)
+    tf = build_transfer_functions(m, n)
     # The row-tiled pass below reads Y one block of rows at a time, and
     # rows of the column-major Casorati view are strided; one C-ordered
     # copy up front is cheaper than strided tiles on every pass.
     y = np.ascontiguousarray(unfold_casorati(y_cube))
-    tf = build_transfer_functions(m, n)
     mn = m * n
 
     u, v = truncated_svd_init(y, r)
     s = None
-    g1, g2 = np.zeros((mn, r)), np.zeros((mn, r))
     lam1, lam2 = np.zeros((mn, r)), np.zeros((mn, r))
     lam3 = np.zeros((mn, b))
     mu = cfg.mu0
+    # The first G update, on U0 with Lam_1 = Lam_2 = 0; each column pass
+    # writes the next one.  U0's Gram is the first rel_change base.
+    g1 = soft_threshold(apply_diff(u, m, n, HORIZONTAL), cfg.tau1 / mu)
+    g2 = soft_threshold(apply_diff(u, m, n, VERTICAL), cfg.tau2 / mu)
+    gram = u.T @ u
+    # Debug-only: the G the loop's G check re-baselines at, as it stood
+    # before the column pass that wrote the current one.
+    g_before = (np.zeros((mn, r)), np.zeros((mn, r))) if debug else None
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
@@ -479,22 +575,24 @@ def solve(
     rows = max(1, _TILE_BYTES // (8 * b))
     tile = np.empty((rows, b))
     tiles = [slice(lo, min(lo + rows, mn)) for lo in range(0, mn, rows)]
-    # (M*N, R) buffer for D_i(U) + Lam_i and then for the split residuals.
-    work = np.empty((mn, r))
+    cols = min(n, max(1, _TILE_BYTES // (8 * m * r)))
+    col_tiles = np.empty((2, cols, m, r))
+    # Each U solve writes into the buffer U does not occupy, so U_prev
+    # survives until the column pass.
+    u_spare = np.empty((mn, r))
+    hat = np.empty((n, m // 2 + 1, r), dtype=np.complex128)
     diags: list[IterationDiagnostics] = []
-    # D(U) for the TV splits; each dual step recomputes it for the next
-    # iteration, so only the initial U is differenced here.
-    grad_h = apply_diff(u, m, n, HORIZONTAL)
-    grad_v = apply_diff(u, m, n, VERTICAL)
 
-    def lagrangian(s_at=None, lam3_at=None):
+    def lagrangian(s_at=None, lam3_at=None, g_at=None):
         # Debug-only: the Lagrangian at the loop's iterates, optionally with
-        # S or Lam3 replaced.  P always pairs with the Lam3 stored now, so
-        # E = Y - S + Lam3 - P; S that the loop does not store is zero.
+        # S, Lam3 or the G pair replaced.  P always pairs with the Lam3
+        # stored now, so E = Y - S + Lam3 - P; S that the loop does not
+        # store is zero.
         s_now = np.zeros_like(y) if s is None else s
+        g1_at, g2_at = (g1, g2) if g_at is None else g_at
         state = SolverState(
             u=u, v=v, e=y - s_now + lam3 - p, s=s_now if s_at is None else s_at,
-            g1=g1, g2=g2, gam1=mu * lam1, gam2=mu * lam2,
+            g1=g1_at, g2=g2_at, gam1=mu * lam1, gam2=mu * lam2,
             gam3=mu * (lam3 if lam3_at is None else lam3_at), mu=mu,
         )
         return augmented_lagrangian(y, state, cfg, m, n)
@@ -512,23 +610,26 @@ def solve(
     for it in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         mu_next = min(cfg.rho * mu, cfg.mu_max)
-        u_prev, v_prev = u, v
+        v_prev = v
         worst_increase = None
         if debug:
-            # Multipliers and mu changed since the last check; re-baseline.
-            lag = lagrangian()
-
-        # The G update on the current U, with D(U) from the previous dual step.
-        soft_threshold(np.add(grad_h, lam1, out=work), cfg.tau1 / mu, out=g1)
-        soft_threshold(np.add(grad_v, lam2, out=work), cfg.tau2 / mu, out=g2)
-        if debug:
+            # The last column pass wrote G ahead of this check, with the
+            # multipliers and mu since changed: re-baseline at the G it
+            # read, then check the G it wrote.
+            lag = lagrangian(g_at=g_before)
             worst_increase = checkpoint(worst_increase)
 
         v = procrustes_v(pu)
         if debug:
             worst_increase = checkpoint(worst_increase)
-        # mu cancels from the U normal equations in scaled form.
-        u = solve_u_system(p @ v, g1, g2, lam1, lam2, 1.0, tf)
+        # mu cancels from the U normal equations in scaled form; the
+        # right-hand side P V is formed in the spare buffer, which the
+        # solve overwrites with the new U.
+        u_prev = u
+        u = solve_u_system(
+            np.matmul(p, v, out=u_spare), g1, g2, lam1, lam2, 1.0, tf, u_spare, hat
+        )
+        u_spare = u_prev
         if debug:
             worst_increase = checkpoint(worst_increase)
             s_before = np.zeros_like(y) if s is None else s.copy()
@@ -581,24 +682,22 @@ def solve(
             # sequential block updates would have left them.
             worst_increase = checkpoint(worst_increase, s_at=s_before, lam3_at=lam3_before)
             worst_increase = checkpoint(worst_increase, lam3_at=lam3_before)
+            np.copyto(g_before[0], g1)
+            np.copyto(g_before[1], g2)
         _check_v_orthonormal(v)
 
-        # Dual ascent on the TV splits (Lam3 was updated in the pass).
-        grad_h = apply_diff(u, m, n, HORIZONTAL)
-        grad_v = apply_diff(u, m, n, VERTICAL)
-        np.subtract(grad_h, g1, out=work)
-        split_h = float(np.vdot(work, work)) / denom
-        lam1 += work
-        lam1 *= rescale
-        np.subtract(grad_v, g2, out=work)
-        split_v = float(np.vdot(work, work)) / denom
-        lam2 += work
-        lam2 *= rescale
-
+        # The TV dual step and the next G update at the grown penalty, with
+        # the sums for the diagnostics (Lam3 was updated in the row pass).
+        cv = v_prev.T @ v  # C in rel_change
+        sums = _column_pass(
+            u, u_prev, cv, (g1, g2), (lam1, lam2),
+            (cfg.tau1 / mu_next, cfg.tau2 / mu_next), rescale, m, col_tiles,
+        )
+        split_h, split_v = (x / denom for x in sums.split_sq)
         fit_res = fit_sq / denom
         objective = (
-            cfg.tau1 * np.abs(grad_h, out=work).sum()
-            + cfg.tau2 * np.abs(grad_v, out=work).sum()
+            cfg.tau1 * sums.grad_abs[0]
+            + cfg.tau2 * sums.grad_abs[1]
             + cfg.beta * e_sq
             + cfg.lam * s_abs
         )
@@ -610,7 +709,8 @@ def solve(
         ):
             if not math.isfinite(value):
                 raise ValueError(f"ADMM diverged: {name} is {value} at iteration {it}")
-        rel_change = _rel_change(u, v, u_prev, v_prev)
+        rel_change = _rel_change(sums.in_span_sq, gram, cv, v, v_prev)
+        gram = sums.gram
         diags.append(
             IterationDiagnostics(
                 iteration=it,

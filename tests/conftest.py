@@ -76,7 +76,12 @@ def dense_diff_matrix(m: int, n: int, direction: str) -> np.ndarray:
 
 
 def nan_u_solve(calls: list, first_nan_call: int = 3):
-    """A solve_u_system that records its calls and returns NaN from the given one on."""
+    """A solve_u_system that records its calls and returns NaN from the given one on.
+
+    The fake takes positional arguments only, as solve() passes them.  From
+    the given call on it returns a fresh NaN array, not the buffer the real
+    solve wrote U into, so solve() must use the array returned to it.
+    """
 
     def fake(*args):
         calls.append(args)

@@ -281,6 +281,28 @@ class TestDenoise:
         assert reads == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "shape, rank, message",
+        [((1, 64, 8), "auto", "plane dims must be >= 2, got 1x64"),
+         ((64, 1, 8), "2", "plane dims must be >= 2, got 64x1"),
+         ((16, 16, 8), "9", "rank 9 exceeds band count 8")],
+        ids=["height-1", "width-1", "rank-over-bands"],
+    )
+    def test_bad_plane_or_rank_rejected_before_heavy_work(
+        self, tmp_path, monkeypatch, capsys, shape, rank, message
+    ):
+        path = tmp_path / "in.hsic"
+        write_cube(random_cube(*shape, seed=0), path)
+        calls = []
+        for name in ("estimate_rank", "normalize_bands"):
+            monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
+        out = tmp_path / "o.hsic"
+        code = main(["denoise", "--input", str(path), "--output", str(out), "--rank", rank])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.hsic"]
+
     def test_flag_overrides(self, tmp_path, clean_path):
         out = tmp_path / "o.hsic"
         main(["denoise", "--input", str(clean_path), "--output", str(out),

@@ -10,6 +10,7 @@ from rctv.diffops import (
     apply_diff,
     apply_diff_adjoint,
     build_transfer_functions,
+    diff_columns,
     solve_u_system,
 )
 
@@ -56,6 +57,22 @@ class TestApplyDiff:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
             apply_diff(np.zeros((5, 1)), 2, 2, HORIZONTAL)
+
+
+class TestDiffColumns:
+    @pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (5, 3)])
+    def test_every_column_range_matches_apply_diff(self, dims, direction, rng):
+        # Every range of whole columns, from one column to the whole plane,
+        # with and without the horizontal wrap at the right edge.
+        m, n = dims
+        u = rng.standard_normal((m * n, 2))
+        full = apply_diff(u, m, n, direction).reshape(n, m, 2)
+        out = np.full((n, m, 2), np.nan)
+        for start in range(n):
+            for stop in range(start + 1, n + 1):
+                got = diff_columns(u.reshape(n, m, 2), start, stop, direction, out)
+                np.testing.assert_array_equal(got, full[start:stop])
 
 
 class TestAdjoint:
@@ -169,6 +186,25 @@ class TestSolveUSystem:
     )
     def test_property_dense_solve_oracle(self, m, n, rank, mu, seed):
         _check_dense_solve(m, n, rank, np.random.default_rng(seed), mu)
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_caller_buffers(self, in_place, rng):
+        # solve() passes its right-hand side as out and a spectrum buffer it
+        # allocates once; the result must not depend on where U is built.
+        m, n, r, mu = 5, 6, 3, 0.7
+        tf = build_transfer_functions(m, n)
+        rhs_data, g1, g2, gam1, gam2 = (rng.standard_normal((m * n, r)) for _ in range(5))
+        inputs = [x.copy() for x in (rhs_data, g1, g2, gam1, gam2)]
+        expected = solve_u_system(rhs_data, g1, g2, gam1, gam2, mu, tf)
+        out = rhs_data if in_place else np.full((m * n, r), np.nan)
+        hat = np.full((n, m // 2 + 1, r), np.nan, dtype=np.complex128)
+        got = solve_u_system(rhs_data, g1, g2, gam1, gam2, mu, tf, out, hat)
+        assert got is out
+        np.testing.assert_array_equal(got, expected)
+        for now, before in zip((g1, g2, gam1, gam2), inputs[1:]):
+            np.testing.assert_array_equal(now, before)
+        if not in_place:
+            np.testing.assert_array_equal(rhs_data, inputs[0])
 
     def test_nonpositive_mu_rejected(self):
         tf = build_transfer_functions(2, 2)

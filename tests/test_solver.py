@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rctv.solver
@@ -19,6 +19,7 @@ from rctv.solver import (
     DenoiseConfig,
     IterationDiagnostics,
     SolverState,
+    _column_pass,
     _rel_change,
     augmented_lagrangian,
     diagnostics_to_jsonl,
@@ -227,6 +228,8 @@ def force_tile_rows(monkeypatch, cube, rows):
     At the default tile size the small test cubes fit in one tile, so the
     tests that cover tile boundaries force smaller ones.  Unless one tile
     is one row, the cube must span at least 3 tiles with a ragged last one.
+    The column pass's tiles shrink with them, through _TILE_BYTES, to
+    max(1, rows*B // (M*R)) whole columns of the plane.
     """
     mn = cube.height * cube.width
     assert rows == 1 or (mn // rows >= 3 and mn % rows)
@@ -407,6 +410,33 @@ class TestSolve:
             expected = augmented_lagrangian(y, ref_state, cfg, noisy.height, noisy.width)
             assert value == pytest.approx(expected, rel=1e-10, abs=0)
 
+    def test_debug_catches_a_wrong_g_update(self, monkeypatch):
+        # Iteration 2's column pass writes the G of iteration 3 with a
+        # constant added.  Iteration 3's G check re-baselines at the G the
+        # pass read, so it must flag the rise, and no other iteration may.
+        # Here G has nonzero entries from the first iteration on, and each
+        # column tile is one column of the plane.
+        noisy, cfg = oracle_cube(), oracle_config(lam=MID_RUN_LAM, max_iter=5)
+        force_tile_rows(monkeypatch, noisy, 5)
+        v_updates = []
+
+        def counting_v(w):
+            v_updates.append(w)
+            return procrustes_v(w)
+
+        def corrupting(a, threshold, out=None):
+            result = soft_threshold(a, threshold, out=out)
+            if out is not None and a.shape[1] == cfg.rank and len(v_updates) == 2:
+                result += 0.05
+            return result
+
+        monkeypatch.setattr(rctv.solver, "procrustes_v", counting_v)
+        monkeypatch.setattr(rctv.solver, "soft_threshold", corrupting)
+        _, diags = solve(noisy, cfg, debug=True)
+        increases = [d.block_increase for d in diags]
+        assert increases[2] > 1e-8
+        assert max(increases[:2] + increases[3:]) <= 1e-8
+
     def test_debug_block_decrease_when_s_turns_on_mid_run(self, monkeypatch):
         noisy = oracle_cube()
         force_tile_rows(monkeypatch, noisy, 5)
@@ -432,6 +462,47 @@ class TestSolve:
         )
         assert all(d.s_active for d in diags)
         assert peak <= 5.0 * m * n * b * 8
+
+    def test_iterations_allocate_no_coefficient_array(self, monkeypatch):
+        # The U solve, the column pass and the diagnostics work in buffers
+        # allocated before the loop, so from one V update to the next the
+        # traced memory never rises by half an (M*N, R) array above its
+        # level at the first of them.  What does rise is size-independent:
+        # numpy's 3 x 64 KiB iteration buffers for strided operands.  S
+        # stays zero, so no MN x B array is added either.
+        m, n, r = 128, 128, 8
+        clean = smooth_rank_cube(m, n, 16, 2, seed=9)
+        noisy, _ = apply_case(clean, "c", "msi31", seed=1)
+        cfg = DenoiseConfig.preset(
+            "mixed", rank=r, tau=0.1, mu0=1e-3, max_iter=4, epsilon=1e-30
+        )
+        rises = []
+
+        def recording(w):
+            current, peak = tracemalloc.get_traced_memory()
+            rises.append(peak - current)
+            tracemalloc.reset_peak()
+            return procrustes_v(w)
+
+        monkeypatch.setattr(rctv.solver, "procrustes_v", recording)
+        tracemalloc.start()
+        try:
+            _, diags = solve(noisy, cfg)
+        finally:
+            tracemalloc.stop()
+        assert not any(d.s_active for d in diags)
+        # The first record spans the set-up before the loop.
+        assert len(rises) == cfg.max_iter
+        assert max(rises[1:]) < 0.5 * m * n * r * 8
+
+    def test_rank_or_plane_rejected_before_copying_y(self, monkeypatch):
+        copies = []
+        monkeypatch.setattr(rctv.solver, "unfold_casorati", lambda c: copies.append(c))
+        with pytest.raises(ValueError, match="plane dims must be >= 2, got 1x6"):
+            solve(fold_casorati(np.ones((6, 4)), 1, 6), DenoiseConfig(rank=2))
+        with pytest.raises(ValueError, match="rank 5 exceeds band count 4"):
+            solve(smooth_rank_cube(6, 6, 4, 2, seed=0), DenoiseConfig(rank=5))
+        assert copies == []
 
     def test_divergence_fails_fast(self, monkeypatch):
         solves = []
@@ -575,11 +646,14 @@ class TestFusedLoopOracle:
         monkeypatch.setattr(rctv.solver, "soft_threshold", recording)
         diags, _ = check_against_reference_kernels(noisy, cfg)
         assert next(d.iteration for d in diags if d.s_active) == 2
-        # Each iteration shrinks the two G splits (R columns), then S once
-        # per tile (B columns) from the tile where S turned on.
-        per_iter = "".join("g" if w == cfg.rank else "s" for w in widths).split("gg")[1:]
+        # Each iteration shrinks S once per row tile (B columns) from the
+        # tile where S turned on, then the next two G splits (R columns)
+        # once per column tile: here one column of the plane per tile.
+        assert max(1, rows * noisy.bands // (noisy.height * cfg.rank)) == 1
         tiles = -(-noisy.height * noisy.width // rows)
-        assert [len(x) for x in per_iter] == [0, tiles - 1] + [tiles] * 6
+        g_pass = "g" * (2 * noisy.width)
+        expected = g_pass + "s" * (tiles - 1) + g_pass + ("s" * tiles + g_pass) * 6
+        assert "".join("g" if w == cfg.rank else "s" for w in widths) == expected
 
     def test_matches_reference_kernels_with_beta_zero(self, monkeypatch):
         # With beta = 0, c = 1, so E = T and S can never leave zero.
@@ -622,19 +696,26 @@ class TestFusedLoopOracle:
         assert rel <= 1e-9
 
     def test_differences_formed_once_per_iteration(self, monkeypatch):
-        # D(U) from each dual step feeds the next G update: two apply_diff
-        # calls for the initial U, then two per iteration.
-        calls = []
+        # Two apply_diff calls for the first G update on U0; after that each
+        # iteration's one column pass forms D(U) for the dual step, the
+        # objective and the next G update.
+        calls, passes = [], []
 
         def counting_diff(*args):
             calls.append(args)
             return apply_diff(*args)
 
+        def counting_pass(*args):
+            passes.append(args)
+            return _column_pass(*args)
+
         monkeypatch.setattr(rctv.solver, "apply_diff", counting_diff)
+        monkeypatch.setattr(rctv.solver, "_column_pass", counting_pass)
         cfg = DenoiseConfig.preset("mixed", rank=2, max_iter=5, epsilon=1e-30)
         _, diags = solve(smooth_rank_cube(8, 6, 5, 2, seed=1), cfg)
         assert len(diags) == 5
-        assert len(calls) == 2 + 2 * len(diags)
+        assert len(calls) == 2
+        assert len(passes) == len(diags)
 
     def test_first_v_update_reads_init_basis(self, monkeypatch):
         # Y^T U0 is V0 scaled by the Gram eigenvalues, and V0 maximizes
@@ -661,12 +742,77 @@ class TestFusedLoopOracle:
             v_prev, _ = np.linalg.qr(rng.standard_normal((b, r)))
             x, x_prev = u @ v.T, u_prev @ v_prev.T
             dense = np.linalg.norm(x - x_prev) / np.linalg.norm(x_prev)
-            assert _rel_change(u, v, u_prev, v_prev) == pytest.approx(dense, rel=1e-12)
+            got = loop_rel_change(u, v, u_prev, v_prev, height=15, cols=6)
+            assert got == pytest.approx(dense, rel=1e-12)
 
     def test_factored_rel_change_without_cancellation(self, rng):
         # Identical iterates: the dense form gives 0; a form that subtracts
         # ||U||^2 + ||U'||^2 - 2<X, X'> would leave about sqrt(eps) here.
         u = rng.standard_normal((300, 4))
         v, _ = np.linalg.qr(rng.standard_normal((20, 4)))
-        assert _rel_change(u, v, u, v) <= 1e-14
-        assert _rel_change(u, v, np.zeros_like(u), v) == math.inf
+        assert loop_rel_change(u, v, u, v, height=15, cols=6) <= 1e-14
+        zero = np.zeros_like(u)
+        assert loop_rel_change(u, v, zero, v, height=15, cols=6) == math.inf
+
+
+def run_column_pass(u, u_prev, c, g, lam, thresholds, rescale, height, cols):
+    """_column_pass on copies of g and lam, in tiles of `cols` columns.
+
+    Returns the pass's sums and the updated copies.
+    """
+    g, lam = tuple(x.copy() for x in g), tuple(x.copy() for x in lam)
+    buf = np.empty((2, cols, height, u.shape[1]))
+    return _column_pass(u, u_prev, c, g, lam, thresholds, rescale, height, buf), g, lam
+
+
+def loop_rel_change(u, v, u_prev, v_prev, height, cols):
+    """rel_change as solve() forms it from two column passes.
+
+    The Gram of U_prev comes from the pass that had U_prev as its U, and
+    ||U - U_prev C||^2 from the pass over U.
+    """
+    zeros = (np.zeros_like(u), np.zeros_like(u))
+    args = (zeros, zeros, (0.0, 0.0), 1.0, height, cols)
+    gram_prev = run_column_pass(u_prev, u_prev, np.eye(u.shape[1]), *args)[0].gram
+    c = v_prev.T @ v
+    sums = run_column_pass(u, u_prev, c, *args)[0]
+    return _rel_change(sums.in_span_sq, gram_prev, c, v, v_prev)
+
+
+class TestColumnPass:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(2, 9),
+        n=st.integers(2, 9),
+        r=st.integers(1, 3),
+        cols=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=5, n=7, r=2, cols=1, seed=0)  # one column per tile
+    @example(m=5, n=7, r=2, cols=3, seed=1)  # a ragged last tile: 3 + 3 + 1
+    @example(m=5, n=7, r=2, cols=7, seed=2)  # one tile spans the plane
+    def test_matches_dense_reference(self, m, n, r, cols, seed):
+        cols = min(cols, n)
+        rng = np.random.default_rng(seed)
+        u, u_prev, g1, g2, lam1, lam2 = rng.standard_normal((6, m * n, r))
+        c = rng.standard_normal((r, r))
+        thresholds = tuple(rng.uniform(0.0, 1.0, size=2))
+        rescale = 0.8
+        sums, g, lam = run_column_pass(
+            u, u_prev, c, (g1, g2), (lam1, lam2), thresholds, rescale, m, cols
+        )
+        for i, (direction, g_old, lam_old) in enumerate(
+            ((HORIZONTAL, g1, lam1), (VERTICAL, g2, lam2))
+        ):
+            d = apply_diff(u, m, n, direction)
+            split = d - g_old
+            assert sums.split_sq[i] == pytest.approx(np.vdot(split, split), rel=1e-12)
+            assert sums.grad_abs[i] == pytest.approx(np.abs(d).sum(), rel=1e-12)
+            # Elementwise, the pass does the reference's arithmetic.
+            lam_next = (lam_old + split) * rescale
+            np.testing.assert_array_equal(lam[i], lam_next)
+            np.testing.assert_array_equal(g[i], soft_threshold(d + lam_next, thresholds[i]))
+        in_span = u - u_prev @ c
+        assert sums.in_span_sq == pytest.approx(np.vdot(in_span, in_span), rel=1e-12)
+        gram = u.T @ u
+        np.testing.assert_allclose(sums.gram, gram, rtol=1e-12, atol=1e-12 * np.trace(gram))
