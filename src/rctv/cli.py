@@ -1,22 +1,27 @@
 """Command-line frontend: simulate, denoise, metrics, rankest, bench.
 
-Every run writes a JSON manifest next to its primary output recording the
-command, config, paths, seed, code version, and wall time, so results can
-be reproduced: simulate replays bit-exactly from (input, case, profile,
-seed); denoise is deterministic for fixed inputs on one platform.
+main runs every subcommand: it caps BLAS threads, times the command and
+writes a JSON manifest next to its primary output (none if the command
+fails), so results can be reproduced: simulate replays bit-exactly from
+(input, case, profile, seed); denoise is deterministic for fixed inputs on
+one platform.  Every manifest holds command, args (the parsed flags),
+code_version and wall_ms, then the command's own keys:
 
-BLAS thread count is capped by --threads or the RCTV_THREADS environment
-variable (default: machine parallelism); the benchmark subcommand caps it
-to one thread.  A cap must be an integer >= 1; denoise rejects any other
-value before it reads the input.  The denoise and bench manifests record
-the cap asked for as threads_requested (null when none was) and the cap
-in force as threads_applied.  Caps go through threadpoolctl: without it
-no cap applies, a warning goes to stderr, and threads_applied is null.
+- simulate: windows_rescaled;
+- denoise: config, rank_source, iterations, stop_reason ("converged" or
+  "max_iter"), s_first_iter (the first iteration in which the sparse term
+  S left zero, null if it never did), solve_ms, peak_rss_mib (the
+  process's peak resident memory), threads_requested, threads_applied;
+- metrics: none; rankest: rank; bench: threads_requested, threads_applied.
 
-The denoise manifest also records why the solver stopped (stop_reason,
-"converged" or "max_iter"), the first iteration in which the sparse term S
-left zero (s_first_iter, null if it never did), and the process's peak
-resident memory in MiB (peak_rss_mib).
+The BLAS thread cap covers the whole command.  denoise takes it from
+--threads or the RCTV_THREADS environment variable (default: none, so
+machine parallelism); bench always caps to one thread; the others run
+uncapped.  A cap must be an integer >= 1; denoise rejects any other
+value before it reads the input.  threads_requested records the cap asked
+for (null when none was) and threads_applied the cap in force.  Caps go
+through threadpoolctl: without it no cap applies, a warning goes to
+stderr, and threads_applied is null.
 """
 
 from __future__ import annotations
@@ -116,6 +121,12 @@ def _energy_fraction(text: str) -> float:
 
 
 def _resolve_threads(args) -> int | None:
+    """The cap asked for: --threads, else RCTV_THREADS, else None.
+
+    Commands without a threads value (all but denoise and bench) get None.
+    """
+    if "threads" not in args:
+        return None
     env = os.environ.get("RCTV_THREADS")
     if args.threads is not None or not env:
         return args.threads
@@ -125,55 +136,36 @@ def _resolve_threads(args) -> int | None:
         raise ValueError(f"RCTV_THREADS: {exc}") from None
 
 
-def _write_manifest(path, command: str, args_snapshot: dict, wall_ms: float, extra=None):
-    manifest = {
-        "command": command,
-        "args": args_snapshot,
-        "code_version": rctv.__version__,
-        "wall_ms": wall_ms,
-    }
-    if extra:
-        manifest.update(extra)
+def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(manifest, fp, indent=2)
+        json.dump(obj, fp, indent=2)
         fp.write("\n")
 
 
-def _args_snapshot(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+def _write_manifest(path, args, wall_ms: float, extra: dict) -> None:
+    _write_json(path, {
+        "command": args.subcommand,
+        "args": {k: v for k, v in vars(args).items() if k != "func"},
+        "code_version": rctv.__version__,
+        "wall_ms": wall_ms,
+        **extra,
+    })
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args) -> tuple[str, dict]:
     cube = read_cube(args.input)
     noisy, record = apply_case(cube, args.case, args.profile, args.seed)
     write_cube(noisy, args.output)
-    with open(str(args.output) + ".noise.json", "w", encoding="utf-8") as fp:
-        json.dump(record.to_json_obj(), fp, indent=2)
-        fp.write("\n")
-    _write_manifest(
-        str(args.output) + ".manifest.json",
-        "simulate",
-        _args_snapshot(args),
-        (time.perf_counter() - t0) * 1e3,
-        extra={"windows_rescaled": record.windows_rescaled},
-    )
+    _write_json(str(args.output) + ".noise.json", record.to_json_obj())
     print(f"wrote {args.output} (case {args.case}, profile {args.profile}, seed {args.seed})")
-    return 0
+    return str(args.output) + ".manifest.json", {"windows_rescaled": record.windows_rescaled}
 
 
 def _parse_rank(text: str):
-    if text == "auto":
-        return "auto"
-    r = int(text)
-    if r < 1:
-        raise argparse.ArgumentTypeError("rank must be >= 1 or 'auto'")
-    return r
+    return "auto" if text == "auto" else _positive_int(text)
 
 
-def cmd_denoise(args) -> int:
-    t0 = time.perf_counter()
-    threads_requested = _resolve_threads(args)
+def cmd_denoise(args) -> tuple[str, dict]:
     overrides = {}
     for name, flag in (
         ("beta", args.beta),
@@ -197,88 +189,59 @@ def cmd_denoise(args) -> int:
     cfg = dataclasses.replace(cfg, rank=rank)
 
     normalized, rec = normalize_bands(cube)
-    with _thread_cap(threads_requested) as threads_applied:
-        t_solve = time.perf_counter()
-        restored, diags = solve(normalized, cfg)
-        solve_ms = (time.perf_counter() - t_solve) * 1e3
+    t_solve = time.perf_counter()
+    restored, diags = solve(normalized, cfg)
+    solve_ms = (time.perf_counter() - t_solve) * 1e3
     out_cube = denormalize_bands(restored, rec)
     write_cube(out_cube, args.output)
     diagnostics_to_jsonl(diags, str(args.output) + ".diag.jsonl")
-    _write_manifest(
-        str(args.output) + ".manifest.json",
-        "denoise",
-        _args_snapshot(args),
-        (time.perf_counter() - t0) * 1e3,
-        extra={
-            # The manifest spells lam as the --lambda flag does.
-            "config": {
-                "lambda" if k == "lam" else k: v
-                for k, v in dataclasses.asdict(cfg).items()
-            },
-            "rank_source": "auto" if args.rank == "auto" else "flag",
-            "iterations": len(diags),
-            "stop_reason": "converged" if diags[-1].converged(cfg.epsilon) else "max_iter",
-            "s_first_iter": next((d.iteration for d in diags if d.s_active), None),
-            "solve_ms": solve_ms,
-            # ru_maxrss is in KiB on Linux.
-            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "threads_requested": threads_requested,
-            "threads_applied": threads_applied,
-        },
-    )
     print(
         f"wrote {args.output} (preset {args.preset}, rank {cfg.rank}, "
         f"{len(diags)} iterations)"
     )
-    return 0
+    return str(args.output) + ".manifest.json", {
+        # The manifest spells lam as the --lambda flag does.
+        "config": {
+            "lambda" if k == "lam" else k: v for k, v in dataclasses.asdict(cfg).items()
+        },
+        "rank_source": "auto" if args.rank == "auto" else "flag",
+        "iterations": len(diags),
+        "stop_reason": "converged" if diags[-1].converged(cfg.epsilon) else "max_iter",
+        "s_first_iter": next((d.iteration for d in diags if d.s_active), None),
+        "solve_ms": solve_ms,
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
 
 
-def cmd_metrics(args) -> int:
-    t0 = time.perf_counter()
+def cmd_metrics(args) -> tuple[str, dict]:
     ref = read_cube(args.reference)
     test = read_cube(args.input)
     report = compute_report(ref, test)
     base = str(args.output)
-    with open(base + ".json", "w", encoding="utf-8") as fp:
-        json.dump(report.to_json_obj(), fp, indent=2)
-        fp.write("\n")
+    _write_json(base + ".json", report.to_json_obj())
     with open(base + ".csv", "w", encoding="utf-8") as fp:
         fp.write(",".join(CSV_COLUMNS) + "\n")
         fp.write(report.to_csv_row() + "\n")
-    _write_manifest(
-        base + ".manifest.json",
-        "metrics",
-        _args_snapshot(args),
-        (time.perf_counter() - t0) * 1e3,
-    )
     print(
         f"mpsnr={report.mpsnr:.4f} mssim={report.mssim:.6f} "
         f"ergas={report.ergas:.4f} msam={report.msam:.6f}"
     )
-    return 0
+    return base + ".manifest.json", {}
 
 
-def cmd_rankest(args) -> int:
-    t0 = time.perf_counter()
+def cmd_rankest(args) -> tuple[str, dict]:
     cube = read_cube(args.input)
     rank = estimate_rank(unfold_casorati(cube), energy_fraction=args.energy_fraction)
-    manifest_path = args.output or (str(args.input) + ".rankest.manifest.json")
-    _write_manifest(
-        manifest_path,
-        "rankest",
-        _args_snapshot(args),
-        (time.perf_counter() - t0) * 1e3,
-        extra={"rank": rank},
-    )
     print(rank)
-    return 0
+    return args.output or (str(args.input) + ".rankest.manifest.json"), {"rank": rank}
 
 
 def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
     sizes = []
     for part in text.split(","):
         dims = part.lower().split("x")
-        if len(dims) != 3:
+        if len(dims) != 3 or not all(d.strip().isdecimal() for d in dims):
             raise argparse.ArgumentTypeError(f"bad size {part!r}, expected MxNxB")
         m, n, b = (int(d) for d in dims)
         if m < 2 or n < 2 or b < 1:
@@ -288,10 +251,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
 
 
 def _parse_ranks(text: str) -> list[int]:
-    ranks = [int(r) for r in text.split(",")]
-    if any(r < 1 for r in ranks):
-        raise argparse.ArgumentTypeError("ranks must be >= 1")
-    return ranks
+    return [_positive_int(r) for r in text.split(",")]
 
 
 def bench_cube(height: int, width: int, bands: int, seed: int = 0) -> HsiCube:
@@ -339,27 +299,14 @@ def run_bench(
     return rows
 
 
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    threads_requested = 1
-    with _thread_cap(threads_requested) as threads_applied:
-        rows = run_bench(args.sizes, args.ranks, args.reps, args.max_iter, args.seed)
+def cmd_bench(args) -> tuple[str, dict]:
+    rows = run_bench(args.sizes, args.ranks, args.reps, args.max_iter, args.seed)
     with open(args.output, "w", encoding="utf-8") as fp:
         fp.write("M,N,B,R,rep,wall_ms\n")
         for m, n, b, r, rep, ms in rows:
             fp.write(f"{m},{n},{b},{r},{rep},{ms:.3f}\n")
-    _write_manifest(
-        str(args.output) + ".manifest.json",
-        "bench",
-        _args_snapshot(args),
-        (time.perf_counter() - t0) * 1e3,
-        extra={
-            "threads_requested": threads_requested,
-            "threads_applied": threads_applied,
-        },
-    )
     print(f"wrote {args.output} ({len(rows)} rows)")
-    return 0
+    return str(args.output) + ".manifest.json", {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,18 +405,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="synthetic cube seed")
     p.add_argument("--output", required=True, help="CSV path")
-    p.set_defaults(func=cmd_bench)
+    # No --threads flag: bench always times one BLAS thread.
+    p.set_defaults(func=cmd_bench, threads=1)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand under its thread cap, time it, write its manifest.
+
+    Each cmd_* returns its manifest path and its own manifest keys.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        threads = _resolve_threads(args)
+        t0 = time.perf_counter()
+        with _thread_cap(threads) as threads_applied:
+            path, extra = args.func(args)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        if "threads" in args:
+            extra.update(threads_requested=threads, threads_applied=threads_applied)
+        _write_manifest(path, args, wall_ms, extra)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -191,12 +191,11 @@ def read_cube(path) -> HsiCube:
             raise CubeFormatError(f"unsupported dtype {header.get('dtype')!r}")
         if header.get("layout") != HSIC_LAYOUT:
             raise CubeFormatError(f"unsupported layout {header.get('layout')!r}")
-        try:
-            m = int(header["height"])
-            n = int(header["width"])
-            b = int(header["bands"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CubeFormatError(f"bad dimension fields: {exc}") from exc
+        for key in ("height", "width", "bands"):
+            # JSON numbers such as 2.9 or 1e400 and true are not dimensions.
+            if type(header.get(key)) is not int:
+                raise CubeFormatError(f"bad dimension field {key}: {header.get(key)!r}")
+        m, n, b = header["height"], header["width"], header["bands"]
         if m < 1 or n < 1 or b < 1:
             raise CubeFormatError(f"invalid dimensions {m}x{n}x{b}")
         count = m * n * b

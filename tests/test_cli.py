@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import nan_u_solve, random_cube, smooth_rank_cube
+import rctv
 import rctv.cli
 import rctv.solver
-from rctv.cli import bench_cube, estimate_rank, main, run_bench
+from rctv.cli import bench_cube, build_parser, estimate_rank, main, run_bench
 from rctv.cube import normalize_bands, read_cube, write_cube
 from rctv.noisesim import NoiseRecord, replay
 from rctv.solver import DenoiseConfig
@@ -375,6 +376,39 @@ class TestRankest:
         assert reads == []
 
 
+    def test_non_integer_header_dimension_exits_cleanly(self, tmp_path, capsys):
+        # 1e400 parses as a float infinity, which int() cannot convert.
+        path = tmp_path / "big.hsic"
+        path.write_bytes(
+            b'{"magic": "HSIC1", "height": 1e400, "width": 2, "bands": 1, '
+            b'"dtype": "f32le", "layout": "bsq-colmajor"}\n'
+        )
+        code = main(["rankest", "--input", str(path)])
+        assert code == 2
+        assert "error: bad dimension field height" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.hsic"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["bench", "--ranks", "2,x"], "--ranks"),
+     (["bench", "--ranks", "2,0"], "--ranks"),
+     (["bench", "--sizes", "8x8xq"], "--sizes"),
+     (["bench", "--sizes", "8x8x-4"], "--sizes"),
+     (["denoise", "--input", "in.hsic", "--rank", "abc"], "--rank"),
+     (["denoise", "--input", "in.hsic", "--rank", "0"], "--rank")],
+    ids=["ranks-x", "ranks-0", "sizes-q", "sizes-negative", "rank-abc", "rank-0"],
+)
+def test_bad_rank_or_size_flag_names_the_flag(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "_parse" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestBench:
     def test_csv_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -447,6 +481,67 @@ class TestBench:
     def test_bench_cube_in_unit_range(self):
         cube = bench_cube(8, 8, 4, seed=1)
         assert cube.data.min() >= 0.0 and cube.data.max() <= 1.0
+
+
+THREAD_KEYS = {"threads_requested", "threads_applied"}
+
+
+def command_flags(command, clean, out):
+    """Short-running flags for each subcommand; outputs go to the out base."""
+    return {
+        "simulate": ["--input", clean, "--output", out, "--case", "c", "--seed", "3"],
+        "denoise": ["--input", clean, "--output", out, "--rank", "2", "--max-iter", "2"],
+        "metrics": ["--reference", clean, "--input", clean, "--output", out],
+        "rankest": ["--input", clean],
+        "bench": ["--sizes", "8x8x4", "--ranks", "2", "--max-iter", "1", "--output", out],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, own_keys",
+    [
+        ("simulate", {"windows_rescaled"}),
+        ("denoise", {"config", "rank_source", "iterations", "stop_reason",
+                     "s_first_iter", "solve_ms", "peak_rss_mib"} | THREAD_KEYS),
+        ("metrics", set()),
+        ("rankest", {"rank"}),
+        ("bench", THREAD_KEYS),
+    ],
+)
+def test_manifest_schema(tmp_path, clean_path, monkeypatch, command, own_keys):
+    monkeypatch.delenv("RCTV_THREADS", raising=False)
+    clean, out = str(clean_path), str(tmp_path / "out")
+    flags = command_flags(command, clean, out)
+    assert main([command] + flags) == 0
+    # rankest's manifest sits next to its input unless --output moves it.
+    path = clean + ".rankest.manifest.json" if command == "rankest" else out + ".manifest.json"
+    with open(path, encoding="utf-8") as fp:
+        manifest = json.load(fp)
+    assert set(manifest) == {"command", "args", "code_version", "wall_ms"} | own_keys
+    assert manifest["command"] == command
+    parsed = {k: v for k, v in vars(build_parser().parse_args([command] + flags)).items()
+              if k != "func"}
+    assert parsed["subcommand"] == command
+    # Through JSON, as the manifest went: tuples come back as lists.
+    assert manifest["args"] == json.loads(json.dumps(parsed))
+    assert manifest["code_version"] == rctv.__version__
+    assert manifest["wall_ms"] >= 0
+
+
+@pytest.mark.parametrize(
+    "command, caps", [("simulate", []), ("metrics", []), ("rankest", []), ("bench", [1])]
+)
+def test_only_denoise_reads_the_thread_env(tmp_path, clean_path, monkeypatch, command, caps):
+    applied = []
+
+    def fake_limits(limits):
+        applied.append(limits)
+        return contextlib.nullcontext()
+
+    monkeypatch.setattr(rctv.cli, "threadpool_limits", fake_limits)
+    monkeypatch.setenv("RCTV_THREADS", "abc")
+    assert main([command] + command_flags(command, str(clean_path), str(tmp_path / "out"))) == 0
+    assert applied == caps
 
 
 def test_console_entry_point():

@@ -185,6 +185,16 @@ def test_file_zero_bands(tmp_path):
         read_cube(p)
 
 
+@pytest.mark.parametrize("value", ["1e400", "2.9", "true", '"12"', "null"])
+def test_file_dimension_must_be_a_json_integer(tmp_path, value):
+    header = ('{"magic": "HSIC1", "height": %s, "width": 2, "bands": 1, '
+              '"dtype": "f32le", "layout": "bsq-colmajor"}' % value)
+    p = tmp_path / "d.hsic"
+    p.write_bytes(header.encode() + b"\n" + np.zeros(2, "<f4").tobytes())
+    with pytest.raises(CubeFormatError, match="bad dimension field height"):
+        read_cube(p)
+
+
 def test_file_dimension_overflow(tmp_path):
     header = {"magic": "HSIC1", "height": 1 << 20, "width": 1 << 20, "bands": 64,
               "dtype": "f32le", "layout": "bsq-colmajor"}

@@ -296,14 +296,30 @@ def peak_allocation(m, n, b, case, **overrides):
 
 
 def debug_case():
-    """A mixed-preset solve whose S stays zero.
+    """A mixed-preset solve whose S stays zero and whose G does not.
 
     mu0 is pinned because S leaves zero once lam/mu is small enough; a
-    larger start could turn S on inside the 15 iterations.
+    larger start could turn S on inside the 15 iterations.  tau is small
+    so that tau/mu drops below the size of U's differences and the G
+    shrinks keep nonzero entries (at tau = 0.1 every G is zero).
     """
     clean = smooth_rank_cube(12, 12, 6, 2, seed=9)
     noisy, _ = apply_case(clean, "c", "msi31", seed=1)
-    return noisy, DenoiseConfig.preset("mixed", rank=2, tau=0.1, mu0=1e-3, max_iter=15)
+    return noisy, DenoiseConfig.preset("mixed", rank=2, tau=1e-3, mu0=1e-3, max_iter=15)
+
+
+def count_g_nonzeros(monkeypatch, rank):
+    """Record the nonzero count of each G shrink in solve() (the R-column ones)."""
+    counts = []
+
+    def recording(a, threshold, out=None):
+        result = soft_threshold(a, threshold, out=out)
+        if result.shape[1] == rank:
+            counts.append(np.count_nonzero(result))
+        return result
+
+    monkeypatch.setattr(rctv.solver, "soft_threshold", recording)
+    return counts
 
 
 class TestSolve:
@@ -378,15 +394,21 @@ class TestSolve:
             assert a.mu == b.mu
             assert a.rel_change == b.rel_change
 
-    def test_debug_block_decrease(self):
-        diags = check_debug_block_decrease(*debug_case())
+    def test_debug_block_decrease(self, monkeypatch):
+        noisy, cfg = debug_case()
+        g_nonzeros = count_g_nonzeros(monkeypatch, cfg.rank)
+        diags = check_debug_block_decrease(noisy, cfg)
         assert not any(d.s_active for d in diags)
+        assert sum(g_nonzeros) > 0
 
     @pytest.mark.parametrize("tile_rows", [40, 1])
     def test_debug_block_decrease_in_row_tiles(self, monkeypatch, tile_rows):
         noisy, cfg = debug_case()
         force_tile_rows(monkeypatch, noisy, tile_rows)
-        check_debug_block_decrease(noisy, cfg)
+        g_nonzeros = count_g_nonzeros(monkeypatch, cfg.rank)
+        diags = check_debug_block_decrease(noisy, cfg)
+        assert not any(d.s_active for d in diags)
+        assert sum(g_nonzeros) > 0
 
     def test_debug_lagrangian_at_implicit_e(self, monkeypatch):
         # Each iteration re-baselines the Lagrangian, then checks it after
@@ -401,8 +423,10 @@ class TestSolve:
             return values[-1]
 
         monkeypatch.setattr(rctv.solver, "augmented_lagrangian", recording)
+        g_nonzeros = count_g_nonzeros(monkeypatch, cfg.rank)
         _, diags = solve(noisy, cfg, debug=True)
         assert not any(d.s_active for d in diags)
+        assert sum(g_nonzeros) > 0
         assert len(values) == 6 * cfg.max_iter
         y = unfold_casorati(noisy)
         for k, value in enumerate(values[::6]):
