@@ -98,10 +98,17 @@ def diff_columns(
 
 
 def _add_diff_adjoint(w: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """out += D^T w on (N, M, R) grids: w shifted one step along axis, minus w."""
-    lead = (slice(None),) * axis
-    out[lead + (slice(1, None),)] += w[lead + (slice(None, -1),)]
-    out[lead + (0,)] += w[lead + (-1,)]
+    """out += D^T w on C-ordered (N, M, R) grids: w shifted one step along axis, minus w."""
+    if axis == 0:
+        out[1:] += w[:-1]
+        out[0] += w[-1]
+    else:
+        # As in diff_columns, shift along contiguous (M*N, R) rows (strided
+        # views run buffered), then redo each column's first row.
+        r = out.shape[2]
+        col0 = out[:, 0].copy()
+        out.reshape(-1, r)[1:] += w.reshape(-1, r)[:-1]
+        np.add(col0, w[:, -1], out=out[:, 0])
     out -= w
 
 

@@ -2,11 +2,14 @@
 
 Six composite cases (a)-(f) combine per-band Gaussian noise, salt-and-pepper
 impulses, zeroed full-height "deadline" columns, and constant-offset stripe
-columns.  Everything is driven by numpy's PCG64 generator: streams are
-identical across platforms for a fixed numpy version, each corruption stage
-derives its own sub-seed from the master seed, and a NoiseRecord carries
-the seed, case, profile, window rescaling and the realized per-band values
-and placements, from which replay() reruns the case bit-exactly.
+columns.  A case table sets the Gaussian and impulse levels; a profile
+table sets the band windows, counts and widths of the structural stages,
+deadlines then stripes, which run in place on one copy of the cube.
+Everything is driven by numpy's PCG64 generator: streams are identical
+across platforms for a fixed numpy version, each corruption stage derives
+its own sub-seed from the master seed, and a NoiseRecord carries the seed,
+case, profile, window rescaling and the realized per-band values and
+placements, from which replay() reruns the case bit-exactly.
 
 Column and band indices in records are 0-based.
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 from rctv.cube import HsiCube
 
-SigmaLike = Union[float, tuple[float, float], np.ndarray]
+SigmaLike = Union[float, tuple[float, float]]
 
 _U64_MASK = (1 << 64) - 1
 
@@ -41,6 +44,8 @@ _CASE_LEVELS = {
 
 CASES = tuple(_CASE_LEVELS)
 
+# The structural stages: 1-based inclusive band windows at the profile's
+# native band count, and inclusive (lo, hi) count and width ranges.
 _PROFILES = {
     "msi31": {
         "bands": 31,
@@ -60,47 +65,13 @@ _PROFILES = {
     },
 }
 
+_STRIPE_OFFSETS = (-0.25, 0.25)
+
 
 def stage_rng(seed: int, stage: str) -> np.random.Generator:
     """Deterministic per-stage generator derived from the master seed."""
     entropy = [int(seed) & _U64_MASK, _STAGE_CODES[stage]]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-@dataclass(frozen=True)
-class DeadlineSpec:
-    """Zeroed-column artifacts over a 0-based inclusive band window."""
-
-    band_lo: int
-    band_hi: int
-    count_range: tuple[int, int]
-    width_range: tuple[int, int]
-
-    def __post_init__(self):
-        if self.band_lo < 0 or self.band_hi < self.band_lo:
-            raise ValueError("bad deadline band window")
-        if self.count_range[1] < self.count_range[0] or self.count_range[0] < 0:
-            raise ValueError("bad deadline count range")
-        if self.width_range[1] < self.width_range[0] or self.width_range[0] < 1:
-            raise ValueError("bad deadline width range")
-
-
-@dataclass(frozen=True)
-class StripeSpec:
-    """Constant column offsets over a 0-based inclusive band window."""
-
-    band_lo: int
-    band_hi: int
-    count_range: tuple[int, int]
-    offset_range: tuple[float, float] = (-0.25, 0.25)
-
-    def __post_init__(self):
-        if self.band_lo < 0 or self.band_hi < self.band_lo:
-            raise ValueError("bad stripe band window")
-        if self.count_range[1] < self.count_range[0] or self.count_range[0] < 0:
-            raise ValueError("bad stripe count range")
-        if self.offset_range[1] < self.offset_range[0]:
-            raise ValueError("bad stripe offset range")
 
 
 @dataclass
@@ -152,24 +123,18 @@ class NoiseRecord:
 
 
 def _per_band_values(param: SigmaLike, bands: int, rng: np.random.Generator):
-    """Resolve a scalar / range / per-band parameter to one value per band.
+    """Resolve a scalar or a range to one value per band.
 
     A tuple or list is a (lo, hi) range: one value per band is drawn up
     front with a single uniform call, so the downstream noise stream does
-    not depend on how the values were specified.  An ndarray is taken as
-    explicit per-band values.
+    not depend on how the values were specified.
     """
     if isinstance(param, (tuple, list)):
         lo, hi = param
         if hi < lo:
             raise ValueError(f"range not well-ordered: {param}")
         return rng.uniform(lo, hi, bands)
-    arr = np.asarray(param, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(bands, float(arr))
-    if arr.shape != (bands,):
-        raise ValueError(f"expected {bands} per-band values, got shape {arr.shape}")
-    return arr
+    return np.full(bands, float(param))
 
 
 def add_gaussian(
@@ -219,78 +184,60 @@ def _free_starts(occupied: np.ndarray, width: int) -> np.ndarray:
     return np.flatnonzero(taken[width:] == taken[:-width])
 
 
-def add_deadlines(
-    cube: HsiCube, spec: DeadlineSpec, rng: np.random.Generator
-) -> tuple[HsiCube, dict[int, list[tuple[int, int]]]]:
-    """Zero out random non-overlapping column runs in the window bands.
+def _zero_deadlines(
+    planes: np.ndarray, bands: range, count_range: tuple[int, int],
+    width_range: tuple[int, int], rng: np.random.Generator,
+) -> dict[int, list[tuple[int, int]]]:
+    """Zero random non-overlapping column runs of the given bands, in place.
 
-    Per band, a run count is drawn from count_range, then each run gets a
-    width from width_range and a uniformly random starting column among the
-    positions that keep runs disjoint; placement stops early if nothing
-    fits.  Returns (cube, {band: [(start_col, width), ...]}).
+    planes is a writable (B, N, M) view of the cube, planes[b, j] being
+    column j of band b.  Per band, a run count is drawn from count_range,
+    then each run gets a width from width_range and a uniformly random
+    starting column among the positions that keep runs disjoint; placement
+    stops early if nothing fits.  Returns {band: [(start_col, width), ...]}.
     """
-    m, n = cube.height, cube.width
-    if spec.width_range[1] > n:
-        raise ValueError(
-            f"deadline width up to {spec.width_range[1]} exceeds width {n}"
-        )
-    mn = m * n
-    data = cube.data.copy()
+    n = planes.shape[1]
+    if width_range[1] > n:
+        raise ValueError(f"deadline width up to {width_range[1]} exceeds width {n}")
     placements: dict[int, list[tuple[int, int]]] = {}
-    band_hi = min(spec.band_hi, cube.bands - 1)
-    for b in range(spec.band_lo, band_hi + 1):
-        count = int(rng.integers(spec.count_range[0], spec.count_range[1], endpoint=True))
+    for b in bands:
+        count = int(rng.integers(count_range[0], count_range[1], endpoint=True))
         occupied = np.zeros(n, dtype=bool)
         placed: list[tuple[int, int]] = []
         for _ in range(count):
-            width = int(
-                rng.integers(spec.width_range[0], spec.width_range[1], endpoint=True)
-            )
+            width = int(rng.integers(width_range[0], width_range[1], endpoint=True))
             free = _free_starts(occupied, width)
             if free.size == 0:
                 break
             start = int(free[rng.integers(free.size)])
             occupied[start : start + width] = True
-            # Columns of a column-major plane are contiguous: one slice.
-            data[b * mn + start * m : b * mn + (start + width) * m] = 0.0
+            planes[b, start : start + width] = 0.0
             placed.append((start, width))
         placements[b] = placed
-    return HsiCube(m, n, cube.bands, data), placements
+    return placements
 
 
-def add_stripes(
-    cube: HsiCube, spec: StripeSpec, rng: np.random.Generator
-) -> tuple[HsiCube, dict[int, list[tuple[int, float]]]]:
-    """Add a constant offset to randomly chosen columns of the window bands.
+def _strike_stripes(
+    planes: np.ndarray, bands: range, count_range: tuple[int, int], rng: np.random.Generator
+) -> dict[int, list[tuple[int, float]]]:
+    """Add a constant offset to random columns of the given bands, in place.
 
-    Per band, a stripe count is drawn from count_range (capped at the image
-    width), distinct columns are sampled without replacement, and each gets
-    an offset drawn uniformly from offset_range.  Struck values are not
-    clipped, so they may leave [0, 1].
-    Returns (cube, {band: [(col, offset), ...]}).
+    planes is as for _zero_deadlines.  Per band, a stripe count is drawn
+    from count_range (capped at the image width), distinct columns are
+    sampled without replacement, and each gets an offset drawn uniformly
+    from _STRIPE_OFFSETS.  Struck values are not clipped, so they may leave
+    [0, 1].  Returns {band: [(col, offset), ...]}.
     """
-    m, n = cube.height, cube.width
-    data = cube.data.copy()
-    planes = data.reshape(cube.bands, n, m)
+    n = planes.shape[1]
     placements: dict[int, list[tuple[int, float]]] = {}
-    band_hi = min(spec.band_hi, cube.bands - 1)
-    for b in range(spec.band_lo, band_hi + 1):
-        count = int(rng.integers(spec.count_range[0], spec.count_range[1], endpoint=True))
-        count = min(count, n)
+    for b in bands:
+        count = min(int(rng.integers(count_range[0], count_range[1], endpoint=True)), n)
         cols = rng.choice(n, size=count, replace=False)
-        offsets = rng.uniform(spec.offset_range[0], spec.offset_range[1], size=count)
+        offsets = rng.uniform(*_STRIPE_OFFSETS, size=count)
         # The columns are distinct, so one fancy-indexed add is exact.
         planes[b, cols] += offsets[:, None]
         placements[b] = [(int(c), float(o)) for c, o in zip(cols, offsets)]
-    return HsiCube(m, n, cube.bands, data), placements
-
-
-def _rescale_window(window: tuple[int, int], bands_ref: int, bands: int) -> tuple[int, int]:
-    """Proportionally map a 1-based band window onto a different band count."""
-    lo = max(1, round(window[0] * bands / bands_ref))
-    hi = min(bands, round(window[1] * bands / bands_ref))
-    hi = max(hi, lo)
-    return lo, hi
+    return placements
 
 
 def apply_case(
@@ -300,7 +247,8 @@ def apply_case(
 
     Stages run Gaussian, then impulse, then deadlines (cases b, d, e, f),
     then stripes (case f), each from its own stage_rng, so dropping or
-    adding a later stage never perturbs the earlier ones.  Profile band
+    adding a later stage never perturbs the earlier ones.  The two
+    structural stages edit one copy of the cube in place.  Profile band
     windows assume the profile's native band count; other counts get
     proportionally rescaled windows and the fact is flagged.
     """
@@ -312,11 +260,12 @@ def apply_case(
     rescaled = cube.bands != prof["bands"]
 
     def window(key):
+        """0-based band indices of a 1-based window, mapped proportionally."""
         lo, hi = prof[key]
         if rescaled:
-            lo, hi = _rescale_window((lo, hi), prof["bands"], cube.bands)
-        # 1-based inclusive -> 0-based inclusive
-        return lo - 1, hi - 1
+            lo = max(1, round(lo * cube.bands / prof["bands"]))
+            hi = max(min(cube.bands, round(hi * cube.bands / prof["bands"])), lo)
+        return range(lo - 1, hi)
 
     sigma, ratio = _CASE_LEVELS[case_id]
     out, sigmas = add_gaussian(cube, sigma, stage_rng(seed, "gaussian"))
@@ -336,13 +285,18 @@ def apply_case(
         record.impulse_ratio = [float(r) for r in ratios]
         record.impulse_count = [int(c) for c in counts]
     if case_id in ("b", "d", "e", "f"):
-        deadline = DeadlineSpec(
-            *window("deadline_window"), prof["deadline_count"], prof["deadline_width"]
+        data = out.data.copy()
+        # Column-major planes: one C-ordered (B, N, M) view, [b, j] a column.
+        planes = data.reshape(cube.bands, cube.width, cube.height)
+        record.deadlines = _zero_deadlines(
+            planes, window("deadline_window"), prof["deadline_count"],
+            prof["deadline_width"], stage_rng(seed, "deadline"),
         )
-        out, record.deadlines = add_deadlines(out, deadline, stage_rng(seed, "deadline"))
-    if case_id == "f":
-        stripes = StripeSpec(*window("stripe_window"), prof["stripe_count"])
-        out, record.stripes = add_stripes(out, stripes, stage_rng(seed, "stripe"))
+        if case_id == "f":
+            record.stripes = _strike_stripes(
+                planes, window("stripe_window"), prof["stripe_count"], stage_rng(seed, "stripe")
+            )
+        out = HsiCube(cube.height, cube.width, cube.bands, data)
     return out, record
 
 

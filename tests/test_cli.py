@@ -304,6 +304,19 @@ class TestDenoise:
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.hsic"]
 
+    def test_missing_output_dir_rejected_before_reading_input(
+        self, tmp_path, clean_path, monkeypatch, capsys
+    ):
+        calls = []
+        for name in ("read_cube", "solve"):
+            monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
+        out = tmp_path / "nope" / "o.hsic"
+        code = main(["denoise", "--input", str(clean_path), "--output", str(out), "--rank", "2"])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic"]
+
     def test_flag_overrides(self, tmp_path, clean_path):
         out = tmp_path / "o.hsic"
         main(["denoise", "--input", str(clean_path), "--output", str(out),
@@ -462,6 +475,18 @@ class TestBench:
         assert code == 2
         assert solves == [] and builds == []
         assert "rank 8 exceeds bands 4 of size 8x8x4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_output_dir_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        solves, builds = [], []
+        monkeypatch.setattr(rctv.cli, "solve", lambda *a, **k: solves.append(a))
+        monkeypatch.setattr(rctv.cli, "bench_cube", lambda *a: builds.append(a))
+        out = tmp_path / "nope" / "b.csv"
+        code = main(["bench", "--sizes", "16x16x8", "--ranks", "2,4",
+                     "--max-iter", "1", "--output", str(out)])
+        assert code == 2
+        assert solves == [] and builds == []
+        assert str(out) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_time_grows_with_spatial_size(self):

@@ -7,6 +7,8 @@ from conftest import dense_diff_matrix
 from rctv.diffops import (
     HORIZONTAL,
     VERTICAL,
+    _add_diff_adjoint,
+    _axis,
     apply_diff,
     apply_diff_adjoint,
     build_transfer_functions,
@@ -103,6 +105,19 @@ class TestAdjoint:
             np.testing.assert_allclose(
                 apply_diff_adjoint(x, m, n, d).ravel(), a.T @ x.ravel(), atol=1e-14
             )
+
+    @pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (5, 2), (3, 4), (6, 3)])
+    def test_in_place_adjoint_matches_dense(self, dims, direction, rng):
+        # solve_u_system accumulates D^T w into its right-hand side in place.
+        m, n = dims
+        r = 3
+        a = dense_diff_matrix(m, n, direction)
+        w = rng.standard_normal((m * n, r))
+        out = rng.standard_normal((m * n, r))
+        expected = out + a.T @ w
+        _add_diff_adjoint(w.reshape(n, m, r), _axis(direction), out.reshape(n, m, r))
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
 
     def test_second_difference_matches_dense(self, rng):
         # Operator followed by adjoint equals the circular second difference.
