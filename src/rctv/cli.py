@@ -1,11 +1,12 @@
 """Command-line frontend: simulate, denoise, metrics, rankest, bench.
 
 main runs every subcommand: it exits at once if the directory of --output
-is missing, caps BLAS threads, times the command and writes a JSON
-manifest next to its primary output (none if the command fails), so
-results can be reproduced: simulate replays bit-exactly from (input,
-case, profile, seed); denoise is deterministic for fixed inputs on one
-platform.  Every manifest holds command, args (the parsed flags),
+is missing or if --output itself names a directory (except for metrics,
+whose --output is a base name), caps BLAS threads, times the command and
+writes a JSON manifest next to its primary output (none if the command
+fails), so results can be reproduced: simulate replays bit-exactly from
+(input, case, profile, seed); denoise is deterministic for fixed inputs on
+one platform.  Every manifest holds command, args (the parsed flags),
 code_version and wall_ms, then the command's own keys:
 
 - simulate: windows_rescaled;
@@ -419,9 +420,12 @@ def main(argv=None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        # Every subcommand has --output (optional only for rankest).
+        # Every subcommand has --output (optional only for rankest); for
+        # metrics it is a base name, so only there may it name a directory.
         if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
             raise ValueError(f"--output {args.output}: directory does not exist")
+        if args.output and args.subcommand != "metrics" and os.path.isdir(args.output):
+            raise ValueError(f"--output {args.output}: is a directory")
         threads = _resolve_threads(args)
         t0 = time.perf_counter()
         with _thread_cap(threads) as threads_applied:

@@ -83,13 +83,12 @@ class HsiCube:
 class NormalizationRecord:
     """Per-band (min, max) pairs captured by normalize_bands.
 
-    Bands with max == min are flagged constant; they normalize to zero and
-    denormalize back to the recorded min.
+    A band with max == min is constant: it normalizes to zero and
+    denormalizes back to the recorded min.
     """
 
     mins: np.ndarray
     maxs: np.ndarray
-    constant: np.ndarray
 
     def __post_init__(self):
         mins = np.asarray(self.mins, dtype=np.float64)
@@ -100,7 +99,6 @@ class NormalizationRecord:
             raise ValueError("band max < band min")
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
-        object.__setattr__(self, "constant", np.asarray(self.constant, dtype=bool))
 
 
 def unfold_casorati(cube: HsiCube) -> np.ndarray:
@@ -131,30 +129,27 @@ def fold_casorati(mat: np.ndarray, height: int, width: int) -> HsiCube:
 def normalize_bands(cube: HsiCube) -> tuple[HsiCube, NormalizationRecord]:
     """Min-max rescale each band to [0, 1].
 
-    Constant bands map to all-zeros and are flagged rather than raising;
-    real cubes contain dead bands and the solver must not abort on them.
+    Constant bands map to all-zeros rather than raising: real cubes contain
+    dead bands and the solver must not abort on them.  There x - mins is
+    already exactly zero, so only the zero span needs replacing.
     """
     x = unfold_casorati(cube)
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
-    constant = maxs == mins
-    span = np.where(constant, 1.0, maxs - mins)
+    span = np.where(maxs == mins, 1.0, maxs - mins)
     y = (x - mins) / span
-    y[:, constant] = 0.0
-    rec = NormalizationRecord(mins=mins, maxs=maxs, constant=constant)
+    rec = NormalizationRecord(mins=mins, maxs=maxs)
     return fold_casorati(y, cube.height, cube.width), rec
 
 
 def denormalize_bands(cube: HsiCube, rec: NormalizationRecord) -> HsiCube:
-    """Invert normalize_bands; constant bands restore to their recorded min."""
+    """Invert normalize_bands; a constant band's zero span restores its min."""
     if rec.mins.size != cube.bands:
         raise ValueError(
             f"record has {rec.mins.size} bands, cube has {cube.bands}"
         )
     x = unfold_casorati(cube)
-    span = np.where(rec.constant, 0.0, rec.maxs - rec.mins)
-    y = x * span + rec.mins
-    return fold_casorati(y, cube.height, cube.width)
+    return fold_casorati(x * (rec.maxs - rec.mins) + rec.mins, cube.height, cube.width)
 
 
 def write_cube(cube: HsiCube, path) -> None:

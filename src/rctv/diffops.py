@@ -15,13 +15,13 @@ reference the in-place forms are tested against.  diff_columns writes the
 differences of a range of whole columns of the plane into a caller's
 buffer, for a pass over column tiles: the vertical wrap stays inside each
 column, and the horizontal difference reads one column past the range.
-solve_u_system builds its right-hand side with slice arithmetic and runs
-its transforms into buffers the caller may allocate once.
+build_transfer_functions returns the DFT eigenvalues of the second
+difference as a read-only (M, N) array.  solve_u_system builds its
+right-hand side with slice arithmetic and runs its transforms into buffers
+the caller may allocate once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,33 +112,25 @@ def _add_diff_adjoint(w: np.ndarray, axis: int, out: np.ndarray) -> None:
     out -= w
 
 
-@dataclass(frozen=True)
-class TransferFunctions:
+def build_transfer_functions(height: int, width: int) -> np.ndarray:
     """DFT diagonalization of D_1^T D_1 + D_2^T D_2 on an M x N grid.
 
-    otf_laplacian is the (M, N) real non-negative transfer function of the
-    circular second-difference operator, 4 sin^2(pi p/M) + 4 sin^2(pi q/N)
-    at frequency (p, q); it is zero at the zero frequency, since
-    differences annihilate constants.  solve_u_system uses its transpose,
-    sliced to the half spectrum that rfft2 returns over the (N, M) axes of
-    the grid view.  Instances are immutable and shareable; precompute once
-    per plane size and reuse across iterations and slices.
+    Returns the (M, N) real non-negative transfer function of the circular
+    second-difference operator, 4 sin^2(pi p/M) + 4 sin^2(pi q/N) at
+    frequency (p, q), in closed form; it is zero at the zero frequency,
+    since differences annihilate constants.  solve_u_system uses its
+    transpose, sliced to the half spectrum that rfft2 returns over the
+    (N, M) axes of the grid view.  The array is read-only and shareable;
+    precompute it once per plane size and reuse it across iterations and
+    slices.
     """
-
-    height: int
-    width: int
-    otf_laplacian: np.ndarray
-
-
-def build_transfer_functions(height: int, width: int) -> TransferFunctions:
-    """Closed-form DFT eigenvalues of the periodic second difference."""
     if height < 2 or width < 2:
         raise ValueError(f"plane dims must be >= 2, got {height}x{width}")
     lap_v = 4.0 * np.sin(np.pi * np.arange(height) / height) ** 2
     lap_h = 4.0 * np.sin(np.pi * np.arange(width) / width) ** 2
-    return TransferFunctions(
-        height=height, width=width, otf_laplacian=lap_v[:, None] + lap_h[None, :]
-    )
+    tf = lap_v[:, None] + lap_h[None, :]
+    tf.flags.writeable = False
+    return tf
 
 
 def solve_u_system(
@@ -148,16 +140,17 @@ def solve_u_system(
     gam1: np.ndarray,
     gam2: np.ndarray,
     mu: float,
-    tf: TransferFunctions,
+    tf: np.ndarray,
     out: np.ndarray | None = None,
     hat: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve (mu*I + mu*sum_i D_i^T D_i)(U) = rhs_data + sum_i D_i^T(mu*G_i - Gam_i).
 
-    rhs_data is the data-fit right-hand side assembled by the caller.  The
-    right-hand side is formed in space, then each slice is divided in the
-    2-D DFT basis by the strictly positive diagonal mu * (1 + otf_laplacian),
-    so the solve is exact and total for mu > 0.  The operator and the data
+    rhs_data is the data-fit right-hand side assembled by the caller, and
+    tf is build_transfer_functions(M, N).  The right-hand side is formed in
+    space, then each slice is divided in the 2-D DFT basis by the strictly
+    positive diagonal mu * (1 + tf), so the solve is exact and total for
+    mu > 0.  The operator and the data
     are real, so one real FFT pair over the half spectrum suffices.
     D_1 is the horizontal difference, D_2 the vertical.
 
@@ -169,7 +162,7 @@ def solve_u_system(
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    m, n = tf.height, tf.width
+    m, n = tf.shape
     data = _grid(rhs_data, m, n)
     r = data.shape[2]
     if out is None:
@@ -189,7 +182,7 @@ def solve_u_system(
         w -= _grid(gam, m, n)
         _add_diff_adjoint(w, _axis(direction), rhs)
     np.fft.rfft2(rhs, axes=(0, 1), out=hat)
-    hat /= mu * (1.0 + tf.otf_laplacian.T[:, : m // 2 + 1, None])
+    hat /= mu * (1.0 + tf.T[:, : m // 2 + 1, None])
     # irfft2(..., out=) does not leave its result in out on numpy 2.4, so
     # the inverse runs one axis at a time.
     np.fft.ifft(hat, axis=0, out=hat)

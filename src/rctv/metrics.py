@@ -5,7 +5,13 @@ MSAM compare spectra.  All of them assume band-normalized data, so the
 PSNR/SSIM peak is 1.  SSIM uses the single-scale Gaussian-window
 form (11x11, sigma 1.5, K1=0.01, K2=0.03) with valid-region averaging; on
 bands too small for the 11-pixel window the window shrinks to the largest
-odd size that fits.  MSAM is reported in radians.
+odd size that fits.  ERGAS is 100 * sqrt(mean_b(MSE_b / mean_b^2)) over
+bands with nonzero reference mean.  MSAM is reported in radians.
+
+compute_report scores all four from one pair of Casorati views and one
+per-band mean squared error MSE_b, which gives both the band PSNRs and
+ERGAS; mpsnr, msam and per_band_ssim score one index each.  Each public
+entry point checks on entry that the two cubes have the same shape.
 """
 
 from __future__ import annotations
@@ -59,10 +65,7 @@ class MetricsReport:
         }
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            str(encode_float(v))
-            for v in (self.mpsnr, self.mssim, self.ergas, self.msam, self.wall_ms)
-        )
+        return ",".join(str(encode_float(getattr(self, k))) for k in CSV_COLUMNS)
 
 
 def encode_float(x: float):
@@ -83,24 +86,16 @@ def _check_same_dims(ref, test):
         raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
 
 
-def psnr_band(ref_band: np.ndarray, test_band: np.ndarray) -> float:
-    """10*log10(1 / MSE); identical bands give math.inf."""
-    ref_band = np.asarray(ref_band, dtype=np.float64)
-    test_band = np.asarray(test_band, dtype=np.float64)
-    _check_same_dims(ref_band, test_band)
-    mse = float(np.mean((ref_band - test_band) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(1.0 / mse)
+def _psnr(mse: np.ndarray) -> list[float]:
+    """10*log10(1 / MSE) of each band; identical bands give math.inf."""
+    return [math.inf if e == 0.0 else 10.0 * math.log10(1.0 / e) for e in mse.tolist()]
 
 
 def mpsnr(ref: HsiCube, test: HsiCube) -> float:
-    return float(np.mean(per_band_psnr(ref, test)))
-
-
-def per_band_psnr(ref: HsiCube, test: HsiCube) -> list[float]:
+    """Mean over bands of the per-band PSNR."""
     _check_same_dims(ref, test)
-    return [psnr_band(ref.band(b), test.band(b)) for b in range(ref.bands)]
+    mse = np.mean((unfold_casorati(ref) - unfold_casorati(test)) ** 2, axis=0)
+    return float(np.mean(_psnr(mse)))
 
 
 def gaussian_window(win_size: int, sigma: float) -> np.ndarray:
@@ -144,71 +139,31 @@ def effective_ssim_window(height: int, width: int) -> int:
     return win
 
 
-def ssim_band(ref_band: np.ndarray, test_band: np.ndarray) -> float:
-    """Mean local SSIM over the valid window positions of one band."""
-    x = np.asarray(ref_band, dtype=np.float64)
-    y = np.asarray(test_band, dtype=np.float64)
-    _check_same_dims(x, y)
-    return _ssim_with_taps(x, y, *_ssim_tap_matrices(*x.shape))
-
-
-def _ssim_with_taps(
-    x: np.ndarray, y: np.ndarray, row_taps: np.ndarray, col_taps: np.ndarray
-) -> float:
-    c1 = SSIM_K1**2
-    c2 = SSIM_K2**2
-    mu_x = _correlate_valid(x, row_taps, col_taps)
-    mu_y = _correlate_valid(y, row_taps, col_taps)
-    var_x = _correlate_valid(x * x, row_taps, col_taps) - mu_x * mu_x
-    var_y = _correlate_valid(y * y, row_taps, col_taps) - mu_y * mu_y
-    cov = _correlate_valid(x * y, row_taps, col_taps) - mu_x * mu_y
-    ssim_map = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    )
-    return float(ssim_map.mean())
-
-
-def mssim(ref: HsiCube, test: HsiCube) -> float:
-    return float(np.mean(per_band_ssim(ref, test)))
-
-
 def per_band_ssim(ref: HsiCube, test: HsiCube) -> list[float]:
+    """Mean local SSIM of each band over its valid window positions."""
     _check_same_dims(ref, test)
     # Every band has the same shape, so the tap matrices are built once.
     taps = _ssim_tap_matrices(ref.height, ref.width)
-    return [_ssim_with_taps(ref.band(b), test.band(b), *taps) for b in range(ref.bands)]
+    c1 = SSIM_K1**2
+    c2 = SSIM_K2**2
+    values = []
+    for b in range(ref.bands):
+        x, y = ref.band(b), test.band(b)
+        mu_x = _correlate_valid(x, *taps)
+        mu_y = _correlate_valid(y, *taps)
+        var_x = _correlate_valid(x * x, *taps) - mu_x * mu_x
+        var_y = _correlate_valid(y * y, *taps) - mu_y * mu_y
+        cov = _correlate_valid(x * y, *taps) - mu_x * mu_y
+        ssim_map = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+            (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+        )
+        values.append(float(ssim_map.mean()))
+    return values
 
 
-def ergas(ref: HsiCube, test: HsiCube) -> float:
-    """100 * sqrt(mean_b(RMSE_b^2 / mean_b^2)) over bands with nonzero mean."""
-    value, _ = ergas_with_exclusions(ref, test)
-    return value
-
-
-def ergas_with_exclusions(ref: HsiCube, test: HsiCube) -> tuple[float, list[int]]:
-    _check_same_dims(ref, test)
-    x = unfold_casorati(ref)
-    y = unfold_casorati(test)
-    means = x.mean(axis=0)
-    mse = np.mean((x - y) ** 2, axis=0)
-    excluded = np.flatnonzero(means == 0.0)
-    included = means != 0.0
-    if not included.any():
-        raise ValueError("all reference bands have zero mean")
-    value = 100.0 * math.sqrt(float(np.mean(mse[included] / means[included] ** 2)))
-    return value, [int(b) for b in excluded]
-
-
-def msam(ref: HsiCube, test: HsiCube) -> float:
-    """Mean spectral angle (radians) over pixels with nonzero spectra."""
-    value, _ = msam_with_exclusions(ref, test)
-    return value
-
-
-def msam_with_exclusions(ref: HsiCube, test: HsiCube) -> tuple[float, int]:
-    _check_same_dims(ref, test)
-    x = unfold_casorati(ref)
-    y = unfold_casorati(test)
+def _msam(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
+    """Mean spectral angle between the rows of two Casorati views, over the
+    rows where both spectra have nonzero norm, and the count of rows left out."""
     dots = np.einsum("ij,ij->i", x, y)
     nx = np.linalg.norm(x, axis=1)
     ny = np.linalg.norm(y, axis=1)
@@ -216,27 +171,38 @@ def msam_with_exclusions(ref: HsiCube, test: HsiCube) -> tuple[float, int]:
     if not included.any():
         raise ValueError("all pixel spectra have zero norm")
     cos = np.clip(dots[included] / (nx[included] * ny[included]), -1.0, 1.0)
-    value = float(np.mean(np.arccos(cos)))
-    return value, int((~included).sum())
+    return float(np.mean(np.arccos(cos))), int((~included).sum())
+
+
+def msam(ref: HsiCube, test: HsiCube) -> float:
+    """Mean spectral angle (radians) over pixels with nonzero spectra."""
+    _check_same_dims(ref, test)
+    return _msam(unfold_casorati(ref), unfold_casorati(test))[0]
 
 
 def compute_report(ref: HsiCube, test: HsiCube) -> MetricsReport:
     """All four indices plus per-band breakdowns, with wall-clock timing."""
     _check_same_dims(ref, test)
     t0 = time.perf_counter()
-    band_psnr = per_band_psnr(ref, test)
+    x, y = unfold_casorati(ref), unfold_casorati(test)
+    mse = np.mean((x - y) ** 2, axis=0)
+    band_psnr = _psnr(mse)
     band_ssim = per_band_ssim(ref, test)
-    ergas_val, ergas_excl = ergas_with_exclusions(ref, test)
-    msam_val, msam_excl = msam_with_exclusions(ref, test)
+    means = x.mean(axis=0)
+    included = means != 0.0
+    if not included.any():
+        raise ValueError("all reference bands have zero mean")
+    ergas = 100.0 * math.sqrt(float(np.mean(mse[included] / means[included] ** 2)))
+    msam_val, msam_excl = _msam(x, y)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return MetricsReport(
         mpsnr=float(np.mean(band_psnr)),
         mssim=float(np.mean(band_ssim)),
-        ergas=ergas_val,
+        ergas=ergas,
         msam=msam_val,
         per_band_psnr=band_psnr,
         per_band_ssim=band_ssim,
         wall_ms=wall_ms,
-        ergas_excluded_bands=ergas_excl,
+        ergas_excluded_bands=[int(b) for b in np.flatnonzero(~included)],
         msam_excluded_pixels=msam_excl,
     )

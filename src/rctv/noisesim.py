@@ -147,9 +147,10 @@ def add_gaussian(
     sigmas = _per_band_values(sigma, cube.bands, rng)
     if np.any(sigmas < 0):
         raise ValueError("gaussian sigma must be >= 0")
-    mn = cube.height * cube.width
-    noise = rng.standard_normal((cube.bands, mn)) * sigmas[:, None]
-    data = cube.data.reshape(cube.bands, mn) + noise
+    # Scaled and summed in the drawn array: x + n and n + x are the same bits.
+    data = rng.standard_normal(cube.data.size).reshape(cube.bands, -1)
+    data *= sigmas[:, None]
+    data += cube.data.reshape(cube.bands, -1)
     return HsiCube(cube.height, cube.width, cube.bands, data.ravel()), sigmas
 
 

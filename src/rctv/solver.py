@@ -99,7 +99,6 @@ from rctv.cube import HsiCube, unfold_casorati
 from rctv.diffops import (
     HORIZONTAL,
     VERTICAL,
-    TransferFunctions,
     apply_diff,
     build_transfer_functions,
     diff_columns,
@@ -308,7 +307,7 @@ def update_u(
     g2: np.ndarray,
     gam1: np.ndarray,
     gam2: np.ndarray,
-    tf: TransferFunctions,
+    tf: np.ndarray,
 ) -> np.ndarray:
     """Coefficient update via the per-slice FFT solve of the normal equations."""
     rhs_data = (mu * (y - e - s) + gam3) @ v

@@ -363,6 +363,15 @@ class TestMetricsCommand:
         assert 5.0 < report["mpsnr"] < 30.0
         assert len(report["per_band_psnr"]) == 8
 
+    def test_base_may_name_a_directory(self, tmp_path, clean_path):
+        # --output is a base name: a directory "rep" gets rep.json beside it.
+        base = tmp_path / "rep"
+        base.mkdir()
+        code = main(["metrics", "--reference", str(clean_path),
+                     "--input", str(clean_path), "--output", str(base)])
+        assert code == 0
+        assert (tmp_path / "rep.json").exists() and (tmp_path / "rep.csv").exists()
+
 
 class TestRankest:
     def test_prints_rank_and_writes_manifest(self, tmp_path, clean_path, capsys):
@@ -420,6 +429,29 @@ def test_bad_rank_or_size_flag_names_the_flag(tmp_path, capsys, argv, flag):
     assert f"argument {flag}:" in err
     assert "_parse" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["denoise", "--input", "clean.hsic", "--rank", "2"],
+     ["bench", "--sizes", "16x16x8", "--ranks", "2,4", "--max-iter", "1"]],
+    ids=["denoise", "bench"],
+)
+def test_output_directory_rejected_before_heavy_work(
+    tmp_path, clean_path, monkeypatch, capsys, argv
+):
+    calls = []
+    for name in ("read_cube", "solve", "bench_cube"):
+        monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
+    out = tmp_path / "outdir"
+    out.mkdir()
+    argv = [str(tmp_path / a) if a == "clean.hsic" else a for a in argv]
+    code = main(argv + ["--output", str(out)])
+    assert code == 2
+    assert f"--output {out}: is a directory" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic", "outdir"]
+    assert list(out.iterdir()) == []
 
 
 class TestBench:

@@ -129,7 +129,7 @@ class TestAdjoint:
             np.testing.assert_allclose(got.ravel(), a.T @ a @ x.ravel(), atol=1e-13)
 
 
-class TestTransferFunctions:
+class TestLaplacianTransfer:
     def test_analytic_formula(self):
         m, n = 4, 6
         tf = build_transfer_functions(m, n)
@@ -139,12 +139,13 @@ class TestTransferFunctions:
             np.abs(1.0 - np.exp(-2j * np.pi * q / n)) ** 2
             + np.abs(1.0 - np.exp(-2j * np.pi * p / m)) ** 2
         )
-        np.testing.assert_allclose(tf.otf_laplacian, expected, atol=1e-12)
+        np.testing.assert_allclose(tf, expected, atol=1e-12)
+        assert tf.shape == (m, n) and not tf.flags.writeable
 
     def test_zero_frequency_and_nonnegativity(self):
         tf = build_transfer_functions(5, 7)
-        assert tf.otf_laplacian[0, 0] == 0.0
-        assert np.all(tf.otf_laplacian >= 0.0)
+        assert tf[0, 0] == 0.0
+        assert np.all(tf >= 0.0)
 
     def test_small_dims_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):

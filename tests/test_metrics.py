@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import random_cube
-from rctv.cube import fold_casorati, unfold_casorati
+from rctv.cube import HsiCube, fold_casorati, unfold_casorati
 from rctv.metrics import (
     MetricsReport,
     _correlate_valid,
@@ -16,18 +16,17 @@ from rctv.metrics import (
     compute_report,
     effective_ssim_window,
     encode_float,
-    ergas,
-    ergas_with_exclusions,
     gaussian_window,
     mpsnr,
     msam,
-    msam_with_exclusions,
-    mssim,
-    per_band_psnr,
-    psnr_band,
-    ssim_band,
+    per_band_ssim,
 )
 from rctv.noisesim import add_gaussian
+
+
+def single_band(band):
+    """An (M, N) plane as an M x N x 1 cube."""
+    return HsiCube.from_array(np.asarray(band, dtype=float)[:, :, None])
 
 
 # ---- independent brute-force re-implementations (loops, no vectorization)
@@ -105,58 +104,61 @@ def msam_oracle(ref_cube, test_cube):
 
 class TestPsnr:
     def test_identity_inf(self, rng):
-        band = rng.random((6, 6))
-        assert psnr_band(band, band) == math.inf
+        cube = single_band(rng.random((6, 6)))
+        assert compute_report(cube, cube).per_band_psnr == [math.inf]
 
     def test_closed_form(self):
-        ref = np.zeros((10, 10))
-        test = np.full((10, 10), 0.1)  # MSE = 0.01
-        assert psnr_band(ref, test) == pytest.approx(20.0)
+        ref = single_band(np.zeros((10, 10)))
+        test = single_band(np.full((10, 10), 0.1))  # MSE = 0.01
+        assert mpsnr(ref, test) == pytest.approx(20.0)
 
     def test_matches_oracle(self, rng):
         ref = rng.random((8, 8))
         test = rng.random((8, 8))
-        assert abs(psnr_band(ref, test) - psnr_oracle(ref, test)) <= 1e-12
+        (got,) = compute_report(single_band(ref), single_band(test)).per_band_psnr
+        assert abs(got - psnr_oracle(ref, test)) <= 1e-12
 
     def test_mpsnr_is_band_mean(self, rng):
         ref = random_cube(8, 8, 4, seed=1)
         test = random_cube(8, 8, 4, seed=2)
-        bands = per_band_psnr(ref, test)
+        bands = compute_report(ref, test).per_band_psnr
         assert mpsnr(ref, test) == pytest.approx(np.mean(bands), abs=1e-14)
 
     def test_dims_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
-            psnr_band(np.zeros((3, 3)), np.zeros((3, 4)))
+            mpsnr(single_band(np.zeros((3, 3))), single_band(np.zeros((3, 4))))
 
 
 class TestSsim:
     def test_identity_one(self, rng):
-        band = rng.random((16, 16))
-        assert ssim_band(band, band) == pytest.approx(1.0, abs=1e-12)
+        cube = single_band(rng.random((16, 16)))
+        assert per_band_ssim(cube, cube) == [pytest.approx(1.0, abs=1e-12)]
 
     def test_constant_zero_low_similarity(self, rng):
         # High-variance checkerboard-ish reference against flat zero.
         ref = (np.indices((20, 20)).sum(axis=0) % 2).astype(float)
-        val = ssim_band(ref, np.zeros((20, 20)))
+        (val,) = per_band_ssim(single_band(ref), single_band(np.zeros((20, 20))))
         assert 0.0 < val < 0.2
 
     def test_symmetry(self, rng):
-        a = rng.random((14, 14))
-        b = rng.random((14, 14))
-        assert abs(ssim_band(a, b) - ssim_band(b, a)) <= 1e-12
+        a = single_band(rng.random((14, 14)))
+        b = single_band(rng.random((14, 14)))
+        assert abs(per_band_ssim(a, b)[0] - per_band_ssim(b, a)[0]) <= 1e-12
 
     def test_matches_oracle_small_band(self, rng):
         # 8x8 bands use the shrunk 7-tap window.
         a = rng.random((8, 8))
         b = rng.random((8, 8))
         assert effective_ssim_window(8, 8) == 7
-        assert abs(ssim_band(a, b) - ssim_oracle(a, b)) <= 1e-12
+        (got,) = per_band_ssim(single_band(a), single_band(b))
+        assert abs(got - ssim_oracle(a, b)) <= 1e-12
 
     def test_matches_oracle_default_window(self, rng):
         a = rng.random((13, 12))
         b = rng.random((13, 12))
         assert effective_ssim_window(13, 12) == 11
-        assert abs(ssim_band(a, b) - ssim_oracle(a, b)) <= 1e-12
+        (got,) = per_band_ssim(single_band(a), single_band(b))
+        assert abs(got - ssim_oracle(a, b)) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(128, 96), (13, 12), (8, 8), (4, 7), (3, 3)])
     def test_tap_matrix_correlation_matches_sliding_windows(self, rng, shape):
@@ -170,46 +172,47 @@ class TestSsim:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_too_small_band_rejected(self):
+        cube = single_band(np.zeros((2, 8)))
         with pytest.raises(ValueError, match="small"):
-            ssim_band(np.zeros((2, 8)), np.zeros((2, 8)))
+            per_band_ssim(cube, cube)
 
     def test_mssim_is_band_mean(self):
         ref = random_cube(9, 9, 3, seed=3)
         test = random_cube(9, 9, 3, seed=4)
-        per_band = [ssim_band(ref.band(b), test.band(b)) for b in range(3)]
-        assert mssim(ref, test) == pytest.approx(np.mean(per_band), abs=1e-14)
+        per_band = per_band_ssim(ref, test)
+        assert compute_report(ref, test).mssim == pytest.approx(np.mean(per_band), abs=1e-14)
 
 
 class TestErgas:
     def test_identity_zero(self):
         cube = random_cube(6, 6, 3, seed=5)
-        assert ergas(cube, cube) == 0.0
+        assert compute_report(cube, cube).ergas == 0.0
 
     def test_closed_form_single_band(self):
         # mean 0.5, RMSE 0.05 -> 100 * 0.05/0.5 = 10.
         ref = fold_casorati(np.full((16, 1), 0.5), 4, 4)
         test = fold_casorati(np.full((16, 1), 0.55), 4, 4)
-        assert ergas(ref, test) == pytest.approx(10.0, abs=1e-12)
+        assert compute_report(ref, test).ergas == pytest.approx(10.0, abs=1e-12)
 
     def test_matches_oracle(self):
         ref = random_cube(8, 8, 4, seed=6)
         test = random_cube(8, 8, 4, seed=7)
-        assert abs(ergas(ref, test) - ergas_oracle(ref, test)) <= 1e-12
+        assert abs(compute_report(ref, test).ergas - ergas_oracle(ref, test)) <= 1e-12
 
     def test_zero_mean_band_excluded(self, rng):
         x = rng.random((16, 2))
         x[:, 1] = 0.0
         ref = fold_casorati(x, 4, 4)
         test = random_cube(4, 4, 2, seed=8)
-        val, excluded = ergas_with_exclusions(ref, test)
-        assert excluded == [1]
-        assert math.isfinite(val)
+        report = compute_report(ref, test)
+        assert report.ergas_excluded_bands == [1]
+        assert math.isfinite(report.ergas)
 
     def test_all_zero_mean_rejected(self):
         ref = fold_casorati(np.zeros((16, 2)), 4, 4)
         test = random_cube(4, 4, 2, seed=9)
         with pytest.raises(ValueError, match="zero mean"):
-            ergas(ref, test)
+            compute_report(ref, test)
 
 
 class TestMsam:
@@ -244,8 +247,7 @@ class TestMsam:
         x[3] = 0.0
         ref = fold_casorati(x, 4, 4)
         test = random_cube(4, 4, 2, seed=15)
-        _, excluded = msam_with_exclusions(ref, test)
-        assert excluded == 1
+        assert compute_report(ref, test).msam_excluded_pixels == 1
 
     def test_all_zero_rejected(self):
         ref = fold_casorati(np.zeros((16, 2)), 4, 4)
@@ -268,7 +270,7 @@ class TestCrossMetricProperties:
         for sigma in (0.05, 0.1, 0.2):
             noisy, _ = add_gaussian(clean, sigma, np.random.default_rng(2))
             psnrs.append(mpsnr(clean, noisy))
-            ergases.append(ergas(clean, noisy))
+            ergases.append(compute_report(clean, noisy).ergas)
         assert np.argsort(psnrs).tolist() == np.argsort(ergases)[::-1].tolist()
 
     def test_report_consistency(self):
@@ -290,6 +292,33 @@ class TestCrossMetricProperties:
         assert obj["mpsnr"] == "inf"
         row = report.to_csv_row()
         assert row.startswith("inf,")
+
+
+class TestOneScoringPath:
+    def test_non_square_cube_with_exclusions_matches_oracles(self, rng):
+        m, n, b = 9, 13, 5
+        x = rng.random((m * n, b))
+        x[:, 2] = 0.0  # zero-mean band
+        x[7] = 0.0  # zero-norm pixel spectrum
+        ref = fold_casorati(x, m, n)
+        test = random_cube(m, n, b, seed=22)
+        report = compute_report(ref, test)
+        for k in range(b):
+            want_psnr = psnr_oracle(ref.band(k), test.band(k))
+            assert abs(report.per_band_psnr[k] - want_psnr) <= 1e-12
+            want_ssim = ssim_oracle(ref.band(k), test.band(k))
+            assert abs(report.per_band_ssim[k] - want_ssim) <= 1e-12
+        assert abs(report.ergas - ergas_oracle(ref, test)) <= 1e-12
+        assert abs(report.msam - msam_oracle(ref, test)) <= 1e-12
+        assert report.ergas_excluded_bands == [2]
+        assert report.msam_excluded_pixels == 1
+        assert mpsnr(ref, test) == report.mpsnr
+        assert msam(ref, test) == report.msam
+
+    @pytest.mark.parametrize("score", [compute_report, mpsnr, msam])
+    def test_shape_mismatch_raises(self, score):
+        with pytest.raises(ValueError, match="mismatch"):
+            score(random_cube(6, 6, 3, seed=23), random_cube(6, 6, 4, seed=24))
 
 
 class TestNonFiniteEncoding:
