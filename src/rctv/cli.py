@@ -17,13 +17,12 @@ code_version and wall_ms, then the command's own keys:
 - metrics: none; rankest: rank; bench: threads_requested, threads_applied.
 
 The BLAS thread cap covers the whole command.  denoise takes it from
---threads or the RCTV_THREADS environment variable (default: none, so
-machine parallelism); bench always caps to one thread; the others run
-uncapped.  A cap must be an integer >= 1; denoise rejects any other
-value before it reads the input.  threads_requested records the cap asked
-for (null when none was) and threads_applied the cap in force.  Caps go
-through threadpoolctl: without it no cap applies, a warning goes to
-stderr, and threads_applied is null.
+--threads (default: none, so machine parallelism); bench always caps to
+one thread; the others run uncapped.  A cap must be an integer >= 1;
+denoise rejects any other value before it reads the input.
+threads_requested records the cap asked for (null when none was) and
+threads_applied the cap in force.  Caps go through threadpoolctl: without
+it no cap applies, a warning goes to stderr, and threads_applied is null.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from rctv.cube import (
 )
 from rctv.linalg import gram_eigh
 from rctv.metrics import CSV_COLUMNS, compute_report
-from rctv.noisesim import CASES, apply_case
-from rctv.solver import DenoiseConfig, check_solvable, diagnostics_to_jsonl, solve
+from rctv.noisesim import CASES, PROFILES, apply_case
+from rctv.solver import PRESETS, DenoiseConfig, check_solvable, diagnostics_to_jsonl, solve
 
 DEFAULT_ENERGY_FRACTION = 0.995
 
@@ -120,22 +119,6 @@ def _energy_fraction(text: str) -> float:
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
     return value
-
-
-def _resolve_threads(args) -> int | None:
-    """The cap asked for: --threads, else RCTV_THREADS, else None.
-
-    Commands without a threads value (all but denoise and bench) get None.
-    """
-    if "threads" not in args:
-        return None
-    env = os.environ.get("RCTV_THREADS")
-    if args.threads is not None or not env:
-        return args.threads
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"RCTV_THREADS: {exc}") from None
 
 
 def _write_json(path, obj) -> None:
@@ -327,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile",
         default="msi31",
-        choices=("msi31", "hsi160"),
+        choices=PROFILES,
         help="band-window profile (windows rescale for other band counts)",
     )
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
@@ -339,8 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--preset",
         default="mixed",
-        choices=("gaussian", "mixed"),
-        help="gaussian: beta=1, lambda=100; mixed: lambda=1, beta=50",
+        choices=PRESETS,
+        help="; ".join(
+            f"{name}: beta={params['beta']:g}, lambda={params['lam']:g}"
+            for name, params in PRESETS.items()
+        ),
     )
     p.add_argument("--tau", type=float, default=0.01, help="TV weight")
     p.add_argument(
@@ -426,7 +412,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--output {args.output}: directory does not exist")
         if args.output and args.subcommand != "metrics" and os.path.isdir(args.output):
             raise ValueError(f"--output {args.output}: is a directory")
-        threads = _resolve_threads(args)
+        # Only denoise (--threads) and bench (always 1) have a threads value.
+        threads = getattr(args, "threads", None)
         t0 = time.perf_counter()
         with _thread_cap(threads) as threads_applied:
             path, extra = args.func(args)

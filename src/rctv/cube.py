@@ -24,6 +24,8 @@ HSIC_LAYOUT = "bsq-colmajor"
 
 # Guard against absurd headers before allocating the payload buffer.
 MAX_ELEMENTS = 2**31
+# The longest header line read_cube looks through for its terminator.
+MAX_HEADER_BYTES = 64 * 1024
 
 
 class CubeFormatError(ValueError):
@@ -153,7 +155,16 @@ def denormalize_bands(cube: HsiCube, rec: NormalizationRecord) -> HsiCube:
 
 
 def write_cube(cube: HsiCube, path) -> None:
-    """Write the native .hsic format (JSON header line + f32le payload)."""
+    """Write the native .hsic format (JSON header line + f32le payload).
+
+    A value beyond the float32 range raises ValueError before the file is
+    opened.
+    """
+    with np.errstate(over="ignore"):
+        payload = cube.data.astype("<f4")
+    # The cube's values are finite, so a non-finite one here overflowed.
+    if not np.isfinite(payload).all():
+        raise ValueError("cube values exceed the float32 range of .hsic")
     header = {
         "magic": HSIC_MAGIC,
         "height": cube.height,
@@ -165,14 +176,16 @@ def write_cube(cube: HsiCube, path) -> None:
     with open(path, "wb") as fp:
         fp.write(json.dumps(header).encode("utf-8"))
         fp.write(b"\n")
-        fp.write(cube.data.astype("<f4").tobytes())
+        fp.write(payload)
 
 
 def read_cube(path) -> HsiCube:
     """Read the native .hsic format written by write_cube."""
     with open(path, "rb") as fp:
-        header_line = fp.readline()
+        header_line = fp.readline(MAX_HEADER_BYTES)
         if not header_line.endswith(b"\n"):
+            if len(header_line) == MAX_HEADER_BYTES:
+                raise CubeFormatError("header line too long")
             raise CubeFormatError("missing header line terminator")
         try:
             header = json.loads(header_line.decode("utf-8"))
@@ -206,8 +219,3 @@ def read_cube(path) -> HsiCube:
             raise CubeFormatError("trailing bytes after payload")
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     return HsiCube(m, n, b, data)
-
-
-def write_band_csv(cube: HsiCube, band: int, path) -> None:
-    """Dump one band as an M-row, N-column CSV grid for inspection."""
-    np.savetxt(path, cube.band(band), delimiter=",", fmt="%.17g")

@@ -46,7 +46,7 @@ CASES = tuple(_CASE_LEVELS)
 
 # The structural stages: 1-based inclusive band windows at the profile's
 # native band count, and inclusive (lo, hi) count and width ranges.
-_PROFILES = {
+PROFILES = {
     "msi31": {
         "bands": 31,
         "deadline_window": (11, 20),
@@ -255,9 +255,9 @@ def apply_case(
     """
     if case_id not in CASES:
         raise ValueError(f"unknown case {case_id!r}; choose from {CASES}")
-    if profile not in _PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; choose from {sorted(_PROFILES)}")
-    prof = _PROFILES[profile]
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
+    prof = PROFILES[profile]
     rescaled = cube.bands != prof["bands"]
 
     def window(key):

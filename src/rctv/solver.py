@@ -43,7 +43,7 @@ update and, per tile of rows r, forms T_r = Y_r - U_r V^T + Lam_3r, then
 place and T_r - E_r - S_r in the tile buffer.  A tail shared by both S
 cases then takes the data-fit residual T_r - E_r - S_r - Lam_3r, writes
 Lam_3r = (mu/mu')*(T_r - E_r - S_r) for the grown penalty
-mu' = min(rho*mu, mu_max), writes the next iteration's
+mu' = min(rho*mu, MU_MAX), writes the next iteration's
 P_r = Y_r - E_r - S_r + Lam_3r and adds P_r^T U_r for the next V update.
 It sums ||fit||^2, ||E||^2 and sum|S| for the diagnostics and the
 objective.
@@ -104,10 +104,11 @@ from rctv.diffops import (
     diff_columns,
     solve_u_system,
 )
-from rctv.linalg import procrustes_v, soft_threshold, truncated_svd_init
+from rctv.linalg import ORTHONORMALITY_TOL, procrustes_v, soft_threshold, truncated_svd_init
 from rctv.metrics import encode_float
 
-V_ORTHONORMALITY_TOL = 1e-8
+# Penalty cap: keeps the tau/mu thresholds out of denormal range.
+MU_MAX = 1e6
 
 # Bytes in one of solve()'s tile buffers: the row tile of the MN x B pass,
 # and each of the two column tiles of the (MN, R) pass (whole columns of
@@ -116,7 +117,7 @@ V_ORTHONORMALITY_TOL = 1e-8
 # instead of streaming each whole array from memory once per step.
 _TILE_BYTES = 256 * 1024
 
-_PRESETS = {
+PRESETS = {
     # Mostly-Gaussian noise: the sparse term is effectively disabled.
     "gaussian": {"beta": 1.0, "lam": 100.0},
     # Mixed noise: sparse term active, Gaussian term stiff.
@@ -138,7 +139,9 @@ class DenoiseConfig:
     rho       penalty growth factor per iteration (> 1)
     epsilon   convergence tolerance on the squared relative residuals
     max_iter  iteration cap; hitting it is reported, not an error
-    mu_max    penalty cap, keeps tau/mu thresholds out of denormal range
+
+    The penalty mu grows from mu0 by rho per iteration and is then held
+    at the module constant MU_MAX = 1e6.
     """
 
     rank: int
@@ -150,12 +153,11 @@ class DenoiseConfig:
     rho: float = 1.25
     epsilon: float = 1e-6
     max_iter: int = 50
-    mu_max: float = 1e6
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        for name in ("tau1", "tau2", "beta", "lam", "mu0", "rho", "epsilon", "mu_max"):
+        for name in ("tau1", "tau2", "beta", "lam", "mu0", "rho", "epsilon"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -170,16 +172,13 @@ class DenoiseConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.mu_max <= 0:
-            raise ValueError("mu_max must be positive")
 
     @classmethod
     def preset(cls, name: str, rank: int, tau: float = 0.01, **overrides) -> "DenoiseConfig":
-        """Named parameter presets: "gaussian" (beta=1, lam=100) or
-        "mixed" (lam=1, beta=50), with a user-supplied tau."""
-        if name not in _PRESETS:
-            raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
-        params = dict(_PRESETS[name])
+        """The named PRESETS entry ("gaussian" or "mixed") with a user-supplied tau."""
+        if name not in PRESETS:
+            raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+        params = dict(PRESETS[name])
         params.update(overrides)
         return cls(rank=rank, tau1=tau, tau2=tau, **params)
 
@@ -362,9 +361,8 @@ def update_multipliers(
     height: int,
     width: int,
     rho: float,
-    mu_max: float,
 ) -> MultiplierUpdate:
-    """Dual ascent on all three multipliers, then mu <- min(rho*mu, mu_max)."""
+    """Dual ascent on all three multipliers, then mu <- min(rho*mu, MU_MAX)."""
     grad_h = apply_diff(state.u, height, width, HORIZONTAL)
     grad_v = apply_diff(state.u, height, width, VERTICAL)
     split_h = grad_h - state.g1
@@ -373,7 +371,7 @@ def update_multipliers(
     state.gam1 = state.gam1 + state.mu * split_h
     state.gam2 = state.gam2 + state.mu * split_v
     state.gam3 = state.gam3 + state.mu * fit
-    state.mu = min(rho * state.mu, mu_max)
+    state.mu = min(rho * state.mu, MU_MAX)
     return MultiplierUpdate(split_h, split_v, fit, grad_h, grad_v)
 
 
@@ -500,7 +498,7 @@ def _rel_change(
 
 def _check_v_orthonormal(v: np.ndarray) -> None:
     dev = np.max(np.abs(v.T @ v - np.eye(v.shape[1])))
-    if dev > V_ORTHONORMALITY_TOL:
+    if dev > ORTHONORMALITY_TOL:
         raise RuntimeError(f"V lost orthonormality (deviation {dev:.3e})")
 
 
@@ -608,7 +606,7 @@ def solve(
 
     for it in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        mu_next = min(cfg.rho * mu, cfg.mu_max)
+        mu_next = min(cfg.rho * mu, MU_MAX)
         v_prev = v
         worst_increase = None
         if debug:

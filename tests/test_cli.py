@@ -14,8 +14,8 @@ import rctv.cli
 import rctv.solver
 from rctv.cli import bench_cube, build_parser, estimate_rank, main, run_bench
 from rctv.cube import normalize_bands, read_cube, write_cube
-from rctv.noisesim import NoiseRecord, replay
-from rctv.solver import DenoiseConfig
+from rctv.noisesim import PROFILES, NoiseRecord, replay
+from rctv.solver import PRESETS, DenoiseConfig
 from test_solver import reference_solve
 
 
@@ -202,12 +202,34 @@ class TestDenoise:
         np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-15)
 
     def test_env_thread_cap(self, tmp_path, clean_path, monkeypatch, capsys):
+        # --threads is the only way to ask for a cap: RCTV_THREADS, valid or
+        # not, is not read and caps nothing.
+        applied = []
+
+        def fake_limits(limits):
+            applied.append(limits)
+            return contextlib.nullcontext()
+
+        monkeypatch.setattr(rctv.cli, "threadpool_limits", fake_limits)
+        for value in ("1", "abc"):
+            monkeypatch.setenv("RCTV_THREADS", value)
+            out = tmp_path / f"t{value}.hsic"
+            code = main(["denoise", "--input", str(clean_path), "--output", str(out),
+                         "--rank", "2", "--max-iter", "2"])
+            assert code == 0
+            assert out.exists()
+            manifest = json.loads((tmp_path / f"t{value}.hsic.manifest.json").read_text())
+            assert manifest["threads_requested"] is None
+            assert manifest["threads_applied"] is None
+        assert applied == []
+        assert capsys.readouterr().err == ""
+
+    def test_thread_cap_unavailable(self, tmp_path, clean_path, monkeypatch, capsys):
         # Without threadpoolctl the cap cannot apply: warn and record null.
         monkeypatch.setattr(rctv.cli, "threadpool_limits", None)
-        monkeypatch.setenv("RCTV_THREADS", "1")
         out = tmp_path / "t.hsic"
         code = main(["denoise", "--input", str(clean_path), "--output", str(out),
-                     "--rank", "2", "--max-iter", "2"])
+                     "--rank", "2", "--max-iter", "2", "--threads", "1"])
         assert code == 0
         assert out.exists()
         err = capsys.readouterr().err
@@ -236,7 +258,6 @@ class TestDenoise:
 
     def test_no_thread_cap_requested(self, tmp_path, clean_path, monkeypatch, capsys):
         monkeypatch.setattr(rctv.cli, "threadpool_limits", None)
-        monkeypatch.delenv("RCTV_THREADS", raising=False)
         out = tmp_path / "t.hsic"
         main(["denoise", "--input", str(clean_path), "--output", str(out),
               "--rank", "2", "--max-iter", "2"])
@@ -253,22 +274,6 @@ class TestDenoise:
                   "--rank", "2", "--max-iter", "2", "--threads", value])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic"]
-
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
-    def test_bad_thread_env_rejected_before_solve(
-        self, tmp_path, clean_path, value, monkeypatch, capsys
-    ):
-        solves = []
-        monkeypatch.setattr(rctv.cli, "solve", lambda *a, **k: solves.append(a))
-        monkeypatch.setenv("RCTV_THREADS", value)
-        out = tmp_path / "t.hsic"
-        code = main(["denoise", "--input", str(clean_path), "--output", str(out),
-                     "--rank", "2", "--max-iter", "2"])
-        assert code == 2
-        assert solves == []
-        err = capsys.readouterr().err
-        assert "RCTV_THREADS" in err and repr(value) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic"]
 
     @pytest.mark.parametrize("rank", ["2", "auto"])
@@ -335,6 +340,21 @@ class TestDenoise:
         with pytest.raises(SystemExit):
             main(["denoise", "--help"])
         assert f"initial ADMM penalty (default {DenoiseConfig.mu0:g})" in capsys.readouterr().out
+
+    def test_preset_and_profile_choices_come_from_the_tables(self, capsys):
+        parser = build_parser()
+        for name in PRESETS:
+            args = parser.parse_args(["denoise", "--input", "i", "--output", "o", "--preset", name])
+            assert args.preset == name
+        for name in PROFILES:
+            args = parser.parse_args(["simulate", "--input", "i", "--output", "o",
+                                      "--case", "a", "--profile", name])
+            assert args.profile == name
+        with pytest.raises(SystemExit):
+            main(["denoise", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for name, params in PRESETS.items():
+            assert f"{name}: beta={params['beta']:g}, lambda={params['lam']:g}" in help_text
 
 
 class TestMetricsCommand:
@@ -565,8 +585,7 @@ def command_flags(command, clean, out):
         ("bench", THREAD_KEYS),
     ],
 )
-def test_manifest_schema(tmp_path, clean_path, monkeypatch, command, own_keys):
-    monkeypatch.delenv("RCTV_THREADS", raising=False)
+def test_manifest_schema(tmp_path, clean_path, command, own_keys):
     clean, out = str(clean_path), str(tmp_path / "out")
     flags = command_flags(command, clean, out)
     assert main([command] + flags) == 0

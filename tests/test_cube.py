@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rctv.cube import (
+    MAX_HEADER_BYTES,
     CubeFormatError,
     HsiCube,
     denormalize_bands,
@@ -16,7 +17,6 @@ from rctv.cube import (
     normalize_bands,
     read_cube,
     unfold_casorati,
-    write_band_csv,
     write_cube,
 )
 
@@ -223,9 +223,24 @@ def test_file_trailing_bytes(tmp_path, rng):
         read_cube(p)
 
 
-def test_band_csv(tmp_path):
-    cube = HsiCube.from_array(np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])[:, :, None])
-    p = tmp_path / "band.csv"
-    write_band_csv(cube, 0, p)
-    grid = np.loadtxt(p, delimiter=",")
-    np.testing.assert_array_equal(grid, [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
+def test_file_header_search_is_bounded(tmp_path):
+    # A newline-free file longer than the bound fails on the bound, without
+    # reading the rest; a short one still fails on the terminator.
+    p = tmp_path / "h.hsic"
+    p.write_bytes(b"{" * (3 * MAX_HEADER_BYTES))
+    with pytest.raises(CubeFormatError, match="header line too long"):
+        read_cube(p)
+    p.write_bytes(b"{" * (MAX_HEADER_BYTES - 1))
+    with pytest.raises(CubeFormatError, match="missing header line terminator"):
+        read_cube(p)
+
+
+def test_write_rejects_values_beyond_float32(tmp_path):
+    p = tmp_path / "big.hsic"
+    with pytest.raises(ValueError, match="float32 range"):
+        write_cube(HsiCube(2, 2, 1, [1.0, 2.0, 3.0, 4e38]), p)
+    assert not p.exists()
+    # The float32 extremes themselves are written and read back exactly.
+    edge = float(np.finfo(np.float32).max)
+    write_cube(HsiCube(2, 2, 1, [edge, -edge, 0.0, 1.0]), p)
+    np.testing.assert_array_equal(read_cube(p).data, [edge, -edge, 0.0, 1.0])

@@ -16,6 +16,7 @@ from rctv.linalg import procrustes_v, soft_threshold, truncated_svd_init
 from rctv.metrics import mpsnr
 from rctv.noisesim import CASES, apply_case
 from rctv.solver import (
+    MU_MAX,
     DenoiseConfig,
     IterationDiagnostics,
     SolverState,
@@ -195,7 +196,7 @@ class TestUpdateMultipliers:
         y = st.u @ st.v.T + st.e + st.s
         gam1, gam2, gam3 = st.gam1.copy(), st.gam2.copy(), st.gam3.copy()
         mu = st.mu
-        update_multipliers(st, y, m, n, 1.25, 1e6)
+        update_multipliers(st, y, m, n, 1.25)
         np.testing.assert_allclose(st.gam1, gam1, atol=1e-12)
         np.testing.assert_allclose(st.gam2, gam2, atol=1e-12)
         np.testing.assert_allclose(st.gam3, gam3, atol=1e-12)
@@ -209,17 +210,17 @@ class TestUpdateMultipliers:
         st.gam3 = np.zeros((m * n, b))
         y = st.u @ st.v.T + st.e + st.s
         y[4, 1] += 0.3
-        update_multipliers(st, y, m, n, 1.25, 1e6)
+        update_multipliers(st, y, m, n, 1.25)
         assert st.gam3[4, 1] == pytest.approx(2.0 * 0.3)
         others = st.gam3.copy()
         others[4, 1] = 0.0
         assert np.max(np.abs(others)) <= 1e-12
 
     def test_mu_cap(self, rng):
-        st = random_state(rng, mu=1e6)
+        st = random_state(rng, mu=MU_MAX)
         y = rng.standard_normal(st.e.shape)
-        update_multipliers(st, y, 4, 5, 1.25, 1e6)
-        assert st.mu == 1e6
+        update_multipliers(st, y, 4, 5, 1.25)
+        assert st.mu == MU_MAX
 
 
 def force_tile_rows(monkeypatch, cube, rows):
@@ -244,7 +245,7 @@ def oracle_cube():
 
 def oracle_config(**overrides):
     """Mixed preset with a low lam/mu0 threshold: S leaves zero at iteration 1."""
-    params = dict(tau=0.1, lam=0.02, mu0=0.5, max_iter=8, epsilon=1e-30)
+    params = dict(tau=0.1, lam=0.02, mu0=0.5, rho=1.25, max_iter=8, epsilon=1e-30)
     params.update(overrides)
     return DenoiseConfig.preset("mixed", rank=3, **params)
 
@@ -298,14 +299,17 @@ def peak_allocation(m, n, b, case, **overrides):
 def debug_case():
     """A mixed-preset solve whose S stays zero and whose G does not.
 
-    mu0 is pinned because S leaves zero once lam/mu is small enough; a
-    larger start could turn S on inside the 15 iterations.  tau is small
-    so that tau/mu drops below the size of U's differences and the G
-    shrinks keep nonzero entries (at tau = 0.1 every G is zero).
+    mu0 and rho are pinned because S leaves zero once lam/mu is small
+    enough; a larger start or faster growth could turn S on inside the 15
+    iterations.  tau is small so that tau/mu drops below the size of U's
+    differences and the G shrinks keep nonzero entries (at tau = 0.1 every
+    G is zero).
     """
     clean = smooth_rank_cube(12, 12, 6, 2, seed=9)
     noisy, _ = apply_case(clean, "c", "msi31", seed=1)
-    return noisy, DenoiseConfig.preset("mixed", rank=2, tau=1e-3, mu0=1e-3, max_iter=15)
+    return noisy, DenoiseConfig.preset(
+        "mixed", rank=2, tau=1e-3, mu0=1e-3, rho=1.25, max_iter=15
+    )
 
 
 def count_g_nonzeros(monkeypatch, rank):
@@ -536,6 +540,17 @@ class TestSolve:
             solve(smooth_rank_cube(8, 6, 5, 2, seed=1), cfg)
         assert len(solves) == 3
 
+    def test_mu_held_at_cap(self):
+        # From mu0 near the cap, mu reaches MU_MAX at iteration 5 and stays.
+        cfg = DenoiseConfig.preset(
+            "mixed", rank=2, mu0=0.5 * MU_MAX, max_iter=8, epsilon=1e-30
+        )
+        _, diags = solve(smooth_rank_cube(8, 6, 5, 2, seed=1), cfg)
+        mus = [d.mu for d in diags]
+        assert len(mus) == cfg.max_iter
+        assert mus[:4] == [cfg.mu0 * cfg.rho**k for k in range(4)]
+        assert mus[4:] == [MU_MAX] * 4
+
     def test_rank_exceeding_bands_rejected(self):
         cube = smooth_rank_cube(6, 6, 4, 2, seed=0)
         with pytest.raises(ValueError, match="rank"):
@@ -560,7 +575,7 @@ class TestSolve:
             DenoiseConfig(rank=2, mu0=0.0)
 
     @pytest.mark.parametrize(
-        "field", ["tau1", "tau2", "beta", "lam", "mu0", "rho", "epsilon", "mu_max"]
+        "field", ["tau1", "tau2", "beta", "lam", "mu0", "rho", "epsilon"]
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_config_rejects_non_finite(self, field, value):
@@ -624,7 +639,7 @@ def reference_solve(cube, cfg, iters):
                         st.g1, st.g2, st.gam1, st.gam2, tf)
         st.e = update_e(y, st.u, st.v, st.s, st.gam3, st.mu, cfg.beta)
         st.s = update_s(y, st.u, st.v, st.e, st.gam3, st.mu, cfg.lam)
-        res = update_multipliers(st, y, m, n, cfg.rho, cfg.mu_max)
+        res = update_multipliers(st, y, m, n, cfg.rho)
         x = st.u @ st.v.T
         rows.append((
             float(np.vdot(res.fit, res.fit)) / denom,
