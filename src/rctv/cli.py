@@ -174,6 +174,9 @@ def cmd_denoise(args) -> tuple[str, dict]:
     cfg = dataclasses.replace(cfg, rank=rank)
 
     normalized, rec = normalize_bands(cube)
+    # The float64 input is not read again; dropping it here keeps it out
+    # of the solve's working set.
+    del cube
     t_solve = time.perf_counter()
     restored, diags = solve(normalized, cfg)
     solve_ms = (time.perf_counter() - t_solve) * 1e3
@@ -349,7 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"initial ADMM penalty (default {DenoiseConfig.mu0:g})",
     )
-    p.add_argument("--rho", type=float, default=None, help="penalty growth factor")
+    p.add_argument(
+        "--rho",
+        type=float,
+        default=None,
+        help=f"penalty growth factor (default {DenoiseConfig.rho:g})",
+    )
     p.add_argument("--eps", type=float, default=None, help="convergence tolerance")
     p.add_argument("--max-iter", type=int, default=None, help="iteration cap")
     p.add_argument("--threads", type=_positive_int, default=None, help="BLAS thread cap")

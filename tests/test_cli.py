@@ -4,6 +4,7 @@ import json
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ import rctv.cli
 import rctv.solver
 from rctv.cli import bench_cube, build_parser, estimate_rank, main, run_bench
 from rctv.cube import normalize_bands, read_cube, write_cube
-from rctv.noisesim import PROFILES, NoiseRecord, replay
-from rctv.solver import PRESETS, DenoiseConfig
+from rctv.noisesim import PROFILES, NoiseRecord, apply_case, replay
+from rctv.solver import PRESETS, DenoiseConfig, solve
 from test_solver import reference_solve
 
 
@@ -146,6 +147,36 @@ class TestDenoise:
         assert manifest["s_first_iter"] > 1
         lines = (tmp_path / "restored.hsic.diag.jsonl").read_text().strip().split("\n")
         assert [json.loads(line)["s_active"] for line in lines] == ref_s_active
+
+    def test_peak_allocation_is_the_solve_plus_its_input(self, tmp_path):
+        # denoise drops its float64 input once normalize_bands has run, so
+        # besides solve()'s own working set it holds one MN x B array while
+        # the solve runs: the normalized cube the solve reads.  S turns on
+        # mid-run, so both peaks include it.
+        m, n, b = 48, 48, 96
+        clean = smooth_rank_cube(m, n, b, 3, seed=3)
+        noisy, _ = apply_case(clean, "e", "msi31", seed=2)
+        noisy_path = tmp_path / "noisy.hsic"
+        write_cube(noisy, noisy_path)
+        out = tmp_path / "restored.hsic"
+        tracemalloc.start()
+        try:
+            assert main(["denoise", "--input", str(noisy_path), "--output", str(out),
+                         "--tau", "0.3", "--rank", "auto"]) == 0
+            _, cli_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        manifest = json.loads((tmp_path / "restored.hsic.manifest.json").read_text())
+        assert manifest["s_first_iter"] is not None
+        normalized, _ = normalize_bands(read_cube(noisy_path))
+        cfg = DenoiseConfig.preset("mixed", rank=manifest["config"]["rank"], tau=0.3)
+        tracemalloc.start()
+        try:
+            solve(normalized, cfg)
+            _, solve_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cli_peak - solve_peak <= 1.5 * m * n * b * 8, (cli_peak, solve_peak)
 
     def test_divergence_exits_before_writing(self, tmp_path, clean_path, monkeypatch, capsys):
         solves = []
@@ -340,6 +371,11 @@ class TestDenoise:
         with pytest.raises(SystemExit):
             main(["denoise", "--help"])
         assert f"initial ADMM penalty (default {DenoiseConfig.mu0:g})" in capsys.readouterr().out
+
+    def test_rho_help_states_the_config_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["denoise", "--help"])
+        assert f"penalty growth factor (default {DenoiseConfig.rho:g})" in capsys.readouterr().out
 
     def test_preset_and_profile_choices_come_from_the_tables(self, capsys):
         parser = build_parser()

@@ -346,26 +346,29 @@ class TestSolve:
         assert last.split_residual_v <= cfg.epsilon
         assert len(diags) <= 50
 
-    def test_default_mu0_converges_sooner_at_the_same_quality(self):
-        # Runs converge once mu reaches about 40, so the default start must
-        # stop in fewer iterations than mu0 = 1e-3 on every case.  On one
-        # input the restored MPSNR moves by up to about 0.8 dB either way
-        # between any two nearby starts (1e-3 and 8e-4 too), so the quality
-        # bound applies to the mean over all inputs: a start that loses
+    def test_default_schedule_converges_sooner_at_the_same_quality(self):
+        # Runs converge once mu reaches about 40, so the default schedule
+        # must stop in fewer iterations than a slower start (mu0 = 1e-3)
+        # and than the slower growth rho = 1.25 on every case.  On one input
+        # the restored MPSNR moves by up to about 0.8 dB either way between
+        # any two nearby schedules (mu0 = 1e-3 and 8e-4 too), so the quality
+        # bound applies to the mean over all inputs: a schedule that loses
         # quality everywhere (mu0 = 10 loses about 1.6 dB) still fails it.
-        loss = []
+        slow = {"mu0": {"mu0": 1e-3}, "rho": {"rho": 1.25}}
+        loss = {name: [] for name in slow}
         for seed in (0, 1):
             clean = smooth_rank_cube(32, 32, 31, 3, seed=seed)
             for case in CASES:
                 noisy, _ = apply_case(clean, case, "msi31", seed=seed)
                 cfg = DenoiseConfig.preset("mixed", rank=3, tau=0.3)
-                slow = dataclasses.replace(cfg, mu0=1e-3)
                 restored, diags = solve(noisy, cfg)
-                slow_restored, slow_diags = solve(noisy, slow)
                 assert diags[-1].converged(cfg.epsilon), case
-                assert len(diags) < len(slow_diags), case
-                loss.append(mpsnr(clean, slow_restored) - mpsnr(clean, restored))
-        assert np.mean(loss) <= 0.2
+                for name, params in slow.items():
+                    slow_restored, slow_diags = solve(noisy, dataclasses.replace(cfg, **params))
+                    assert len(diags) < len(slow_diags), (name, case)
+                    loss[name].append(mpsnr(clean, slow_restored) - mpsnr(clean, restored))
+        for name, values in loss.items():
+            assert np.mean(values) <= 0.2, name
 
     def test_degenerate_limit_matches_truncated_svd(self):
         cube = gapped_random_cube(12, 10, 7, 3, seed=5)
@@ -542,8 +545,9 @@ class TestSolve:
 
     def test_mu_held_at_cap(self):
         # From mu0 near the cap, mu reaches MU_MAX at iteration 5 and stays.
+        # rho is pinned: the test checks the cap rule, not the default.
         cfg = DenoiseConfig.preset(
-            "mixed", rank=2, mu0=0.5 * MU_MAX, max_iter=8, epsilon=1e-30
+            "mixed", rank=2, mu0=0.5 * MU_MAX, rho=1.25, max_iter=8, epsilon=1e-30
         )
         _, diags = solve(smooth_rank_cube(8, 6, 5, 2, seed=1), cfg)
         mus = [d.mu for d in diags]
@@ -667,8 +671,9 @@ class TestFusedLoopOracle:
         assert np.count_nonzero(ref_state.s) > 0
 
     def test_matches_reference_kernels_when_s_turns_on_mid_run(self, monkeypatch):
-        # S turns on in iteration 2, in tile 1 of 45 with a ragged last tile:
-        # tile 0 takes the S-zero path and the stored-S path runs from tile 1.
+        # S turns on in iteration 2, in tile 1 of 45 with a ragged last tile,
+        # and spreads to the other tiles over the next iterations: a tile
+        # takes the S-zero path until its own shrink lets an entry through.
         noisy, rows = oracle_cube(), 5
         force_tile_rows(monkeypatch, noisy, rows)
         cfg = oracle_config(lam=MID_RUN_LAM)
@@ -685,13 +690,17 @@ class TestFusedLoopOracle:
         monkeypatch.setattr(rctv.solver, "soft_threshold", recording)
         diags, _ = check_against_reference_kernels(noisy, cfg)
         assert next(d.iteration for d in diags if d.s_active) == 2
-        # Each iteration shrinks S once per row tile (B columns) from the
-        # tile where S turned on, then the next two G splits (R columns)
-        # once per column tile: here one column of the plane per tile.
+        # Each iteration shrinks S once per row tile (B columns) on which the
+        # reference S has left zero so far, then the next two G splits
+        # (R columns) once per column tile: here one column of the plane per
+        # tile.
         assert max(1, rows * noisy.bands // (noisy.height * cfg.rank)) == 1
-        tiles = -(-noisy.height * noisy.width // rows)
         g_pass = "g" * (2 * noisy.width)
-        expected = g_pass + "s" * (tiles - 1) + g_pass + ("s" * tiles + g_pass) * 6
+        live, expected = set(), ""
+        for it in range(1, cfg.max_iter + 1):
+            _, _, state, _ = reference_solve(noisy, cfg, it)
+            live |= set(np.flatnonzero(np.any(state.s, axis=1)) // rows)
+            expected += "s" * len(live) + g_pass
         assert "".join("g" if w == cfg.rank else "s" for w in widths) == expected
 
     def test_matches_reference_kernels_with_beta_zero(self, monkeypatch):
