@@ -153,6 +153,7 @@ def _parse_rank(text: str):
 def cmd_denoise(args) -> tuple[str, dict]:
     overrides = {}
     for name, flag in (
+        ("tau", args.tau),
         ("beta", args.beta),
         ("lam", args.lam),
         ("mu0", args.mu0),
@@ -164,7 +165,7 @@ def cmd_denoise(args) -> tuple[str, dict]:
             overrides[name] = flag
     # Rank 1 stands in until the cube is read, so that a bad flag fails
     # before the read and the rank estimate.
-    cfg = DenoiseConfig.preset(args.preset, rank=1, tau=args.tau, **overrides)
+    cfg = DenoiseConfig.preset(args.preset, rank=1, **overrides)
     cube = read_cube(args.input)
     # Fail on a bad plane or rank before the rank estimate and the
     # normalization; --rank auto checks rank 1, as its estimate is at
@@ -271,8 +272,10 @@ def run_bench(
     """
     for m, n, b in sizes:
         for rank in ranks:
-            if rank > b:
-                raise ValueError(f"rank {rank} exceeds bands {b} of size {m}x{n}x{b}")
+            try:
+                check_solvable(m, n, b, rank)
+            except ValueError as exc:
+                raise ValueError(f"size {m}x{n}x{b}, rank {rank}: {exc}") from None
     rows = []
     for m, n, b in sizes:
         cube = bench_cube(m, n, b, seed)
@@ -331,7 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
             for name, params in PRESETS.items()
         ),
     )
-    p.add_argument("--tau", type=float, default=0.01, help="TV weight")
+    p.add_argument(
+        "--tau",
+        type=float,
+        default=DenoiseConfig.tau,
+        help=f"TV weight (default {DenoiseConfig.tau:g})",
+    )
     p.add_argument(
         "--rank",
         type=_parse_rank,
@@ -346,20 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override preset lambda",
     )
-    p.add_argument(
-        "--mu0",
-        type=float,
-        default=None,
-        help=f"initial ADMM penalty (default {DenoiseConfig.mu0:g})",
-    )
-    p.add_argument(
-        "--rho",
-        type=float,
-        default=None,
-        help=f"penalty growth factor (default {DenoiseConfig.rho:g})",
-    )
-    p.add_argument("--eps", type=float, default=None, help="convergence tolerance")
-    p.add_argument("--max-iter", type=int, default=None, help="iteration cap")
+    # Overrides of DenoiseConfig fields; each help states the field's default.
+    for flag, field, kind, what in (
+        ("--mu0", "mu0", float, "initial ADMM penalty"),
+        ("--rho", "rho", float, "penalty growth factor"),
+        ("--eps", "epsilon", float, "convergence tolerance"),
+        ("--max-iter", "max_iter", int, "iteration cap"),
+    ):
+        default = getattr(DenoiseConfig, field)
+        p.add_argument(flag, type=kind, default=None, help=f"{what} (default {default:g})")
     p.add_argument("--threads", type=_positive_int, default=None, help="BLAS thread cap")
     p.set_defaults(func=cmd_denoise)
 

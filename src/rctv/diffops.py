@@ -41,11 +41,9 @@ def _axis(direction: str) -> int:
 def _grid(mat: np.ndarray, height: int, width: int) -> np.ndarray:
     """View an (M*N, R) matrix as an (N, M, R) grid indexed [j, i, r]."""
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim == 1:
-        mat = mat[:, None]
-    if mat.shape[0] != height * width:
+    if mat.ndim != 2 or mat.shape[0] != height * width:
         raise ValueError(
-            f"matrix has {mat.shape[0]} rows, plane dims give {height * width}"
+            f"expected a 2-D matrix with {height * width} rows (plane dims), got shape {mat.shape}"
         )
     return mat.reshape(width, height, mat.shape[1])
 

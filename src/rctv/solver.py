@@ -3,7 +3,7 @@
 Model: given a noisy Casorati matrix Y (M*N x B), find U (M*N x R),
 orthonormal V (B x R), dense-noise E and sparse-noise S minimizing
 
-    tau1*||D_1(U)||_1 + tau2*||D_2(U)||_1 + beta*||E||_F^2 + lam*||S||_1
+    tau*(||D_1(U)||_1 + ||D_2(U)||_1) + beta*||E||_F^2 + lam*||S||_1
     s.t.  Y = U V^T + E + S,   V^T V = I,
 
 where D_1 / D_2 are the periodic horizontal / vertical differences applied
@@ -11,7 +11,7 @@ per slice of U.  The splitting introduces G_i = D_i(U) and multipliers
 Gam_1, Gam_2 (for the TV splits) and Gam_3 (for the data fit), giving the
 augmented Lagrangian
 
-    sum_i [ tau_i*||G_i||_1 + (mu/2)*||D_i(U) - G_i + Gam_i/mu||_F^2 ]
+    sum_i [ tau*||G_i||_1 + (mu/2)*||D_i(U) - G_i + Gam_i/mu||_F^2 ]
     + beta*||E||_F^2 + lam*||S||_1
     + (mu/2)*||Y - U V^T - E - S + Gam_3/mu||_F^2.
 
@@ -26,7 +26,7 @@ solve() runs this ADMM in scaled form (Boyd et al., "Distributed
 Optimization and Statistical Learning via the Alternating Direction
 Method of Multipliers", 2011, sections 3.1.1 and 3.4.1): it holds
 Lam_i = Gam_i/mu in place of the multipliers.  Then G_i = shrink(D_i(U) +
-Lam_i, tau_i/mu), mu cancels from the U normal equations, the dual step
+Lam_i, tau/mu), mu cancels from the U normal equations, the dual step
 is Lam_i += D_i(U) - G_i, and growing the penalty to mu' rescales
 Lam_i by mu/mu'.  mu enters the arithmetic only through the thresholds,
 c = mu/(mu + 2*beta) and that rescale.  The iterates are plain local
@@ -64,7 +64,7 @@ pixels, so the vertical wrap stays inside a tile and the horizontal
 difference reads one column past it.  Per tile it forms D_i(U) in a tile
 buffer, sums the split residuals ||D_i(U) - G_i||^2, takes the TV dual
 step with the rescale, Lam_i <- (mu/mu')*(Lam_i + D_i(U) - G_i), and
-writes the next iteration's G_i = shrink(D_i(U) + Lam_i, tau_i/mu') over
+writes the next iteration's G_i = shrink(D_i(U) + Lam_i, tau/mu') over
 the G_i it read.  mu' is known by then, so the G update leaves the top of
 the loop; the first G is shrunk from U_0 before it.  The pass also sums
 |D_i(U)| for the objective, and ||U - U_prev C||^2 and U^T U for
@@ -132,7 +132,7 @@ class DenoiseConfig:
     """Solver hyperparameters.
 
     rank      number of coefficient slices R (must be <= B at solve time)
-    tau1/tau2 TV weights for horizontal / vertical differences
+    tau       TV weight, shared by the horizontal and vertical differences
     beta      Gaussian-noise weight (quadratic penalty on E)
     lam       sparse-noise weight (l1 penalty on S)
     mu0       initial ADMM penalty; runs converge once mu reaches about
@@ -148,8 +148,7 @@ class DenoiseConfig:
     """
 
     rank: int
-    tau1: float = 0.01
-    tau2: float = 0.01
+    tau: float = 0.01
     beta: float = 50.0
     lam: float = 1.0
     mu0: float = 1e-2
@@ -160,11 +159,11 @@ class DenoiseConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        for name in ("tau1", "tau2", "beta", "lam", "mu0", "rho", "epsilon"):
+        for name in ("tau", "beta", "lam", "mu0", "rho", "epsilon"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("tau1", "tau2", "beta", "lam"):
+        for name in ("tau", "beta", "lam"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.mu0 <= 0:
@@ -177,13 +176,13 @@ class DenoiseConfig:
             raise ValueError("max_iter must be >= 1")
 
     @classmethod
-    def preset(cls, name: str, rank: int, tau: float = 0.01, **overrides) -> "DenoiseConfig":
-        """The named PRESETS entry ("gaussian" or "mixed") with a user-supplied tau."""
+    def preset(cls, name: str, rank: int, **overrides) -> "DenoiseConfig":
+        """The named PRESETS entry ("gaussian" or "mixed"); overrides set any field, tau too."""
         if name not in PRESETS:
             raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
         params = dict(PRESETS[name])
         params.update(overrides)
-        return cls(rank=rank, tau1=tau, tau2=tau, **params)
+        return cls(rank=rank, **params)
 
 
 @dataclass
@@ -391,8 +390,8 @@ def augmented_lagrangian(
     r2 = apply_diff(state.u, height, width, VERTICAL) - state.g2 + state.gam2 / mu
     fit = y - state.u @ state.v.T - state.e - state.s + state.gam3 / mu
     return (
-        cfg.tau1 * np.abs(state.g1).sum()
-        + cfg.tau2 * np.abs(state.g2).sum()
+        cfg.tau * np.abs(state.g1).sum()
+        + cfg.tau * np.abs(state.g2).sum()
         + 0.5 * mu * (np.vdot(r1, r1) + np.vdot(r2, r2))
         + cfg.beta * np.vdot(state.e, state.e)
         + cfg.lam * np.abs(state.s).sum()
@@ -408,8 +407,8 @@ def model_objective(
 ) -> float:
     """Value of the constrained model objective at the current iterates."""
     return (
-        cfg.tau1 * np.abs(grad_h).sum()
-        + cfg.tau2 * np.abs(grad_v).sum()
+        cfg.tau * np.abs(grad_h).sum()
+        + cfg.tau * np.abs(grad_v).sum()
         + cfg.beta * float(np.vdot(state.e, state.e))
         + cfg.lam * np.abs(state.s).sum()
     )
@@ -430,7 +429,7 @@ def _column_pass(
     c: np.ndarray,
     g: tuple[np.ndarray, np.ndarray],
     lam: tuple[np.ndarray, np.ndarray],
-    thresholds: tuple[float, float],
+    threshold: float,
     rescale: float,
     height: int,
     buf: np.ndarray,
@@ -441,7 +440,7 @@ def _column_pass(
     of the M x N plane, with the last tile ragged.  Per tile and per
     direction i, the pass forms D_i(U), sums ||D_i(U) - G_i||^2 and
     |D_i(U)|, takes the dual step Lam_i <- rescale*(Lam_i + D_i(U) - G_i)
-    and writes the next G_i = shrink(D_i(U) + Lam_i, thresholds[i]) over
+    and writes the next G_i = shrink(D_i(U) + Lam_i, threshold) over
     the G_i it read.  g and lam are updated in place.  It also sums
     ||U - U_prev C||^2 and U^T U for rel_change.
     """
@@ -465,7 +464,7 @@ def _column_pass(
             lam_r += t
             lam_r *= rescale
             np.add(d, lam_r, out=t)
-            soft_threshold(t, thresholds[i], out=g_r)
+            soft_threshold(t, threshold, out=g_r)
         u_r = u[rows]
         np.matmul(u_prev[rows], c, out=t)
         np.subtract(u_r, t, out=t)
@@ -555,8 +554,8 @@ def solve(
     mu = cfg.mu0
     # The first G update, on U0 with Lam_1 = Lam_2 = 0; each column pass
     # writes the next one.  U0's Gram is the first rel_change base.
-    g1 = soft_threshold(apply_diff(u, m, n, HORIZONTAL), cfg.tau1 / mu)
-    g2 = soft_threshold(apply_diff(u, m, n, VERTICAL), cfg.tau2 / mu)
+    g1 = soft_threshold(apply_diff(u, m, n, HORIZONTAL), cfg.tau / mu)
+    g2 = soft_threshold(apply_diff(u, m, n, VERTICAL), cfg.tau / mu)
     gram = u.T @ u
     # Debug-only: the G the loop's G check re-baselines at, as it stood
     # before the column pass that wrote the current one.
@@ -697,13 +696,13 @@ def solve(
         cv = v_prev.T @ v  # C in rel_change
         sums = _column_pass(
             u, u_prev, cv, (g1, g2), (lam1, lam2),
-            (cfg.tau1 / mu_next, cfg.tau2 / mu_next), rescale, m, col_tiles,
+            cfg.tau / mu_next, rescale, m, col_tiles,
         )
         split_h, split_v = (x / denom for x in sums.split_sq)
         fit_res = fit_sq / denom
         objective = (
-            cfg.tau1 * sums.grad_abs[0]
-            + cfg.tau2 * sums.grad_abs[1]
+            cfg.tau * sums.grad_abs[0]
+            + cfg.tau * sums.grad_abs[1]
             + cfg.beta * e_sq
             + cfg.lam * s_abs
         )

@@ -151,7 +151,7 @@ def test_criterion_4_degenerate_limit():
             u0, v0 = truncated_svd_init(y, r_eff)
             target = u0 @ v0.T
             cfg = DenoiseConfig(
-                rank=r_eff, tau1=0.0, tau2=0.0, beta=1e12, lam=1e12,
+                rank=r_eff, tau=0.0, beta=1e12, lam=1e12,
                 epsilon=1e-30, max_iter=50,
             )
             restored, _ = solve(cube, cfg)

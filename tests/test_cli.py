@@ -367,15 +367,15 @@ class TestDenoise:
         fields = {f.name for f in dataclasses.fields(DenoiseConfig)}
         assert set(cfg) == (fields - {"lam"}) | {"lambda"}
 
-    def test_mu0_help_states_the_config_default(self, capsys):
+    @pytest.mark.parametrize("flag", ["--tau", "--mu0", "--rho", "--eps", "--max-iter"])
+    def test_help_states_the_config_default(self, capsys, monkeypatch, flag):
+        field = {"--eps": "epsilon", "--max-iter": "max_iter"}.get(flag, flag[2:])
+        # Wide enough that argparse puts each flag's help on one line.
+        monkeypatch.setenv("COLUMNS", "200")
         with pytest.raises(SystemExit):
             main(["denoise", "--help"])
-        assert f"initial ADMM penalty (default {DenoiseConfig.mu0:g})" in capsys.readouterr().out
-
-    def test_rho_help_states_the_config_default(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["denoise", "--help"])
-        assert f"penalty growth factor (default {DenoiseConfig.rho:g})" in capsys.readouterr().out
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.lstrip().startswith(flag))
+        assert line.endswith(f"(default {getattr(DenoiseConfig, field):g})")
 
     def test_preset_and_profile_choices_come_from_the_tables(self, capsys):
         parser = build_parser()
@@ -562,8 +562,18 @@ class TestBench:
                      "--max-iter", "1", "--output", str(tmp_path / "bench.csv")])
         assert code == 2
         assert solves == [] and builds == []
-        assert "rank 8 exceeds bands 4 of size 8x8x4" in capsys.readouterr().err
+        assert "size 8x8x4, rank 8: rank 8 exceeds band count 4" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_flat_plane_rejected_before_any_solve(self, monkeypatch):
+        # The CLI's size parser rejects a plane dim below 2; run_bench
+        # itself must too, before it builds or solves the valid first size.
+        solves, builds = [], []
+        monkeypatch.setattr(rctv.cli, "solve", lambda *a, **k: solves.append(a))
+        monkeypatch.setattr(rctv.cli, "bench_cube", lambda *a: builds.append(a))
+        with pytest.raises(ValueError, match="size 1x8x4, rank 2: plane dims must be >= 2"):
+            run_bench([(16, 16, 8), (1, 8, 4)], [2], reps=1, max_iter=1)
+        assert solves == [] and builds == []
 
     def test_missing_output_dir_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
         solves, builds = [], []

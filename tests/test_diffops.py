@@ -60,6 +60,12 @@ class TestApplyDiff:
         with pytest.raises(ValueError, match="rows"):
             apply_diff(np.zeros((5, 1)), 2, 2, HORIZONTAL)
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 1, 1)], ids=["1-D", "3-D"])
+    def test_non_matrix_rejected(self, shape):
+        # The right number of entries, but not an (M*N, R) matrix.
+        with pytest.raises(ValueError, match="2-D"):
+            apply_diff(np.zeros(shape), 2, 2, HORIZONTAL)
+
 
 class TestDiffColumns:
     @pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])

@@ -130,7 +130,7 @@ class TestUpdateU:
         tf = build_transfer_functions(m, n)
         st = random_state(rng, m, n, b, r)
         y = rng.standard_normal((m * n, b))
-        cfg = DenoiseConfig(rank=r, tau1=0.1, tau2=0.1, beta=2.0, lam=0.5)
+        cfg = DenoiseConfig(rank=r, tau=0.1, beta=2.0, lam=0.5)
         before = augmented_lagrangian(y, st, cfg, m, n)
         st.u = update_u(y, st.e, st.s, st.gam3, st.mu, st.v, st.g1, st.g2,
                         st.gam1, st.gam2, tf)
@@ -329,7 +329,7 @@ def count_g_nonzeros(monkeypatch, rank):
 class TestSolve:
     def test_exact_recovery_on_clean_cube(self):
         clean = smooth_rank_cube(16, 16, 8, 3, seed=3)
-        cfg = DenoiseConfig(rank=3, tau1=1e-4, tau2=1e-4, beta=50.0, lam=1.0)
+        cfg = DenoiseConfig(rank=3, tau=1e-4, beta=50.0, lam=1.0)
         restored, _ = solve(clean, cfg)
         rel = np.linalg.norm(restored.data - clean.data) / np.linalg.norm(clean.data)
         assert rel <= 1e-3
@@ -375,7 +375,7 @@ class TestSolve:
         y = unfold_casorati(cube)
         u0, v0 = truncated_svd_init(y, 4)
         cfg = DenoiseConfig(
-            rank=4, tau1=0.0, tau2=0.0, beta=1e12, lam=1e12, epsilon=1e-30,
+            rank=4, tau=0.0, beta=1e12, lam=1e12, epsilon=1e-30,
             max_iter=50,
         )
         restored, _ = solve(cube, cfg)
@@ -562,7 +562,7 @@ class TestSolve:
 
     def test_preset_values(self):
         g = DenoiseConfig.preset("gaussian", rank=4, tau=0.02)
-        assert (g.beta, g.lam, g.tau1, g.tau2) == (1.0, 100.0, 0.02, 0.02)
+        assert (g.beta, g.lam, g.tau) == (1.0, 100.0, 0.02)
         m = DenoiseConfig.preset("mixed", rank=4)
         assert (m.beta, m.lam) == (50.0, 1.0)
         with pytest.raises(ValueError, match="preset"):
@@ -574,12 +574,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             DenoiseConfig(rank=2, rho=1.0)
         with pytest.raises(ValueError):
-            DenoiseConfig(rank=2, tau1=-0.1)
+            DenoiseConfig(rank=2, tau=-0.1)
         with pytest.raises(ValueError):
             DenoiseConfig(rank=2, mu0=0.0)
 
     @pytest.mark.parametrize(
-        "field", ["tau1", "tau2", "beta", "lam", "mu0", "rho", "epsilon"]
+        "field", ["tau", "beta", "lam", "mu0", "rho", "epsilon"]
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_config_rejects_non_finite(self, field, value):
@@ -636,8 +636,8 @@ def reference_solve(cube, cfg, iters):
     rows = []
     s_active = []
     for _ in range(iters):
-        st.g1 = update_g(st.u, st.gam1, st.mu, cfg.tau1, m, n, HORIZONTAL)
-        st.g2 = update_g(st.u, st.gam2, st.mu, cfg.tau2, m, n, VERTICAL)
+        st.g1 = update_g(st.u, st.gam1, st.mu, cfg.tau, m, n, HORIZONTAL)
+        st.g2 = update_g(st.u, st.gam2, st.mu, cfg.tau, m, n, VERTICAL)
         st.v = update_v(y, st.e, st.s, st.gam3, st.mu, st.u)
         st.u = update_u(y, st.e, st.s, st.gam3, st.mu, st.v,
                         st.g1, st.g2, st.gam1, st.gam2, tf)
@@ -734,7 +734,7 @@ class TestFusedLoopOracle:
     )
     def test_matches_reference_solve_on_random_cubes(self, seed, lam, mu0, beta, tile_rows):
         cube = gapped_random_cube(9, 7, 6, 2, seed=seed)
-        cfg = DenoiseConfig(rank=2, tau1=0.05, tau2=0.05, beta=beta, lam=lam,
+        cfg = DenoiseConfig(rank=2, tau=0.05, beta=beta, lam=lam,
                             mu0=mu0, max_iter=6, epsilon=1e-30)
         ref_cube, _, _, _ = reference_solve(cube, cfg, cfg.max_iter)
         with pytest.MonkeyPatch.context() as mp:
@@ -803,14 +803,14 @@ class TestFusedLoopOracle:
         assert loop_rel_change(u, v, zero, v, height=15, cols=6) == math.inf
 
 
-def run_column_pass(u, u_prev, c, g, lam, thresholds, rescale, height, cols):
+def run_column_pass(u, u_prev, c, g, lam, threshold, rescale, height, cols):
     """_column_pass on copies of g and lam, in tiles of `cols` columns.
 
     Returns the pass's sums and the updated copies.
     """
     g, lam = tuple(x.copy() for x in g), tuple(x.copy() for x in lam)
     buf = np.empty((2, cols, height, u.shape[1]))
-    return _column_pass(u, u_prev, c, g, lam, thresholds, rescale, height, buf), g, lam
+    return _column_pass(u, u_prev, c, g, lam, threshold, rescale, height, buf), g, lam
 
 
 def loop_rel_change(u, v, u_prev, v_prev, height, cols):
@@ -820,7 +820,7 @@ def loop_rel_change(u, v, u_prev, v_prev, height, cols):
     ||U - U_prev C||^2 from the pass over U.
     """
     zeros = (np.zeros_like(u), np.zeros_like(u))
-    args = (zeros, zeros, (0.0, 0.0), 1.0, height, cols)
+    args = (zeros, zeros, 0.0, 1.0, height, cols)
     gram_prev = run_column_pass(u_prev, u_prev, np.eye(u.shape[1]), *args)[0].gram
     c = v_prev.T @ v
     sums = run_column_pass(u, u_prev, c, *args)[0]
@@ -844,10 +844,10 @@ class TestColumnPass:
         rng = np.random.default_rng(seed)
         u, u_prev, g1, g2, lam1, lam2 = rng.standard_normal((6, m * n, r))
         c = rng.standard_normal((r, r))
-        thresholds = tuple(rng.uniform(0.0, 1.0, size=2))
+        threshold = rng.uniform(0.0, 1.0)
         rescale = 0.8
         sums, g, lam = run_column_pass(
-            u, u_prev, c, (g1, g2), (lam1, lam2), thresholds, rescale, m, cols
+            u, u_prev, c, (g1, g2), (lam1, lam2), threshold, rescale, m, cols
         )
         for i, (direction, g_old, lam_old) in enumerate(
             ((HORIZONTAL, g1, lam1), (VERTICAL, g2, lam2))
@@ -859,7 +859,7 @@ class TestColumnPass:
             # Elementwise, the pass does the reference's arithmetic.
             lam_next = (lam_old + split) * rescale
             np.testing.assert_array_equal(lam[i], lam_next)
-            np.testing.assert_array_equal(g[i], soft_threshold(d + lam_next, thresholds[i]))
+            np.testing.assert_array_equal(g[i], soft_threshold(d + lam_next, threshold))
         in_span = u - u_prev @ c
         assert sums.in_span_sq == pytest.approx(np.vdot(in_span, in_span), rel=1e-12)
         gram = u.T @ u
