@@ -6,15 +6,17 @@ whose --output is a base name), caps BLAS threads, times the command and
 writes a JSON manifest next to its primary output (none if the command
 fails), so results can be reproduced: simulate replays bit-exactly from
 (input, case, profile, seed); denoise is deterministic for fixed inputs on
-one platform.  Every manifest holds command, args (the parsed flags),
-code_version and wall_ms, then the command's own keys:
+one platform.  Every manifest holds command, args (the parsed flags; a
+denoise override flag that was not given is null), code_version,
+numpy_version, python_version and wall_ms, then the command's own keys:
 
 - simulate: windows_rescaled;
 - denoise: config, rank_source, iterations, stop_reason ("converged" or
   "max_iter"), s_first_iter (the first iteration in which the sparse term
   S left zero, null if it never did), solve_ms, peak_rss_mib (the
   process's peak resident memory), threads_requested, threads_applied;
-- metrics: none; rankest: rank; bench: threads_requested, threads_applied.
+- metrics: none; rankest: rank, the one --rank auto uses;
+- bench: threads_requested, threads_applied.
 
 The BLAS thread cap covers the whole command.  denoise takes it from
 --threads (default: none, so machine parallelism); bench always caps to
@@ -32,6 +34,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import resource
 import sys
 import time
@@ -54,7 +57,20 @@ from rctv.metrics import CSV_COLUMNS, compute_report
 from rctv.noisesim import CASES, PROFILES, apply_case
 from rctv.solver import PRESETS, DenoiseConfig, check_solvable, diagnostics_to_jsonl, solve
 
-DEFAULT_ENERGY_FRACTION = 0.995
+ENERGY_FRACTION = 0.995
+
+# The DenoiseConfig fields that denoise flags override, as (flag, args
+# dest, field, type, help).  Each flag defaults to None, which keeps the
+# value of --preset's config.
+OVERRIDES = (
+    ("--tau", "tau", "tau", float, "TV weight"),
+    ("--beta", "beta", "beta", float, "Gaussian-noise weight"),
+    ("--lambda", "lam", "lam", float, "sparse-noise weight"),
+    ("--mu0", "mu0", "mu0", float, "initial ADMM penalty"),
+    ("--rho", "rho", "rho", float, "penalty growth factor"),
+    ("--eps", "eps", "epsilon", float, "convergence tolerance"),
+    ("--max-iter", "max_iter", "max_iter", int, "iteration cap"),
+)
 
 try:
     from threadpoolctl import threadpool_limits
@@ -62,8 +78,8 @@ except ImportError:  # declared dep; without it _thread_cap warns
     threadpool_limits = None
 
 
-def estimate_rank(y: np.ndarray, energy_fraction: float = DEFAULT_ENERGY_FRACTION) -> int:
-    """Smallest R whose leading singular values carry the energy fraction.
+def estimate_rank(y: np.ndarray) -> int:
+    """Smallest R whose leading singular values carry ENERGY_FRACTION.
 
     Energy is cumulative squared singular values over their total; the
     squared singular values are the eigenvalues of the B x B Gram matrix
@@ -71,14 +87,12 @@ def estimate_rank(y: np.ndarray, energy_fraction: float = DEFAULT_ENERGY_FRACTIO
     subspace dimension of a B-band cube is a small fraction of B.  It never
     exceeds B, so a 1-band cube gets rank 1.
     """
-    if not 0 < energy_fraction <= 1:
-        raise ValueError("energy_fraction must lie in (0, 1]")
     energy, _ = gram_eigh(y)
     total = float(np.sum(energy))
     if total == 0.0:
         raise ValueError("cannot estimate rank of an all-zero matrix")
     cum = np.cumsum(energy) / total
-    r = int(np.searchsorted(cum, energy_fraction) + 1)
+    r = int(np.searchsorted(cum, ENERGY_FRACTION) + 1)
     hi = max(math.ceil(0.15 * energy.size), 2)
     return min(max(r, 2), hi, energy.size)
 
@@ -111,16 +125,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _energy_fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
-    return value
-
-
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(obj, fp, indent=2)
@@ -132,6 +136,8 @@ def _write_manifest(path, args, wall_ms: float, extra: dict) -> None:
         "command": args.subcommand,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "code_version": rctv.__version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "wall_ms": wall_ms,
         **extra,
     })
@@ -151,18 +157,8 @@ def _parse_rank(text: str):
 
 
 def cmd_denoise(args) -> tuple[str, dict]:
-    overrides = {}
-    for name, flag in (
-        ("tau", args.tau),
-        ("beta", args.beta),
-        ("lam", args.lam),
-        ("mu0", args.mu0),
-        ("rho", args.rho),
-        ("epsilon", args.eps),
-        ("max_iter", args.max_iter),
-    ):
-        if flag is not None:
-            overrides[name] = flag
+    given = {field: getattr(args, dest) for _, dest, field, _, _ in OVERRIDES}
+    overrides = {field: value for field, value in given.items() if value is not None}
     # Rank 1 stands in until the cube is read, so that a bad flag fails
     # before the read and the rank estimate.
     cfg = DenoiseConfig.preset(args.preset, rank=1, **overrides)
@@ -221,7 +217,7 @@ def cmd_metrics(args) -> tuple[str, dict]:
 
 def cmd_rankest(args) -> tuple[str, dict]:
     cube = read_cube(args.input)
-    rank = estimate_rank(unfold_casorati(cube), energy_fraction=args.energy_fraction)
+    rank = estimate_rank(unfold_casorati(cube))
     print(rank)
     return args.output or (str(args.input) + ".rankest.manifest.json"), {"rank": rank}
 
@@ -243,7 +239,7 @@ def _parse_ranks(text: str) -> list[int]:
     return [_positive_int(r) for r in text.split(",")]
 
 
-def bench_cube(height: int, width: int, bands: int, seed: int = 0) -> HsiCube:
+def bench_cube(height: int, width: int, bands: int, seed: int) -> HsiCube:
     """Synthetic low-rank-plus-noise cube in [0, 1] for timing runs."""
     rng = np.random.Generator(np.random.PCG64(seed))
     rank = max(2, bands // 8)
@@ -257,11 +253,7 @@ def bench_cube(height: int, width: int, bands: int, seed: int = 0) -> HsiCube:
 
 
 def run_bench(
-    sizes: list[tuple[int, int, int]],
-    ranks: list[int],
-    reps: int,
-    max_iter: int = 20,
-    seed: int = 0,
+    sizes: list[tuple[int, int, int]], ranks: list[int], reps: int, max_iter: int, seed: int
 ) -> list[tuple[int, int, int, int, int, float]]:
     """Time full solves over a size/rank grid.
 
@@ -335,34 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--tau",
-        type=float,
-        default=DenoiseConfig.tau,
-        help=f"TV weight (default {DenoiseConfig.tau:g})",
-    )
-    p.add_argument(
         "--rank",
         type=_parse_rank,
         default="auto",
-        help="subspace dimension R, or 'auto' for the energy-threshold estimate",
+        help="subspace dimension R, or 'auto' for the estimate rankest prints",
     )
-    p.add_argument("--beta", type=float, default=None, help="override preset beta")
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=None,
-        help="override preset lambda",
-    )
-    # Overrides of DenoiseConfig fields; each help states the field's default.
-    for flag, field, kind, what in (
-        ("--mu0", "mu0", float, "initial ADMM penalty"),
-        ("--rho", "rho", float, "penalty growth factor"),
-        ("--eps", "epsilon", float, "convergence tolerance"),
-        ("--max-iter", "max_iter", int, "iteration cap"),
-    ):
-        default = getattr(DenoiseConfig, field)
-        p.add_argument(flag, type=kind, default=None, help=f"{what} (default {default:g})")
+    for flag, dest, field, kind, what in OVERRIDES:
+        preset = any(field in params for params in PRESETS.values())
+        default = "from --preset" if preset else f"{getattr(DenoiseConfig, field):g}"
+        p.add_argument(flag, dest=dest, type=kind, default=None, help=f"{what} (default {default})")
     p.add_argument("--threads", type=_positive_int, default=None, help="BLAS thread cap")
     p.set_defaults(func=cmd_denoise)
 
@@ -379,12 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rankest", help="estimate the subspace dimension of a cube")
     p.add_argument("--input", required=True, help=".hsic cube")
-    p.add_argument(
-        "--energy-fraction",
-        type=_energy_fraction,
-        default=DEFAULT_ENERGY_FRACTION,
-        help="cumulative squared-singular-value energy threshold",
-    )
     p.add_argument("--output", default=None, help="manifest path override")
     p.set_defaults(func=cmd_rankest)
 

@@ -34,7 +34,14 @@ class CubeFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class HsiCube:
-    """Immutable M x N x B cube with band-sequential float64 storage."""
+    """M x N x B cube with band-sequential float64 storage.
+
+    The fields cannot be reassigned and data is a read-only array, but the
+    cube makes no copy when its input already is contiguous float64 in
+    band-sequential order: a C-contiguous array passed as data, or a
+    Fortran-ordered one given to fold_casorati or from_array.  The caller
+    must not write to that array afterwards, or the cube changes with it.
+    """
 
     height: int
     width: int

@@ -196,10 +196,9 @@ def _zero_deadlines(
     then each run gets a width from width_range and a uniformly random
     starting column among the positions that keep runs disjoint; placement
     stops early if nothing fits.  Returns {band: [(start_col, width), ...]}.
+    width_range[1] must not exceed N; apply_case checks it up front.
     """
     n = planes.shape[1]
-    if width_range[1] > n:
-        raise ValueError(f"deadline width up to {width_range[1]} exceeds width {n}")
     placements: dict[int, list[tuple[int, int]]] = {}
     for b in bands:
         count = int(rng.integers(count_range[0], count_range[1], endpoint=True))
@@ -268,6 +267,12 @@ def apply_case(
             hi = max(min(cube.bands, round(hi * cube.bands / prof["bands"])), lo)
         return range(lo - 1, hi)
 
+    has_deadlines = case_id in ("b", "d", "e", "f")
+    # Fail before any noise is drawn, not after the first two stages.
+    if has_deadlines and prof["deadline_width"][1] > cube.width:
+        raise ValueError(
+            f"deadline width up to {prof['deadline_width'][1]} exceeds width {cube.width}"
+        )
     sigma, ratio = _CASE_LEVELS[case_id]
     out, sigmas = add_gaussian(cube, sigma, stage_rng(seed, "gaussian"))
     record = NoiseRecord(
@@ -285,7 +290,7 @@ def apply_case(
         out, ratios, counts = add_impulse(out, ratio, stage_rng(seed, "impulse"))
         record.impulse_ratio = [float(r) for r in ratios]
         record.impulse_count = [int(c) for c in counts]
-    if case_id in ("b", "d", "e", "f"):
+    if has_deadlines:
         data = out.data.copy()
         # Column-major planes: one C-ordered (B, N, M) view, [b, j] a column.
         planes = data.reshape(cube.bands, cube.width, cube.height)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import platform
 import resource
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import nan_u_solve, random_cube, smooth_rank_cube
+from conftest import gapped_random_cube, nan_u_solve, random_cube, smooth_rank_cube
 import rctv
 import rctv.cli
 import rctv.solver
@@ -34,13 +35,14 @@ class TestEstimateRank:
         assert estimate_rank(y) == 3
 
     def test_equal_energy_identity(self):
-        # Identity: each singular value carries 1/40 of the energy, and the
-        # clamp [2, ceil(0.15 * 40)] = [2, 6] does not bind at 4.
-        assert estimate_rank(np.eye(40), energy_fraction=0.09) == 4
+        # Four equal singular values over a floor of 36 at 1e-3: the four
+        # carry over 99.999% of the energy, so the rule stops at 4, inside
+        # the clamp [2, ceil(0.15 * 40)] = [2, 6].
+        assert estimate_rank(np.diag(np.r_[np.ones(4), np.full(36, 1e-3)])) == 4
 
     def test_upper_clamp(self, rng):
         y = rng.standard_normal((60, 31))  # effectively full rank
-        assert estimate_rank(y, energy_fraction=0.9999) == 5  # ceil(0.15*31)
+        assert estimate_rank(y) == 5  # ceil(0.15*31)
 
     def test_lower_clamp(self, rng):
         y = np.outer(rng.standard_normal(40), rng.standard_normal(31))
@@ -53,10 +55,6 @@ class TestEstimateRank:
     def test_single_band_clamped_to_band_count(self, rng):
         # The default lower bound of 2 must not exceed B = 1.
         assert estimate_rank(rng.random((30, 1))) == 1
-
-    def test_bad_fraction_rejected(self, rng):
-        with pytest.raises(ValueError, match="fraction"):
-            estimate_rank(np.eye(4), energy_fraction=0.0)
 
     def test_non_finite_rejected(self):
         y = np.eye(4)
@@ -367,15 +365,22 @@ class TestDenoise:
         fields = {f.name for f in dataclasses.fields(DenoiseConfig)}
         assert set(cfg) == (fields - {"lam"}) | {"lambda"}
 
-    @pytest.mark.parametrize("flag", ["--tau", "--mu0", "--rho", "--eps", "--max-iter"])
+    @pytest.mark.parametrize(
+        "flag", ["--tau", "--beta", "--lambda", "--mu0", "--rho", "--eps", "--max-iter"]
+    )
     def test_help_states_the_config_default(self, capsys, monkeypatch, flag):
         field = {"--eps": "epsilon", "--max-iter": "max_iter"}.get(flag, flag[2:])
+        # beta and lambda come from the preset; the others from DenoiseConfig.
+        if field in ("beta", "lambda"):
+            default = "from --preset"
+        else:
+            default = f"{getattr(DenoiseConfig, field):g}"
         # Wide enough that argparse puts each flag's help on one line.
         monkeypatch.setenv("COLUMNS", "200")
         with pytest.raises(SystemExit):
             main(["denoise", "--help"])
         line = next(x for x in capsys.readouterr().out.splitlines() if x.lstrip().startswith(flag))
-        assert line.endswith(f"(default {getattr(DenoiseConfig, field):g})")
+        assert line.endswith(f"(default {default})")
 
     def test_preset_and_profile_choices_come_from_the_tables(self, capsys):
         parser = build_parser()
@@ -440,17 +445,32 @@ class TestRankest:
         assert int(printed) == manifest["rank"]
         assert 2 <= manifest["rank"] <= 8
 
+    def test_prints_the_rank_denoise_auto_uses(self, tmp_path, capsys):
+        # On this 40-band cube the energy rule picks 4, inside the clamp
+        # [2, ceil(0.15 * 40)] = [2, 6].
+        path = tmp_path / "in.hsic"
+        write_cube(gapped_random_cube(16, 16, 40, 4, seed=2), path)
+        assert main(["rankest", "--input", str(path)]) == 0
+        printed = int(capsys.readouterr().out)
+        assert printed == 4
+        out = tmp_path / "auto.hsic"
+        assert main(["denoise", "--input", str(path), "--output", str(out),
+                     "--rank", "auto", "--max-iter", "1"]) == 0
+        manifest = json.loads((tmp_path / "auto.hsic.manifest.json").read_text())
+        assert manifest["config"]["rank"] == printed
+
     @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
     def test_bad_fraction_rejected_before_reading_input(
         self, tmp_path, fraction, monkeypatch, capsys
     ):
+        # rankest has one rule, --rank auto's, and takes no fraction.
         reads = []
         monkeypatch.setattr(rctv.cli, "read_cube", lambda *a: reads.append(a))
         with pytest.raises(SystemExit) as exc:
             main(["rankest", "--input", str(tmp_path / "missing.hsic"),
                   "--energy-fraction", fraction])
         assert exc.value.code == 2
-        assert "--energy-fraction" in capsys.readouterr().err
+        assert "unrecognized arguments: --energy-fraction" in capsys.readouterr().err
         assert reads == []
 
 
@@ -551,7 +571,7 @@ class TestBench:
 
     def test_run_bench_rank_guard(self):
         with pytest.raises(ValueError, match="rank"):
-            run_bench([(8, 8, 4)], [5], reps=1, max_iter=1)
+            run_bench([(8, 8, 4)], [5], reps=1, max_iter=1, seed=0)
 
     def test_bad_grid_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
         # The first size is valid for every rank; only the second is not.
@@ -572,7 +592,7 @@ class TestBench:
         monkeypatch.setattr(rctv.cli, "solve", lambda *a, **k: solves.append(a))
         monkeypatch.setattr(rctv.cli, "bench_cube", lambda *a: builds.append(a))
         with pytest.raises(ValueError, match="size 1x8x4, rank 2: plane dims must be >= 2"):
-            run_bench([(16, 16, 8), (1, 8, 4)], [2], reps=1, max_iter=1)
+            run_bench([(16, 16, 8), (1, 8, 4)], [2], reps=1, max_iter=1, seed=0)
         assert solves == [] and builds == []
 
     def test_missing_output_dir_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
@@ -596,7 +616,7 @@ class TestBench:
         best = {}
         for _ in range(5):
             for size in [(64, 64, 8), (128, 128, 8)]:
-                for m, n, b, r, rep, ms in run_bench([size], [3], reps=1, max_iter=5):
+                for m, n, b, r, rep, ms in run_bench([size], [3], reps=1, max_iter=5, seed=0):
                     best[(m, n)] = min(best.get((m, n), float("inf")), ms)
         # 4x the pixels; generous margin against timing noise.
         assert best[(128, 128)] >= 1.5 * best[(64, 64)]
@@ -607,6 +627,7 @@ class TestBench:
 
 
 THREAD_KEYS = {"threads_requested", "threads_applied"}
+MANIFEST_KEYS = {"command", "args", "code_version", "numpy_version", "python_version", "wall_ms"}
 
 
 def command_flags(command, clean, out):
@@ -639,14 +660,19 @@ def test_manifest_schema(tmp_path, clean_path, command, own_keys):
     path = clean + ".rankest.manifest.json" if command == "rankest" else out + ".manifest.json"
     with open(path, encoding="utf-8") as fp:
         manifest = json.load(fp)
-    assert set(manifest) == {"command", "args", "code_version", "wall_ms"} | own_keys
+    assert set(manifest) == MANIFEST_KEYS | own_keys
     assert manifest["command"] == command
     parsed = {k: v for k, v in vars(build_parser().parse_args([command] + flags)).items()
               if k != "func"}
     assert parsed["subcommand"] == command
     # Through JSON, as the manifest went: tuples come back as lists.
     assert manifest["args"] == json.loads(json.dumps(parsed))
+    if command == "denoise":
+        # An override flag not given records null; config has the value used.
+        assert manifest["args"]["tau"] is None and manifest["config"]["tau"] == 0.01
     assert manifest["code_version"] == rctv.__version__
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["python_version"] == platform.python_version()
     assert manifest["wall_ms"] >= 0
 
 

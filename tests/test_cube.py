@@ -120,6 +120,24 @@ def test_cube_immutable(rng):
         cube.data[0] = 3.0
 
 
+def test_cube_views_a_contiguous_float64_input(rng):
+    # No copy is made: the caller's array stays writable and a write to it
+    # shows in the cube, which is why the caller must not write to it.
+    a = rng.random(12)
+    cube = HsiCube(2, 3, 2, a)
+    x = np.asfortranarray(rng.random((6, 2)))
+    folded = fold_casorati(x, 2, 3)
+    arr = np.asfortranarray(rng.random((2, 3, 2)))
+    built = HsiCube.from_array(arr)
+    for source, view in ((a, cube), (x, folded), (arr, built)):
+        assert np.shares_memory(view.data, source)
+        source.flat[0] = 7.0
+        assert view.data[0] == 7.0
+    # A strided input is copied into an array of the cube's own.
+    strided = rng.random(24)[::2]
+    assert not np.shares_memory(HsiCube(2, 3, 2, strided).data, strided)
+
+
 def test_normalize_affine():
     cube = HsiCube(3, 1, 1, np.array([0.0, 5.0, 10.0]))
     out, rec = normalize_bands(cube)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cube
+import rctv.noisesim
 from rctv.cube import HsiCube, fold_casorati
 from rctv.noisesim import (
     _CASE_LEVELS,
@@ -139,9 +140,13 @@ class TestDeadlines:
                 np.testing.assert_array_equal(_free_starts(occupied, width), expected)
 
     def test_width_exceeding_image_rejected(self):
-        cube = random_cube(4, 3, 1, seed=0)
-        with pytest.raises(ValueError, match="width"):
-            self.zero(cube, np.random.default_rng(0), width_range=(2, 5))
+        # msi31 deadlines run up to 5 columns wide; cases a and c draw none.
+        cube = random_cube(6, 4, 31, seed=0)
+        for case in ("b", "d", "e", "f"):
+            with pytest.raises(ValueError, match="deadline width up to 5 exceeds width 4"):
+                apply_case(cube, case, "msi31", seed=0)
+        for case in ("a", "c"):
+            assert apply_case(cube, case, "msi31", seed=0)[0].shape == (6, 4, 31)
 
 
 class TestStripes:
@@ -225,6 +230,13 @@ class TestApplyCase:
         assert record.windows_rescaled
         # 11..20 of 31 bands maps to 4..6 1-based -> 3..5 0-based.
         assert sorted(record.deadlines) == [3, 4, 5]
+
+    def test_narrow_cube_rejected_before_any_noise(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(rctv.noisesim, "add_gaussian", lambda *a: draws.append(a))
+        with pytest.raises(ValueError, match="deadline width up to 5 exceeds width 4"):
+            apply_case(random_cube(40, 4, 31, seed=0), "b", "msi31", seed=1)
+        assert draws == []
 
     def test_invalid_case_rejected(self):
         cube = random_cube(4, 4, 4, seed=0)
