@@ -260,7 +260,8 @@ def run_bench(
     Returns (M, N, B, R, rep, wall_ms) rows.  epsilon is set tiny so every
     run executes exactly max_iter iterations.  Runs under the caller's BLAS
     thread setting; the bench subcommand caps it to one thread.  Every
-    (size, rank) pair is checked before the first cube is built.
+    (size, rank) pair is checked before the first cube is built.  Each
+    repetition runs the whole grid once, so host load spreads over all cells.
     """
     for m, n, b in sizes:
         for rank in ranks:
@@ -268,14 +269,12 @@ def run_bench(
                 check_solvable(m, n, b, rank)
             except ValueError as exc:
                 raise ValueError(f"size {m}x{n}x{b}, rank {rank}: {exc}") from None
+    cubes = [bench_cube(m, n, b, seed) for m, n, b in sizes]
     rows = []
-    for m, n, b in sizes:
-        cube = bench_cube(m, n, b, seed)
-        for rank in ranks:
-            cfg = DenoiseConfig.preset(
-                "mixed", rank=rank, max_iter=max_iter, epsilon=1e-30
-            )
-            for rep in range(reps):
+    for rep in range(reps):
+        for (m, n, b), cube in zip(sizes, cubes):
+            for rank in ranks:
+                cfg = DenoiseConfig.preset("mixed", rank=rank, max_iter=max_iter, epsilon=1e-30)
                 t0 = time.perf_counter()
                 solve(cube, cfg)
                 rows.append((m, n, b, rank, rep, (time.perf_counter() - t0) * 1e3))

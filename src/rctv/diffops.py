@@ -9,12 +9,14 @@ penalized least-squares system for the coefficient update is solved per
 slice with one real FFT pair.
 
 Directions: "horizontal" differences along j (width), "vertical" along i
-(height).  apply_diff computes next-minus-current with periodic wrap, and
-apply_diff_adjoint its adjoint; both allocate their result and are the
-reference the in-place forms are tested against.  diff_columns writes the
-differences of a range of whole columns of the plane into a caller's
-buffer, for a pass over column tiles: the vertical wrap stays inside each
-column, and the horizontal difference reads one column past the range.
+(height).  apply_diff computes next-minus-current with periodic wrap into
+a fresh array; it is the difference of the solver's dense reference
+kernels.  The solve itself uses two in-place forms, both tested against
+dense matrices: diff_columns writes the differences of a range of whole
+columns of the plane into a caller's buffer, for a pass over column
+tiles (the vertical wrap stays inside each column, and the horizontal
+difference reads one column past the range), and _add_diff_adjoint
+accumulates the adjoint into the U right-hand side.
 build_transfer_functions returns the DFT eigenvalues of the second
 difference as a read-only (M, N) array.  solve_u_system builds its
 right-hand side with slice arithmetic and runs its transforms into buffers
@@ -53,17 +55,6 @@ def apply_diff(mat: np.ndarray, height: int, width: int, direction: str) -> np.n
     axis = _axis(direction)
     grid = _grid(mat, height, width)
     diff = np.roll(grid, -1, axis=axis)
-    diff -= grid
-    return diff.reshape(height * width, -1)
-
-
-def apply_diff_adjoint(
-    mat: np.ndarray, height: int, width: int, direction: str
-) -> np.ndarray:
-    """Adjoint of apply_diff under the Euclidean inner product."""
-    axis = _axis(direction)
-    grid = _grid(mat, height, width)
-    diff = np.roll(grid, 1, axis=axis)
     diff -= grid
     return diff.reshape(height * width, -1)
 

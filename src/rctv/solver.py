@@ -64,16 +64,16 @@ pixels, so the vertical wrap stays inside a tile and the horizontal
 difference reads one column past it.  Per tile it forms D_i(U) in a tile
 buffer, sums the split residuals ||D_i(U) - G_i||^2, takes the TV dual
 step with the rescale, Lam_i <- (mu/mu')*(Lam_i + D_i(U) - G_i), and
-writes the next iteration's G_i = shrink(D_i(U) + Lam_i, tau/mu') over
-the G_i it read.  mu' is known by then, so the G update leaves the top of
-the loop; the first G is shrunk from U_0 before it.  The pass also sums
-|D_i(U)| for the objective, and ||U - U_prev C||^2 and U^T U for
-rel_change, which is computed from the factors in O(M*N*R^2) with no copy
-of the previous U V^T; the Gram is carried on as U_prev's.  The U solve
-runs in buffers allocated once and writes U into one of two buffers in
-turn, so U_prev survives until the pass and the loop allocates no
-(M*N, R) array.  In debug mode the G check re-baselines the Lagrangian
-at the G that the last pass read.
+writes the next iteration's G_i = shrink(D_i(U) + Lam_i, tau/mu') over the
+G_i it read.  mu' is known by then, so the G update leaves the top of the
+loop; the first G comes from one pass on U_0 before it, with G and Lam_i
+zero and a rescale of 0.  The pass also sums |D_i(U)| for the objective,
+and ||U - U_prev C||^2 and U^T U for rel_change, which is computed from
+the factors in O(M*N*R^2) with no copy of the previous U V^T; the Gram is
+carried on as U_prev's.  The U solve runs in buffers allocated once and
+writes U into one of two buffers in turn, so U_prev survives until the
+pass and the loop allocates no (M*N, R) array.  In debug mode the G check
+re-baselines the Lagrangian at the G that the last pass read.
 
 A non-finite residual or objective stops the solve with a ValueError
 naming the iteration.  The per-block update_* functions,
@@ -149,8 +149,8 @@ class DenoiseConfig:
 
     rank: int
     tau: float = 0.01
-    beta: float = 50.0
-    lam: float = 1.0
+    beta: float = PRESETS["mixed"]["beta"]
+    lam: float = PRESETS["mixed"]["lam"]
     mu0: float = 1e-2
     rho: float = 1.5
     epsilon: float = 1e-6
@@ -549,14 +549,10 @@ def solve(
 
     u, v = truncated_svd_init(y, r)
     s = None
+    g1, g2 = np.zeros((mn, r)), np.zeros((mn, r))
     lam1, lam2 = np.zeros((mn, r)), np.zeros((mn, r))
     lam3 = np.zeros((mn, b))
     mu = cfg.mu0
-    # The first G update, on U0 with Lam_1 = Lam_2 = 0; each column pass
-    # writes the next one.  U0's Gram is the first rel_change base.
-    g1 = soft_threshold(apply_diff(u, m, n, HORIZONTAL), cfg.tau / mu)
-    g2 = soft_threshold(apply_diff(u, m, n, VERTICAL), cfg.tau / mu)
-    gram = u.T @ u
     # Debug-only: the G the loop's G check re-baselines at, as it stood
     # before the column pass that wrote the current one.
     g_before = (np.zeros((mn, r)), np.zeros((mn, r))) if debug else None
@@ -579,6 +575,12 @@ def solve(
     s_live = [False] * len(tiles)
     cols = min(n, max(1, _TILE_BYTES // (8 * m * r)))
     col_tiles = np.empty((2, cols, m, r))
+    # The first G update: a column pass on U0 from G = Lam = 0, whose
+    # rescale by 0 keeps Lam_1 and Lam_2 at zero, writes G_i =
+    # shrink(D_i(U0), tau/mu0); its Gram U0^T U0 is the first rel_change base.
+    gram = _column_pass(
+        u, u, np.eye(r), (g1, g2), (lam1, lam2), cfg.tau / mu, 0.0, m, col_tiles
+    ).gram
     # Each U solve writes into the buffer U does not occupy, so U_prev
     # survives until the column pass.
     u_spare = np.empty((mn, r))

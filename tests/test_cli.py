@@ -541,6 +541,21 @@ class TestBench:
         assert len(lines) == 1 + 1 * 2 * 2
         assert (tmp_path / "bench.csv.manifest.json").exists()
 
+    def test_each_repetition_runs_the_whole_grid(self, monkeypatch):
+        # Each cube is built once; the rows come one whole grid per rep.
+        built = []
+
+        def counting_cube(*args):
+            built.append(args)
+            return bench_cube(*args)
+
+        monkeypatch.setattr(rctv.cli, "bench_cube", counting_cube)
+        rows = run_bench([(8, 8, 4), (6, 9, 5)], [2, 3], reps=2, max_iter=1, seed=0)
+        assert built == [(8, 8, 4, 0), (6, 9, 5, 0)]
+        grid = [(m, n, b, r) for m, n, b in [(8, 8, 4), (6, 9, 5)] for r in [2, 3]]
+        expected = [cell + (rep,) for rep in range(2) for cell in grid]
+        assert [row[:5] for row in rows] == expected
+
     @pytest.mark.parametrize("reps", ["0", "-2"])
     def test_bad_reps_rejected(self, tmp_path, reps, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -609,15 +624,15 @@ class TestBench:
 
     def test_time_grows_with_spatial_size(self):
         # The minimum over 5 repetitions keeps one slow run on a busy host
-        # from deciding the ratio, and alternating the two sizes one
-        # repetition at a time keeps a load change from landing on one
-        # size only.  At 64x64 and up the work that scales with the pixel
-        # count outweighs the fixed per-call overhead.
+        # from deciding the ratio, and run_bench runs both sizes in every
+        # repetition, so a load change does not land on one size only.  At
+        # 64x64 and up the work that scales with the pixel count outweighs
+        # the fixed per-call overhead.
         best = {}
-        for _ in range(5):
-            for size in [(64, 64, 8), (128, 128, 8)]:
-                for m, n, b, r, rep, ms in run_bench([size], [3], reps=1, max_iter=5, seed=0):
-                    best[(m, n)] = min(best.get((m, n), float("inf")), ms)
+        for m, n, b, r, rep, ms in run_bench(
+            [(64, 64, 8), (128, 128, 8)], [3], reps=5, max_iter=5, seed=0
+        ):
+            best[(m, n)] = min(best.get((m, n), float("inf")), ms)
         # 4x the pixels; generous margin against timing noise.
         assert best[(128, 128)] >= 1.5 * best[(64, 64)]
 

@@ -560,6 +560,9 @@ class TestSolve:
         with pytest.raises(ValueError, match="rank"):
             solve(cube, DenoiseConfig(rank=5))
 
+    def test_defaults_are_the_mixed_preset(self):
+        assert DenoiseConfig(rank=2) == DenoiseConfig.preset("mixed", rank=2)
+
     def test_preset_values(self):
         g = DenoiseConfig.preset("gaussian", rank=4, tau=0.02)
         assert (g.beta, g.lam, g.tau) == (1.0, 100.0, 0.02)
@@ -690,13 +693,13 @@ class TestFusedLoopOracle:
         monkeypatch.setattr(rctv.solver, "soft_threshold", recording)
         diags, _ = check_against_reference_kernels(noisy, cfg)
         assert next(d.iteration for d in diags if d.s_active) == 2
-        # Each iteration shrinks S once per row tile (B columns) on which the
-        # reference S has left zero so far, then the next two G splits
-        # (R columns) once per column tile: here one column of the plane per
-        # tile.
+        # The init column pass shrinks the first two G splits (R columns)
+        # once per column tile: here one column of the plane per tile.  Then
+        # each iteration shrinks S once per row tile (B columns) on which the
+        # reference S has left zero so far, and the next two G splits.
         assert max(1, rows * noisy.bands // (noisy.height * cfg.rank)) == 1
         g_pass = "g" * (2 * noisy.width)
-        live, expected = set(), ""
+        live, expected = set(), g_pass
         for it in range(1, cfg.max_iter + 1):
             _, _, state, _ = reference_solve(noisy, cfg, it)
             live |= set(np.flatnonzero(np.any(state.s, axis=1)) // rows)
@@ -744,10 +747,11 @@ class TestFusedLoopOracle:
         assert rel <= 1e-9
 
     def test_differences_formed_once_per_iteration(self, monkeypatch):
-        # Two apply_diff calls for the first G update on U0; after that each
+        # One column pass on U0 writes the first G; after that each
         # iteration's one column pass forms D(U) for the dual step, the
-        # objective and the next G update.
-        calls, passes = [], []
+        # objective and the next G update.  Every shrink writes into a
+        # buffer solve() holds, and no allocating difference is formed.
+        calls, passes, shrink_outs = [], [], []
 
         def counting_diff(*args):
             calls.append(args)
@@ -757,13 +761,19 @@ class TestFusedLoopOracle:
             passes.append(args)
             return _column_pass(*args)
 
+        def recording(a, threshold, out=None):
+            shrink_outs.append(out)
+            return soft_threshold(a, threshold, out=out)
+
         monkeypatch.setattr(rctv.solver, "apply_diff", counting_diff)
         monkeypatch.setattr(rctv.solver, "_column_pass", counting_pass)
+        monkeypatch.setattr(rctv.solver, "soft_threshold", recording)
         cfg = DenoiseConfig.preset("mixed", rank=2, max_iter=5, epsilon=1e-30)
         _, diags = solve(smooth_rank_cube(8, 6, 5, 2, seed=1), cfg)
         assert len(diags) == 5
-        assert len(calls) == 2
-        assert len(passes) == len(diags)
+        assert len(calls) == 0
+        assert len(passes) == cfg.max_iter + 1
+        assert shrink_outs and all(out is not None for out in shrink_outs)
 
     def test_first_v_update_reads_init_basis(self, monkeypatch):
         # Y^T U0 is V0 scaled by the Gram eigenvalues, and V0 maximizes
