@@ -1,49 +1,19 @@
 """Dense kernels for the factorization solver.
 
-Thin SVD with a deterministic sign convention, the spectral basis of a
-Casorati matrix from the eigendecomposition of its B x B Gram matrix,
-truncated-SVD initialization built on it, the l1 proximal map, the
-orthogonal-Procrustes update for the spectral basis, and projection of a
-matrix onto an orthonormal basis.  All matrices here are small on at least
-one side (B or R columns), and the solver only ever decomposes B x B and
-B x R ones: never an (M*N) x B matrix, let alone an (M*N) x (M*N) operator.
+The spectral basis of a Casorati matrix from the eigendecomposition of its
+B x B Gram matrix, with a deterministic sign convention; truncated-SVD
+initialization built on it; the l1 proximal map; and the
+orthogonal-Procrustes update for the spectral basis.  All matrices here are
+small on at least one side (B or R columns), and the solver only ever
+decomposes B x B and B x R ones: never an (M*N) x B matrix, let alone an
+(M*N) x (M*N) operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ORTHONORMALITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ThinSvd:
-    """A = left_vectors @ diag(singular_values) @ right_vectors.T.
-
-    Factor columns are orthonormal; singular values are descending and
-    non-negative.  Signs are fixed so each right singular vector's
-    largest-magnitude entry is positive, which makes results reproducible.
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-
-def thin_svd(a: np.ndarray) -> ThinSvd:
-    """Thin SVD of a dense matrix with deterministic vector signs."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in SVD input")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt.T
-    flip = _fix_signs(v)
-    u[:, flip] *= -1.0
-    return ThinSvd(left_vectors=u, singular_values=s, right_vectors=v)
 
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
@@ -63,10 +33,11 @@ def gram_eigh(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Eigendecomposes the B x B Gram matrix instead of taking an SVD of the
     (M*N) x B matrix itself.  Eigenvalues come back descending and clipped
-    at 0; eigenvectors are orthonormal columns with thin_svd's sign
-    convention.  Squaring the condition number means singular values below
-    about sqrt(eps) * ||Y||_2 carry no relative accuracy, and neither do
-    their vectors; leading vectors separated by a gap are unaffected.
+    at 0; eigenvectors are orthonormal columns, each flipped so that its
+    largest-magnitude entry is positive, which makes results reproducible.
+    Squaring the condition number means singular values below about
+    sqrt(eps) * ||Y||_2 carry no relative accuracy, and neither do their
+    vectors; leading vectors separated by a gap are unaffected.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
@@ -123,25 +94,10 @@ def procrustes_v(w: np.ndarray) -> np.ndarray:
     """Maximize <W, V> over matrices with orthonormal columns.
 
     The argmax is B @ C.T from the thin SVD W = B @ diag(d) @ C.T, and the
-    attained objective equals the nuclear norm of W.
+    attained objective equals the nuclear norm of W.  Flipping a paired
+    column of B and C leaves B @ C.T unchanged, so no sign is fixed.
     """
-    f = thin_svd(w)
-    return f.left_vectors @ f.right_vectors.T
-
-
-def project_coefficients(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coefficients U = X @ V of X in the orthonormal basis V.
-
-    When X has rank R and row space spanned by V's columns, U preserves all
-    pairwise row distances, angles, and row norms of X.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    gram = v.T @ v
-    dev = np.max(np.abs(gram - np.eye(v.shape[1])))
-    if dev > ORTHONORMALITY_TOL:
-        raise ValueError(
-            f"basis columns not orthonormal (deviation {dev:.3e} > "
-            f"{ORTHONORMALITY_TOL:.0e})"
-        )
-    return x @ v
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite entries in Procrustes input")
+    b, _, ct = np.linalg.svd(w, full_matrices=False)
+    return b @ ct

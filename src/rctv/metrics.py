@@ -10,8 +10,9 @@ bands with nonzero reference mean.  MSAM is reported in radians.
 
 compute_report scores all four from one pair of Casorati views and one
 per-band mean squared error MSE_b, which gives both the band PSNRs and
-ERGAS; mpsnr, msam and per_band_ssim score one index each.  Each public
-entry point checks on entry that the two cubes have the same shape.
+ERGAS; mpsnr and per_band_ssim score one index each, and MSAM is read
+from the report.  Each public entry point checks on entry that the two
+cubes have the same shape.
 """
 
 from __future__ import annotations
@@ -162,8 +163,9 @@ def per_band_ssim(ref: HsiCube, test: HsiCube) -> list[float]:
 
 
 def _msam(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
-    """Mean spectral angle between the rows of two Casorati views, over the
-    rows where both spectra have nonzero norm, and the count of rows left out."""
+    """Mean spectral angle (radians) between the rows of two Casorati views,
+    over the rows where both spectra have nonzero norm, and the count of
+    rows left out."""
     dots = np.einsum("ij,ij->i", x, y)
     nx = np.linalg.norm(x, axis=1)
     ny = np.linalg.norm(y, axis=1)
@@ -172,12 +174,6 @@ def _msam(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
         raise ValueError("all pixel spectra have zero norm")
     cos = np.clip(dots[included] / (nx[included] * ny[included]), -1.0, 1.0)
     return float(np.mean(np.arccos(cos))), int((~included).sum())
-
-
-def msam(ref: HsiCube, test: HsiCube) -> float:
-    """Mean spectral angle (radians) over pixels with nonzero spectra."""
-    _check_same_dims(ref, test)
-    return _msam(unfold_casorati(ref), unfold_casorati(test))[0]
 
 
 def compute_report(ref: HsiCube, test: HsiCube) -> MetricsReport:

@@ -168,6 +168,14 @@ class DenoiseConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.mu0 <= 0:
             raise ValueError("mu0 must be positive")
+        # Finite settings can still overflow 2*beta (the E weight's
+        # denominator) or tau/mu0 (the first TV threshold).
+        if not math.isfinite(2.0 * self.beta):
+            raise ValueError(f"beta too large: 2*beta overflows, got beta={self.beta}")
+        if not math.isfinite(self.tau / self.mu0):
+            raise ValueError(
+                f"tau too large: tau/mu0 overflows, got tau={self.tau}, mu0={self.mu0}"
+            )
         if self.rho <= 1:
             raise ValueError(f"rho must be > 1, got {self.rho}")
         if self.epsilon <= 0:

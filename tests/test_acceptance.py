@@ -13,13 +13,7 @@ from conftest import dense_diff_matrix, gapped_random_cube, random_cube, smooth_
 from rctv.cli import run_bench
 from rctv.cube import fold_casorati, unfold_casorati
 from rctv.diffops import build_transfer_functions, solve_u_system
-from rctv.linalg import (
-    procrustes_v,
-    project_coefficients,
-    soft_threshold,
-    thin_svd,
-    truncated_svd_init,
-)
+from rctv.linalg import procrustes_v, soft_threshold, truncated_svd_init
 from rctv.metrics import compute_report, mpsnr
 from rctv.noisesim import add_gaussian, add_impulse, apply_case, replay
 from rctv.solver import DenoiseConfig, solve
@@ -82,7 +76,7 @@ def test_criterion_1_kernel_oracles():
         w = rng.standard_normal((9, 3))
         v = procrustes_v(w)
         attained = np.vdot(w, v)
-        assert abs(attained - thin_svd(w).singular_values.sum()) <= 1e-9
+        assert abs(attained - np.linalg.svd(w, compute_uv=False).sum()) <= 1e-9
         for _ in range(200):
             q, _ = np.linalg.qr(rng.standard_normal((9, 3)))
             assert attained >= np.vdot(w, q) - 1e-12
@@ -107,8 +101,8 @@ def test_criterion_2_coefficient_isometries():
             b = int(rng.integers(4, 13))
             r = int(rng.integers(1, min(rows, b)))
             x = rng.standard_normal((rows, r)) @ rng.standard_normal((r, b))
-            v = thin_svd(x).right_vectors[:, :r]
-            u = project_coefficients(x, v)
+            v = np.linalg.svd(x, full_matrices=False)[2][:r].T
+            u = x @ v
             nx = np.linalg.norm(x, axis=1)
             nu = np.linalg.norm(u, axis=1)
             assert np.max(np.abs(nx - nu)) <= 1e-10
@@ -235,6 +229,4 @@ def test_criterion_8_metrics_self_consistency():
 
         scales = np.random.default_rng(11).choice([0.5, 1.0, 2.0, 4.0], size=64)
         scaled = fold_casorati(unfold_casorati(test) * scales[:, None], 8, 8)
-        from rctv.metrics import msam
-
-        assert msam(ref, scaled) == msam(ref, test)
+        assert compute_report(ref, scaled).msam == compute_report(ref, test).msam

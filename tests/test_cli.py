@@ -316,6 +316,16 @@ class TestDenoise:
         assert reads == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_beta_rejected_before_reading_input(self, tmp_path, capsys):
+        missing = tmp_path / "missing.hsic"
+        code = main(["denoise", "--input", str(missing), "--output", str(tmp_path / "o.hsic"),
+                     "--rank", "2", "--beta", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "beta" in err
+        assert str(missing) not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "shape, rank, message",
         [((1, 64, 8), "auto", "plane dims must be >= 2, got 1x64"),

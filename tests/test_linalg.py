@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import gapped_random_cube
 from rctv.cube import unfold_casorati
-from rctv.linalg import (
-    gram_eigh,
-    procrustes_v,
-    project_coefficients,
-    soft_threshold,
-    thin_svd,
-    truncated_svd_init,
-)
+from rctv.linalg import _fix_signs, gram_eigh, procrustes_v, soft_threshold, truncated_svd_init
 
 
 def prox_l1_grid(a, theta, lo=-3.0, hi=3.0, step=1e-4):
@@ -22,47 +15,13 @@ def prox_l1_grid(a, theta, lo=-3.0, hi=3.0, step=1e-4):
     return grid[np.argmin(vals)]
 
 
-class TestThinSvd:
-    def test_identity(self):
-        f = thin_svd(np.eye(3))
-        np.testing.assert_allclose(f.singular_values, [1.0, 1.0, 1.0])
-
-    def test_diagonal_with_zero(self):
-        f = thin_svd(np.diag([3.0, 0.0]))
-        np.testing.assert_allclose(f.singular_values, [3.0, 0.0])
-
-    def test_gram_eigenvalue_oracle(self, rng):
-        a = rng.standard_normal((6, 4))
-        f = thin_svd(a)
-        evals = np.sort(np.linalg.eigvalsh(a.T @ a))[::-1]
-        np.testing.assert_allclose(
-            f.singular_values, np.sqrt(np.maximum(evals, 0.0)), atol=1e-9
-        )
-
-    def test_factor_invariants(self, rng):
-        a = rng.standard_normal((7, 5))
-        f = thin_svd(a)
-        r = f.singular_values.size
-        np.testing.assert_allclose(
-            f.left_vectors.T @ f.left_vectors, np.eye(r), atol=1e-10
-        )
-        np.testing.assert_allclose(
-            f.right_vectors.T @ f.right_vectors, np.eye(r), atol=1e-10
-        )
-        assert np.all(np.diff(f.singular_values) <= 0)
-        assert np.all(f.singular_values >= 0)
-        recon = f.left_vectors @ np.diag(f.singular_values) @ f.right_vectors.T
-        assert np.linalg.norm(a - recon) <= 1e-10 * np.linalg.norm(a)
-
-    def test_sign_convention(self, rng):
-        f = thin_svd(rng.standard_normal((6, 4)))
-        v = f.right_vectors
-        pivots = np.argmax(np.abs(v), axis=0)
-        assert np.all(v[pivots, np.arange(v.shape[1])] > 0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            thin_svd(np.array([[1.0, np.inf]]))
+def svd_with_fixed_signs(y):
+    """np.linalg.svd of y with V's columns flipped by gram_eigh's sign rule
+    (and U's paired columns with them), so vectors compare entrywise."""
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    v = vt.T
+    u[:, _fix_signs(v)] *= -1.0
+    return u, s, v
 
 
 class TestTruncatedSvdInit:
@@ -79,7 +38,7 @@ class TestTruncatedSvdInit:
     def test_eckart_young_residual(self, rng):
         y = rng.standard_normal((20, 6))
         u, v = truncated_svd_init(y, 3)
-        s = thin_svd(y).singular_values
+        s = np.linalg.svd(y, compute_uv=False)
         expected = np.sqrt(np.sum(s[3:] ** 2))
         assert abs(np.linalg.norm(y - u @ v.T) - expected) <= 1e-9
 
@@ -102,9 +61,9 @@ def with_spectrum(singular_values, rows, seed):
 def assert_matches_svd_init(y, rank, tol=1e-10):
     """truncated_svd_init agrees with the rank-R truncated SVD of y."""
     u, v = truncated_svd_init(y, rank)
-    f = thin_svd(y)
-    v_ref = f.right_vectors[:, :rank]
-    u_ref = f.left_vectors[:, :rank] * f.singular_values[:rank]
+    left, s, right = svd_with_fixed_signs(y)
+    v_ref = right[:, :rank]
+    u_ref = left[:, :rank] * s[:rank]
     # Equal columns, not just equal spans: the signs must agree too.
     assert np.linalg.norm(v - v_ref) <= tol * np.linalg.norm(v_ref)
     x_ref = u_ref @ v_ref.T
@@ -116,9 +75,9 @@ class TestGramEigh:
     def test_matches_thin_svd_on_random_input(self, rng):
         y = rng.standard_normal((200, 10))
         evals, vecs = gram_eigh(y)
-        f = thin_svd(y)
-        np.testing.assert_allclose(evals, f.singular_values**2, rtol=1e-12)
-        assert np.linalg.norm(vecs - f.right_vectors) <= 1e-10 * np.sqrt(10)
+        _, s, right = svd_with_fixed_signs(y)
+        np.testing.assert_allclose(evals, s**2, rtol=1e-12)
+        assert np.linalg.norm(vecs - right) <= 1e-10 * np.sqrt(10)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(10), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rank", [1, 3, 7])
@@ -165,7 +124,7 @@ class TestGramEigh:
         np.testing.assert_allclose(v.T @ v, np.eye(4), rtol=0, atol=1e-12)
         assert np.linalg.norm(y - u @ v.T) <= 1e-10 * np.linalg.norm(y)
         # The two directions Y spans match the SVD's; the rest carry nothing.
-        ref = thin_svd(y).right_vectors[:, :2]
+        ref = svd_with_fixed_signs(y)[2][:, :2]
         assert np.linalg.norm(v[:, :2] - ref) <= 1e-10
         assert np.linalg.norm(u[:, 2:]) <= 1e-10 * np.linalg.norm(y)
 
@@ -177,10 +136,8 @@ class TestGramEigh:
         _, vecs = gram_eigh(y)
         v = vecs[:, :rank]
         np.testing.assert_allclose(v.T @ v, np.eye(rank), rtol=0, atol=1e-12)
-        f = thin_svd(y)
-        x_ref = (f.left_vectors[:, :rank] * f.singular_values[:rank]) @ (
-            f.right_vectors[:, :rank].T
-        )
+        left, s, right = np.linalg.svd(y, full_matrices=False)
+        x_ref = (left[:, :rank] * s[:rank]) @ right[:rank]
         assert np.linalg.norm(y @ v @ v.T - x_ref) <= 1e-6 * np.linalg.norm(y)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -267,11 +224,15 @@ class TestProcrustes:
         v = procrustes_v(w)
         np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-10)
         attained = np.vdot(w, v)
-        nuclear = thin_svd(w).singular_values.sum()
+        nuclear = np.linalg.svd(w, compute_uv=False).sum()
         assert abs(attained - nuclear) <= 1e-9
         for _ in range(200):
             q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
             assert attained >= np.vdot(w, q) - 1e-12
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            procrustes_v(np.array([[1.0, np.inf]]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -296,38 +257,3 @@ class TestProcrustes:
         nuclear = np.linalg.svd(w, compute_uv=False).sum()
         assert abs(np.vdot(w, v) - nuclear) <= 1e-9 * nuclear
 
-
-class TestProjectCoefficients:
-    def test_recovers_coefficients(self, rng):
-        u = rng.standard_normal((20, 3))
-        v, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        x = u @ v.T
-        np.testing.assert_allclose(project_coefficients(x, v), u, atol=1e-10)
-
-    def test_duplicate_rows_identical(self, rng):
-        v, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        x = rng.standard_normal((5, 2)) @ v.T
-        x[3] = x[1]
-        u = project_coefficients(x, v)
-        np.testing.assert_array_equal(u[3], u[1])
-
-    def test_pairwise_geometry_preserved(self, rng):
-        x = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 10))
-        v = thin_svd(x).right_vectors[:, :3]
-        u = project_coefficients(x, v)
-        norms_x = np.linalg.norm(x, axis=1)
-        norms_u = np.linalg.norm(u, axis=1)
-        np.testing.assert_allclose(norms_u, norms_x, atol=1e-10)
-        for i in range(30):
-            for j in range(i + 1, 30):
-                dist_x = np.linalg.norm(x[i] - x[j])
-                dist_u = np.linalg.norm(u[i] - u[j])
-                assert abs(dist_x - dist_u) <= 1e-10
-                cos_x = np.clip(x[i] @ x[j] / (norms_x[i] * norms_x[j]), -1, 1)
-                cos_u = np.clip(u[i] @ u[j] / (norms_u[i] * norms_u[j]), -1, 1)
-                assert abs(np.arccos(cos_x) - np.arccos(cos_u)) <= 1e-10
-
-    def test_non_orthonormal_rejected(self, rng):
-        x = rng.standard_normal((5, 4))
-        with pytest.raises(ValueError, match="orthonormal"):
-            project_coefficients(x, rng.standard_normal((4, 2)))

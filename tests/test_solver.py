@@ -589,6 +589,13 @@ class TestSolve:
         with pytest.raises(ValueError, match=field):
             DenoiseConfig(rank=2, **{field: value})
 
+    @pytest.mark.parametrize("field", ["beta", "tau"])
+    def test_config_rejects_overflowing_derived_value(self, field):
+        # 2*beta and tau/mu0 overflow; the settings themselves are finite.
+        with pytest.raises(ValueError, match=field):
+            DenoiseConfig(rank=2, **{field: 1e308})
+        DenoiseConfig(rank=2, tau=1e305, lam=1e308)
+
     def test_diagnostics_non_finite_encoding(self):
         d = IterationDiagnostics(
             iteration=1, fit_residual=math.nan, split_residual_h=math.inf,
