@@ -9,6 +9,7 @@ mixed-noise simulators, the usual HSI quality metrics, and a CLI.
 from rctv.cube import (
     HsiCube,
     NormalizationRecord,
+    casorati_rows,
     denormalize_bands,
     fold_casorati,
     normalize_bands,
@@ -16,7 +17,7 @@ from rctv.cube import (
     unfold_casorati,
     write_cube,
 )
-from rctv.solver import DenoiseConfig, IterationDiagnostics, SolverState, solve
+from rctv.solver import DenoiseConfig, IterationDiagnostics, SolverState, solve, solve_casorati
 
 __version__ = "0.1.0"
 
@@ -27,7 +28,9 @@ __all__ = [
     "SolverState",
     "IterationDiagnostics",
     "solve",
+    "solve_casorati",
     "unfold_casorati",
+    "casorati_rows",
     "fold_casorati",
     "normalize_bands",
     "denormalize_bands",

@@ -13,8 +13,9 @@ numpy_version, python_version and wall_ms, then the command's own keys:
 - simulate: windows_rescaled;
 - denoise: config, rank_source, iterations, stop_reason ("converged" or
   "max_iter"), s_first_iter (the first iteration in which the sparse term
-  S left zero, null if it never did), solve_ms, peak_rss_mib (the
-  process's peak resident memory), threads_requested, threads_applied;
+  S left zero, null if it never did), solve_ms, input_sha256 (the SHA-256
+  of the input file), peak_rss_mib (the process's peak resident memory),
+  threads_requested, threads_applied;
 - metrics: none; rankest: rank, the one --rank auto uses;
 - bench: threads_requested, threads_applied.
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -45,9 +47,10 @@ import numpy as np
 import rctv
 from rctv.cube import (
     HsiCube,
+    NormalizationRecord,
+    casorati_rows,
     denormalize_bands,
     fold_casorati,
-    normalize_bands,
     read_cube,
     unfold_casorati,
     write_cube,
@@ -55,7 +58,14 @@ from rctv.cube import (
 from rctv.linalg import gram_eigh
 from rctv.metrics import CSV_COLUMNS, compute_report
 from rctv.noisesim import CASES, PROFILES, apply_case
-from rctv.solver import PRESETS, DenoiseConfig, check_solvable, diagnostics_to_jsonl, solve
+from rctv.solver import (
+    PRESETS,
+    DenoiseConfig,
+    check_solvable,
+    diagnostics_to_jsonl,
+    solve,
+    solve_casorati,
+)
 
 ENERGY_FRACTION = 0.995
 
@@ -125,6 +135,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sha256(path) -> str:
+    """SHA-256 of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fp:
+        while chunk := fp.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(obj, fp, indent=2)
@@ -163,20 +182,25 @@ def cmd_denoise(args) -> tuple[str, dict]:
     # before the read and the rank estimate.
     cfg = DenoiseConfig.preset(args.preset, rank=1, **overrides)
     cube = read_cube(args.input)
+    input_sha256 = _sha256(args.input)
+    height, width = cube.height, cube.width
     # Fail on a bad plane or rank before the rank estimate and the
     # normalization; --rank auto checks rank 1, as its estimate is at
     # most the band count.
-    check_solvable(cube.height, cube.width, cube.bands, 1 if args.rank == "auto" else args.rank)
+    check_solvable(height, width, cube.bands, 1 if args.rank == "auto" else args.rank)
     rank = estimate_rank(unfold_casorati(cube)) if args.rank == "auto" else args.rank
     cfg = dataclasses.replace(cfg, rank=rank)
 
-    normalized, rec = normalize_bands(cube)
-    # The float64 input is not read again; dropping it here keeps it out
-    # of the solve's working set.
+    # Normalize straight into the C-ordered matrix the solve streams, then
+    # drop the input, so that the solve's own arrays are the only M*N x B
+    # ones alive while it runs.
+    rec = NormalizationRecord.of(cube)
+    y = casorati_rows(cube, rec)
     del cube
     t_solve = time.perf_counter()
-    restored, diags = solve(normalized, cfg)
+    restored, diags = solve_casorati(y, height, width, cfg)
     solve_ms = (time.perf_counter() - t_solve) * 1e3
+    del y
     out_cube = denormalize_bands(restored, rec)
     write_cube(out_cube, args.output)
     diagnostics_to_jsonl(diags, str(args.output) + ".diag.jsonl")
@@ -194,6 +218,7 @@ def cmd_denoise(args) -> tuple[str, dict]:
         "stop_reason": "converged" if diags[-1].converged(cfg.epsilon) else "max_iter",
         "s_first_iter": next((d.iteration for d in diags if d.s_active), None),
         "solve_ms": solve_ms,
+        "input_sha256": input_sha256,
         # ru_maxrss is in KiB on Linux.
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }

@@ -26,6 +26,9 @@ HSIC_LAYOUT = "bsq-colmajor"
 MAX_ELEMENTS = 2**31
 # The longest header line read_cube looks through for its terminator.
 MAX_HEADER_BYTES = 64 * 1024
+# Bytes in one row tile of casorati_rows: the strided rows it reads and the
+# tile it writes stay in cache while the tile is normalized.
+_TILE_BYTES = 256 * 1024
 
 
 class CubeFormatError(ValueError):
@@ -109,6 +112,22 @@ class NormalizationRecord:
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
+    @classmethod
+    def of(cls, cube: "HsiCube") -> "NormalizationRecord":
+        """The per-band min and max of a cube."""
+        x = unfold_casorati(cube)
+        return cls(mins=x.min(axis=0), maxs=x.max(axis=0))
+
+    @property
+    def span(self) -> np.ndarray:
+        """The divisor that maps each band onto [0, 1].
+
+        A constant band's zero span is replaced by 1: there x - min is
+        already exactly zero, so it normalizes to zeros rather than raising
+        (real cubes contain dead bands and the solver must not abort on them).
+        """
+        return np.where(self.maxs == self.mins, 1.0, self.maxs - self.mins)
+
 
 def unfold_casorati(cube: HsiCube) -> np.ndarray:
     """Unfold to the (M*N, B) Casorati matrix as a read-only view.
@@ -120,6 +139,33 @@ def unfold_casorati(cube: HsiCube) -> np.ndarray:
     """
     mn = cube.height * cube.width
     return cube.data.reshape(cube.bands, mn).T
+
+
+def casorati_rows(cube: HsiCube, record: NormalizationRecord | None = None) -> np.ndarray:
+    """The (M*N, B) Casorati matrix as a new C-ordered, writable array.
+
+    Row k is the spectrum of pixel k, contiguous, which is the layout a
+    pass over row tiles streams.  With a record, each band is normalized on
+    the way, (x - min) / span, with the same arithmetic as normalize_bands,
+    so the values are bit-identical to its output.  The matrix is built one
+    tile of rows at a time and is the only M*N x B array allocated.
+    """
+    if record is not None and record.mins.size != cube.bands:
+        raise ValueError(
+            f"record has {record.mins.size} bands, cube has {cube.bands}"
+        )
+    x = unfold_casorati(cube)
+    out = np.empty(x.shape)
+    span = None if record is None else record.span
+    rows = max(1, _TILE_BYTES // (8 * cube.bands))
+    for lo in range(0, x.shape[0], rows):
+        t, x_r = out[lo : lo + rows], x[lo : lo + rows]
+        if record is None:
+            t[...] = x_r
+        else:
+            np.subtract(x_r, record.mins, out=t)
+            t /= span
+    return out
 
 
 def fold_casorati(mat: np.ndarray, height: int, width: int) -> HsiCube:
@@ -136,18 +182,13 @@ def fold_casorati(mat: np.ndarray, height: int, width: int) -> HsiCube:
 
 
 def normalize_bands(cube: HsiCube) -> tuple[HsiCube, NormalizationRecord]:
-    """Min-max rescale each band to [0, 1].
+    """Min-max rescale each band to [0, 1]; constant bands map to all-zeros.
 
-    Constant bands map to all-zeros rather than raising: real cubes contain
-    dead bands and the solver must not abort on them.  There x - mins is
-    already exactly zero, so only the zero span needs replacing.
+    The result keeps the band-sequential layout; casorati_rows gives the
+    same values as a C-ordered Casorati matrix.
     """
-    x = unfold_casorati(cube)
-    mins = x.min(axis=0)
-    maxs = x.max(axis=0)
-    span = np.where(maxs == mins, 1.0, maxs - mins)
-    y = (x - mins) / span
-    rec = NormalizationRecord(mins=mins, maxs=maxs)
+    rec = NormalizationRecord.of(cube)
+    y = (unfold_casorati(cube) - rec.mins) / rec.span
     return fold_casorati(y, cube.height, cube.width), rec
 
 

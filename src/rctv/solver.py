@@ -85,19 +85,25 @@ loop is tested against.
 The initial U V^T is the rank-R truncated SVD of Y, found without an SVD
 of Y: V is the top-R eigenvectors of the B x B Gram matrix Y^T Y and
 U = Y V.
+
+The loop itself is solve_casorati, which takes Y as the C-ordered
+(M*N, B) matrix the row pass streams and never copies it; solve() builds
+that matrix from a cube with casorati_rows.  A caller that already holds
+the matrix, such as the denoise command, calls solve_casorati directly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from rctv.cube import HsiCube, unfold_casorati
+from rctv.cube import HsiCube, casorati_rows
 from rctv.diffops import (
     HORIZONTAL,
     VERTICAL,
@@ -157,6 +163,17 @@ class DenoiseConfig:
     max_iter: int = 50
 
     def __post_init__(self):
+        # A float or bool rank or max_iter would pass the range checks and
+        # fail late, inside the solve; numpy integers are stored as int.
+        for name in ("rank", "max_iter"):
+            value = getattr(self, name)
+            try:
+                index = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                index = None
+            if index is None:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, index)
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         for name in ("tau", "beta", "lam", "mu0", "rho", "epsilon"):
@@ -531,6 +548,30 @@ def solve(
 ) -> tuple[HsiCube, list[IterationDiagnostics]]:
     """Run the full ADMM loop on a cube scaled to roughly [0, 1].
 
+    Checks the plane and the rank first, then copies the cube's Casorati
+    matrix into C order with casorati_rows (the row-tiled pass reads Y one
+    block of rows at a time, and rows of the column-major view are
+    strided) and runs solve_casorati on the copy.
+    """
+    check_solvable(y_cube.height, y_cube.width, y_cube.bands, cfg.rank)
+    return solve_casorati(casorati_rows(y_cube), y_cube.height, y_cube.width, cfg, debug)
+
+
+def solve_casorati(
+    y: np.ndarray,
+    height: int,
+    width: int,
+    cfg: DenoiseConfig,
+    debug: bool = False,
+) -> tuple[HsiCube, list[IterationDiagnostics]]:
+    """Run the full ADMM loop on a C-ordered (M*N, B) Casorati matrix.
+
+    y must be a 2-d, C-contiguous float64 array with height*width rows,
+    such as casorati_rows builds; anything else, or a plane or rank that
+    check_solvable refuses, raises ValueError before any allocation.  The
+    solve reads y and never writes it, and makes no copy of it, so the
+    caller's y is the only M*N x B input array alive during the solve.
+
     Initialization takes V as the top-R eigenvectors of Y^T Y and U = Y V
     for the unfolded input Y (its truncated SVD) and zeros everything
     else, so the first feasibility residual is the SVD truncation tail.
@@ -545,15 +586,24 @@ def solve(
     beyond roundoff indicates a broken update).  E enters it as recovered
     from P, and S that the loop does not store as zero.
     """
-    m, n, b = y_cube.height, y_cube.width, y_cube.bands
+    if not isinstance(y, np.ndarray):
+        raise ValueError(f"expected a numpy array, got {type(y).__name__}")
+    if y.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={y.ndim}")
+    if y.dtype != np.float64:
+        raise ValueError(f"expected a float64 matrix, got {y.dtype}")
+    if not y.flags.c_contiguous:
+        raise ValueError("expected a C-ordered matrix (see casorati_rows)")
+    m, n, b = height, width, y.shape[1]
+    mn = m * n
+    if y.shape[0] != mn:
+        raise ValueError(f"row count {y.shape[0]} != M*N = {mn}")
     r = cfg.rank
     check_solvable(m, n, b, r)
+    # A read-only view, so that a write to the caller's y fails loudly.
+    y = y.view()
+    y.flags.writeable = False
     tf = build_transfer_functions(m, n)
-    # The row-tiled pass below reads Y one block of rows at a time, and
-    # rows of the column-major Casorati view are strided; one C-ordered
-    # copy up front is cheaper than strided tiles on every pass.
-    y = np.ascontiguousarray(unfold_casorati(y_cube))
-    mn = m * n
 
     u, v = truncated_svd_init(y, r)
     s = None

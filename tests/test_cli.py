@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import json
 import platform
 import resource
@@ -15,7 +16,7 @@ import rctv
 import rctv.cli
 import rctv.solver
 from rctv.cli import bench_cube, build_parser, estimate_rank, main, run_bench
-from rctv.cube import normalize_bands, read_cube, write_cube
+from rctv.cube import denormalize_bands, normalize_bands, read_cube, write_cube
 from rctv.noisesim import PROFILES, NoiseRecord, apply_case, replay
 from rctv.solver import PRESETS, DenoiseConfig, solve
 from test_solver import reference_solve
@@ -146,11 +147,11 @@ class TestDenoise:
         lines = (tmp_path / "restored.hsic.diag.jsonl").read_text().strip().split("\n")
         assert [json.loads(line)["s_active"] for line in lines] == ref_s_active
 
-    def test_peak_allocation_is_the_solve_plus_its_input(self, tmp_path):
-        # denoise drops its float64 input once normalize_bands has run, so
-        # besides solve()'s own working set it holds one MN x B array while
-        # the solve runs: the normalized cube the solve reads.  S turns on
-        # mid-run, so both peaks include it.
+    def test_peak_allocation_is_the_solves_own(self, tmp_path):
+        # denoise normalizes straight into the C-ordered matrix the solve
+        # streams and drops its float64 input before the solve, so it holds
+        # no MN x B array beyond what solve() holds itself, its copy of Y
+        # included.  S turns on mid-run, so both peaks include it.
         m, n, b = 48, 48, 96
         clean = smooth_rank_cube(m, n, b, 3, seed=3)
         noisy, _ = apply_case(clean, "e", "msi31", seed=2)
@@ -174,7 +175,7 @@ class TestDenoise:
             _, solve_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cli_peak - solve_peak <= 1.5 * m * n * b * 8, (cli_peak, solve_peak)
+        assert cli_peak - solve_peak <= 0.25 * m * n * b * 8, (cli_peak, solve_peak)
 
     def test_divergence_exits_before_writing(self, tmp_path, clean_path, monkeypatch, capsys):
         solves = []
@@ -218,6 +219,29 @@ class TestDenoise:
         assert np.all(np.isfinite(restored.data))
         manifest = json.loads((tmp_path / "one_out.hsic.manifest.json").read_text())
         assert manifest["config"]["rank"] == 1
+
+    def test_manifest_records_input_sha256(self, tmp_path, clean_path):
+        out = tmp_path / "o.hsic"
+        assert main(["denoise", "--input", str(clean_path), "--output", str(out),
+                     "--rank", "2", "--max-iter", "1"]) == 0
+        manifest = json.loads((tmp_path / "o.hsic.manifest.json").read_text())
+        assert manifest["input_sha256"] == hashlib.sha256(clean_path.read_bytes()).hexdigest()
+
+    def test_output_is_the_library_quick_start(self, tmp_path, clean_path):
+        # The CLI normalizes into the solve's matrix with casorati_rows and
+        # calls solve_casorati; the library path goes through
+        # normalize_bands and solve().  The written bytes must agree.
+        noisy_path = tmp_path / "noisy.hsic"
+        main(["simulate", "--input", str(clean_path), "--output", str(noisy_path),
+              "--case", "e", "--seed", "1"])
+        out = tmp_path / "cli.hsic"
+        assert main(["denoise", "--input", str(noisy_path), "--output", str(out),
+                     "--rank", "auto", "--max-iter", "5"]) == 0
+        rank = json.loads((tmp_path / "cli.hsic.manifest.json").read_text())["config"]["rank"]
+        normalized, rec = normalize_bands(read_cube(noisy_path))
+        restored, _ = solve(normalized, DenoiseConfig(rank=rank, max_iter=5))
+        write_cube(denormalize_bands(restored, rec), tmp_path / "lib.hsic")
+        assert out.read_bytes() == (tmp_path / "lib.hsic").read_bytes()
 
     def test_replay_matches(self, tmp_path, clean_path):
         out1 = tmp_path / "r1.hsic"
@@ -339,7 +363,7 @@ class TestDenoise:
         path = tmp_path / "in.hsic"
         write_cube(random_cube(*shape, seed=0), path)
         calls = []
-        for name in ("estimate_rank", "normalize_bands"):
+        for name in ("estimate_rank", "casorati_rows", "solve_casorati"):
             monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
         out = tmp_path / "o.hsic"
         code = main(["denoise", "--input", str(path), "--output", str(out), "--rank", rank])
@@ -352,7 +376,7 @@ class TestDenoise:
         self, tmp_path, clean_path, monkeypatch, capsys
     ):
         calls = []
-        for name in ("read_cube", "solve"):
+        for name in ("read_cube", "solve_casorati"):
             monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
         out = tmp_path / "nope" / "o.hsic"
         code = main(["denoise", "--input", str(clean_path), "--output", str(out), "--rank", "2"])
@@ -527,7 +551,7 @@ def test_output_directory_rejected_before_heavy_work(
     tmp_path, clean_path, monkeypatch, capsys, argv
 ):
     calls = []
-    for name in ("read_cube", "solve", "bench_cube"):
+    for name in ("read_cube", "solve", "solve_casorati", "bench_cube"):
         monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
     out = tmp_path / "outdir"
     out.mkdir()
@@ -671,7 +695,8 @@ def command_flags(command, clean, out):
     [
         ("simulate", {"windows_rescaled"}),
         ("denoise", {"config", "rank_source", "iterations", "stop_reason",
-                     "s_first_iter", "solve_ms", "peak_rss_mib"} | THREAD_KEYS),
+                     "s_first_iter", "solve_ms", "input_sha256", "peak_rss_mib"}
+         | THREAD_KEYS),
         ("metrics", set()),
         ("rankest", {"rank"}),
         ("bench", THREAD_KEYS),

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rctv.cube
 from rctv.cube import (
     MAX_HEADER_BYTES,
     CubeFormatError,
     HsiCube,
+    NormalizationRecord,
+    casorati_rows,
     denormalize_bands,
     fold_casorati,
     normalize_bands,
@@ -161,6 +164,31 @@ def test_normalize_roundtrip(rng):
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
     back = denormalize_bands(out, rec)
     np.testing.assert_allclose(back.data, cube.data, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("tile_rows", [1, 8, 1000], ids=["row", "ragged", "one-tile"])
+def test_casorati_rows_is_the_c_ordered_normalize_bands(monkeypatch, rng, tile_rows):
+    # 35 rows: 8-row tiles leave a ragged last tile of 3.  Band 2 is constant.
+    arr = 10.0 * rng.random((7, 5, 4)) - 3.0
+    arr[:, :, 2] = 1.5
+    cube = HsiCube.from_array(arr)
+    monkeypatch.setattr(rctv.cube, "_TILE_BYTES", tile_rows * 8 * cube.bands)
+    normalized, rec = normalize_bands(cube)
+    assert np.array_equal(NormalizationRecord.of(cube).mins, rec.mins)
+    assert np.array_equal(NormalizationRecord.of(cube).maxs, rec.maxs)
+    rows = casorati_rows(cube, rec)
+    assert rows.flags.c_contiguous and rows.flags.writeable and rows.dtype == np.float64
+    assert np.array_equal(rows, np.ascontiguousarray(unfold_casorati(normalized)))
+    assert np.array_equal(rows[:, 2], np.zeros(35))
+    raw = casorati_rows(cube)
+    assert raw.flags.c_contiguous and not np.shares_memory(raw, cube.data)
+    assert np.array_equal(raw, unfold_casorati(cube))
+
+
+def test_casorati_rows_band_count_mismatch(rng):
+    rec = NormalizationRecord.of(HsiCube(2, 2, 2, rng.random(8)))
+    with pytest.raises(ValueError, match="bands"):
+        casorati_rows(HsiCube(2, 2, 3, rng.random(12)), rec)
 
 
 def test_denormalize_band_count_mismatch(rng):

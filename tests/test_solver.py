@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import rctv.solver
 from conftest import gapped_random_cube, nan_u_solve, smooth_rank_cube
-from rctv.cube import fold_casorati, unfold_casorati
+from rctv.cube import casorati_rows, fold_casorati, unfold_casorati
 from rctv.diffops import HORIZONTAL, VERTICAL, apply_diff, build_transfer_functions
 from rctv.linalg import procrustes_v, soft_threshold, truncated_svd_init
 from rctv.metrics import mpsnr
@@ -26,6 +26,7 @@ from rctv.solver import (
     diagnostics_to_jsonl,
     model_objective,
     solve,
+    solve_casorati,
     update_e,
     update_g,
     update_multipliers,
@@ -528,12 +529,53 @@ class TestSolve:
 
     def test_rank_or_plane_rejected_before_copying_y(self, monkeypatch):
         copies = []
-        monkeypatch.setattr(rctv.solver, "unfold_casorati", lambda c: copies.append(c))
+        monkeypatch.setattr(rctv.solver, "casorati_rows", lambda c: copies.append(c))
         with pytest.raises(ValueError, match="plane dims must be >= 2, got 1x6"):
             solve(fold_casorati(np.ones((6, 4)), 1, 6), DenoiseConfig(rank=2))
         with pytest.raises(ValueError, match="rank 5 exceeds band count 4"):
             solve(smooth_rank_cube(6, 6, 4, 2, seed=0), DenoiseConfig(rank=5))
         assert copies == []
+
+    def test_solve_casorati_matches_solve(self):
+        cube = oracle_cube()
+        cfg = DenoiseConfig(rank=3, tau=0.05, max_iter=8, epsilon=1e-30)
+        restored, diags = solve(cube, cfg)
+        y = casorati_rows(cube)
+        y_before = y.copy()
+        direct, direct_diags = solve_casorati(y, cube.height, cube.width, cfg)
+        assert np.array_equal(direct.data, restored.data)
+        assert [dataclasses.replace(d, wall_ms=0.0) for d in direct_diags] == [
+            dataclasses.replace(d, wall_ms=0.0) for d in diags
+        ]
+        # The caller's matrix is read, never written.
+        assert np.array_equal(y, y_before)
+        assert y.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make, height, message",
+        [(lambda y: np.asfortranarray(y), 16, "C-ordered"),
+         (lambda y: y, 15, "row count 224 != M\\*N = 210"),
+         (lambda y: y.astype(np.float32), 16, "float64"),
+         (lambda y: y.reshape(-1), 16, "ndim=1"),
+         (lambda y: y.tolist(), 16, "numpy array"),
+         (lambda y: y[:, :2], 16, "C-ordered")],
+        ids=["fortran", "rows", "float32", "vector", "list", "column-slice"],
+    )
+    def test_solve_casorati_rejects_a_bad_matrix_before_allocating(
+        self, monkeypatch, make, height, message
+    ):
+        y = make(casorati_rows(oracle_cube()))
+        calls = []
+        monkeypatch.setattr(rctv.solver, "build_transfer_functions", lambda *a: calls.append(a))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                solve_casorati(y, height, 14, DenoiseConfig(rank=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 16 * 1024
 
     def test_divergence_fails_fast(self, monkeypatch):
         solves = []
@@ -570,6 +612,21 @@ class TestSolve:
         assert (m.beta, m.lam) == (50.0, 1.0)
         with pytest.raises(ValueError, match="preset"):
             DenoiseConfig.preset("median", rank=4)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"rank": 2.5}, "rank"), ({"rank": 2, "max_iter": 3.0}, "max_iter"),
+         ({"rank": True}, "rank")],
+        ids=["float-rank", "float-max-iter", "bool-rank"],
+    )
+    def test_config_rejects_a_non_integer_count(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DenoiseConfig(**kwargs)
+
+    def test_config_takes_numpy_integer_counts_as_int(self):
+        cfg = DenoiseConfig(rank=np.int64(3), max_iter=np.int32(4))
+        assert (cfg.rank, cfg.max_iter) == (3, 4)
+        assert type(cfg.rank) is int and type(cfg.max_iter) is int
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
