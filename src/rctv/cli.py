@@ -201,7 +201,10 @@ def cmd_denoise(args) -> tuple[str, dict]:
     restored, diags = solve_casorati(y, height, width, cfg)
     solve_ms = (time.perf_counter() - t_solve) * 1e3
     del y
+    # Drop the normalized output too, so that the write's float32 payload
+    # is not a third M*N x B array alive beside it and the denormalized one.
     out_cube = denormalize_bands(restored, rec)
+    del restored
     write_cube(out_cube, args.output)
     diagnostics_to_jsonl(diags, str(args.output) + ".diag.jsonl")
     print(

@@ -61,7 +61,9 @@ class HsiCube:
         data = np.asarray(self.data, dtype=np.float64).reshape(-1)
         if data.size != n:
             raise ValueError(f"data length {data.size} != M*N*B = {n}")
-        if not np.all(np.isfinite(data)):
+        # min and max propagate NaN and reach any infinity, and unlike an
+        # isfinite mask they allocate nothing the size of the cube.
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise ValueError("cube contains non-finite values")
         data = np.ascontiguousarray(data)
         data.flags.writeable = False
@@ -198,8 +200,12 @@ def denormalize_bands(cube: HsiCube, rec: NormalizationRecord) -> HsiCube:
         raise ValueError(
             f"record has {rec.mins.size} bands, cube has {cube.bands}"
         )
-    x = unfold_casorati(cube)
-    return fold_casorati(x * (rec.maxs - rec.mins) + rec.mins, cube.height, cube.width)
+    # On the band-sequential (B, M*N) storage, scaled in place in the
+    # output, which is the only M*N x B array allocated.
+    x = cube.data.reshape(cube.bands, -1)
+    out = np.multiply(x, (rec.maxs - rec.mins)[:, None])
+    out += rec.mins[:, None]
+    return HsiCube(cube.height, cube.width, cube.bands, out.reshape(-1))
 
 
 def write_cube(cube: HsiCube, path) -> None:

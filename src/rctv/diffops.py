@@ -171,7 +171,10 @@ def solve_u_system(
         w -= _grid(gam, m, n)
         _add_diff_adjoint(w, _axis(direction), rhs)
     np.fft.rfft2(rhs, axes=(0, 1), out=hat)
-    hat /= mu * (1.0 + tf.T[:, : m // 2 + 1, None])
+    # The diagonal is real: scale the real and imaginary parts of each
+    # coefficient, as float64 pairs, by its reciprocal.
+    spectrum = hat.view(np.float64)
+    spectrum *= (1.0 / (mu * (1.0 + tf.T[:, : m // 2 + 1])))[:, :, None]
     # irfft2(..., out=) does not leave its result in out on numpy 2.4, so
     # the inverse runs one axis at a time.
     np.fft.ifft(hat, axis=0, out=hat)

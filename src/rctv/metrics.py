@@ -12,7 +12,9 @@ compute_report scores all four from one pair of Casorati views and one
 per-band mean squared error MSE_b, which gives both the band PSNRs and
 ERGAS; mpsnr and per_band_ssim score one index each, and MSAM is read
 from the report.  Each public entry point checks on entry that the two
-cubes have the same shape.
+cubes have the same shape.  None of them allocates an array the size of
+the cube: MSE_b is taken one band at a time, and the other reductions
+are row sums over the Casorati views.
 """
 
 from __future__ import annotations
@@ -92,11 +94,26 @@ def _psnr(mse: np.ndarray) -> list[float]:
     return [math.inf if e == 0.0 else 10.0 * math.log10(1.0 / e) for e in mse.tolist()]
 
 
+def _band_mse(ref: HsiCube, test: HsiCube) -> np.ndarray:
+    """Mean squared error of each band, taken one contiguous band at a time.
+
+    The band-sequential storage makes each band one contiguous run, so the
+    only temporary is one band's difference, not a cube-sized one.
+    """
+    x = ref.data.reshape(ref.bands, -1)
+    y = test.data.reshape(test.bands, -1)
+    d = np.empty(x.shape[1])
+    mse = np.empty(ref.bands)
+    for b in range(ref.bands):
+        np.subtract(x[b], y[b], out=d)
+        mse[b] = np.square(d, out=d).mean()
+    return mse
+
+
 def mpsnr(ref: HsiCube, test: HsiCube) -> float:
     """Mean over bands of the per-band PSNR."""
     _check_same_dims(ref, test)
-    mse = np.mean((unfold_casorati(ref) - unfold_casorati(test)) ** 2, axis=0)
-    return float(np.mean(_psnr(mse)))
+    return float(np.mean(_psnr(_band_mse(ref, test))))
 
 
 def gaussian_window(win_size: int, sigma: float) -> np.ndarray:
@@ -166,9 +183,11 @@ def _msam(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     """Mean spectral angle (radians) between the rows of two Casorati views,
     over the rows where both spectra have nonzero norm, and the count of
     rows left out."""
+    # einsum sums the products row by row; np.linalg.norm would allocate
+    # cube-sized temporaries for x*x.
     dots = np.einsum("ij,ij->i", x, y)
-    nx = np.linalg.norm(x, axis=1)
-    ny = np.linalg.norm(y, axis=1)
+    nx = np.sqrt(np.einsum("ij,ij->i", x, x))
+    ny = np.sqrt(np.einsum("ij,ij->i", y, y))
     included = (nx > 0) & (ny > 0)
     if not included.any():
         raise ValueError("all pixel spectra have zero norm")
@@ -181,7 +200,7 @@ def compute_report(ref: HsiCube, test: HsiCube) -> MetricsReport:
     _check_same_dims(ref, test)
     t0 = time.perf_counter()
     x, y = unfold_casorati(ref), unfold_casorati(test)
-    mse = np.mean((x - y) ** 2, axis=0)
+    mse = _band_mse(ref, test)
     band_psnr = _psnr(mse)
     band_ssim = per_band_ssim(ref, test)
     means = x.mean(axis=0)

@@ -37,27 +37,35 @@ KiB, so that every step of a pass finds its tile in cache instead of
 streaming whole arrays from memory: one over row tiles of the M*N x B
 iterates, then one over column tiles of the (M*N, R) ones.  The V and U
 updates read only P = Y - E - S + Lam_3: the V update is Procrustes on
-P^T U and the U right-hand side is P V.  The row pass runs after the U
-update and, per tile of rows r, forms T_r = Y_r - U_r V^T + Lam_3r, then
--E_r = c*(S_r - T_r) in P's tile, S_r = shrink(T_r - E_r, lam/mu) in
-place and T_r - E_r - S_r in the tile buffer.  A tail shared by both S
-cases then takes the data-fit residual T_r - E_r - S_r - Lam_3r, writes
+P^T U and the U right-hand side is P V, formed one row tile at a time.
+The row pass runs after the U update and, per tile of rows r, forms
+T_r = Y_r - U_r V^T + Lam_3r in the tile buffer, then E_r and S_r,
+leaving T_r - E_r - S_r there.  A tail shared by both S cases then takes
+the data-fit residual T_r - E_r - S_r - Lam_3r, writes
 Lam_3r = (mu/mu')*(T_r - E_r - S_r) for the grown penalty
-mu' = min(rho*mu, MU_MAX), writes the next iteration's
+mu' = min(rho*mu, MU_MAX), forms the next iteration's
 P_r = Y_r - E_r - S_r + Lam_3r and adds P_r^T U_r for the next V update.
 It sums ||fit||^2, ||E||^2 and sum|S| for the diagnostics and the
 objective.
 
-E is never stored: it lives in P's tile between its update and the write
-of the next P_r.  S starts as None and stays None while the S update
-would leave it zero: with S = 0 it shrinks T_r - E_r = (1 - c)*T_r by
-lam/mu, so the pass allocates S as zeros on the first tile where
+E is never stored, and P only on the tiles where S has left zero.  S
+starts as None and stays None while the S update would leave it zero:
+with S = 0 it shrinks T_r - E_r = (1 - c)*T_r by lam/mu, so the pass
+allocates S as zeros, and P's buffer, on the first tile where
 (1 - c)*max|T_r| exceeds lam/mu.  The same test runs per tile: a tile
 takes the S = 0 step until its own shrink lets an entry through, so rows
-of S that stay zero are never written and their pages never touched.
-With beta = 0, c = 1 and S never turns on.  The first P is Y, and the
-first V update reads V_0 in place of Y^T U_0, which is V_0 scaled by the
-Gram eigenvalues: V_0 maximizes <Y^T U_0, V> either way.
+of S and P that are not needed are never written and their pages never
+touched.  On a live tile, -E_r = c*(S_r - T_r) and then -E_r - S_r are
+formed in P's tile, and Y_r + Lam_3r added.  On a tile where S is zero,
+E_r = c*T_r and Lam_3r = (mu/mu')*(1 - c)*T_r, so E_r =
+(mu'/(2*beta))*Lam_3r and P_r = Y_r + (1 - mu'/(2*beta))*Lam_3r: the
+row pass rebuilds it in the tile buffer once T_r - E_r is spent, and so
+does the next U right-hand side.  That needs Lam_3 to carry E: with
+beta = 0 (c = 1, so Lam_3 stays zero and S never turns on), or where
+MU_MAX/(2*beta) overflows, P is stored on every tile instead.  The first
+P is Y, and the first V update reads V_0 in place of Y^T U_0, which is
+V_0 scaled by the Gram eigenvalues: V_0 maximizes <Y^T U_0, V> either
+way.  The restored V U^T is written into Lam_3's buffer.
 
 The column pass (_column_pass) tiles the plane by whole columns of M
 pixels, so the vertical wrap stays inside a tile and the horizontal
@@ -571,6 +579,11 @@ def solve_casorati(
     check_solvable refuses, raises ValueError before any allocation.  The
     solve reads y and never writes it, and makes no copy of it, so the
     caller's y is the only M*N x B input array alive during the solve.
+    While S is zero the solve adds one more, Lam_3, and the restored cube
+    is written into it.  P is rebuilt from Y and Lam_3 tile by tile; the
+    first row tile on which S leaves zero allocates S and P, and only the
+    tiles where S is live write their pages (with beta = 0, or beta so
+    small that MU_MAX/(2*beta) overflows, P is allocated up front).
 
     Initialization takes V as the top-R eigenvectors of Y^T Y and U = Y V
     for the unfolded input Y (its truncated SVD) and zeros everything
@@ -584,7 +597,8 @@ def solve_casorati(
     block update and the worst relative increase per iteration is recorded
     in the diagnostics (each block is an exact minimizer, so anything
     beyond roundoff indicates a broken update).  E enters it as recovered
-    from P, and S that the loop does not store as zero.
+    from P, which debug mode rebuilds in full on the tiles where the loop
+    does not store it, and S that the loop does not store as zero.
     """
     if not isinstance(y, np.ndarray):
         raise ValueError(f"expected a numpy array, got {type(y).__name__}")
@@ -617,19 +631,23 @@ def solve_casorati(
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
-    # P = Y - E - S + Lam3 is Y while E, S and Lam3 are zero; each pass
-    # writes the next P into resid, the one MN x B work buffer.  The first
+    # P = Y - E - S + Lam3 is stored in p on the row tiles where S is live
+    # (or on all of them with store_p); every other tile rebuilds it as
+    # Y + p_lam3*Lam3.  P is Y while E, S and Lam3 are zero.  The first
     # P^T U = Y^T U0 is V0 scaled by the Gram eigenvalues, so V0 maximizes
     # <P^T U, V> (an exact V-block minimizer, even where an eigenvalue is
     # 0) and seeds the first V update in its place.
-    p = y
     pu = v
-    resid = np.empty((mn, b))
+    p_lam3 = 1.0
+    # With beta = 0, Lam3 stays zero and carries no E; where MU_MAX/(2*beta)
+    # overflows, it carries E too faintly.  Then P is stored on every tile.
+    store_p = cfg.beta == 0 or not math.isfinite(MU_MAX / (2.0 * cfg.beta))
+    p = y.copy() if store_p else None
     rows = max(1, _TILE_BYTES // (8 * b))
     tile = np.empty((rows, b))
     tiles = [slice(lo, min(lo + rows, mn)) for lo in range(0, mn, rows)]
     # The row tiles on which S has left zero; the others take the S = 0
-    # step and never touch S's pages.
+    # step and, unless store_p, touch no page of S or of P.
     s_live = [False] * len(tiles)
     cols = min(n, max(1, _TILE_BYTES // (8 * m * r)))
     col_tiles = np.empty((2, cols, m, r))
@@ -647,13 +665,17 @@ def solve_casorati(
 
     def lagrangian(s_at=None, lam3_at=None, g_at=None):
         # Debug-only: the Lagrangian at the loop's iterates, optionally with
-        # S, Lam3 or the G pair replaced.  P always pairs with the Lam3
-        # stored now, so E = Y - S + Lam3 - P; S that the loop does not
-        # store is zero.
+        # S, Lam3 or the G pair replaced.  P, stored or rebuilt, always
+        # pairs with the Lam3 stored now, so E = Y - S + Lam3 - P; S that
+        # the loop does not store is zero.
         s_now = np.zeros_like(y) if s is None else s
+        p_now = y + p_lam3 * lam3
+        for k, sl in enumerate(tiles):
+            if store_p or s_live[k]:
+                p_now[sl] = p[sl]
         g1_at, g2_at = (g1, g2) if g_at is None else g_at
         state = SolverState(
-            u=u, v=v, e=y - s_now + lam3 - p, s=s_now if s_at is None else s_at,
+            u=u, v=v, e=y - s_now + lam3 - p_now, s=s_now if s_at is None else s_at,
             g1=g1_at, g2=g2_at, gam1=mu * lam1, gam2=mu * lam2,
             gam3=mu * (lam3 if lam3_at is None else lam3_at), mu=mu,
         )
@@ -685,32 +707,44 @@ def solve_casorati(
         if debug:
             worst_increase = checkpoint(worst_increase)
         # mu cancels from the U normal equations in scaled form; the
-        # right-hand side P V is formed in the spare buffer, which the
-        # solve overwrites with the new U.
+        # right-hand side P V is formed tile by tile in the spare buffer,
+        # which the solve overwrites with the new U.  A P tile that is not
+        # stored is rebuilt in the tile buffer.
+        for k, sl in enumerate(tiles):
+            if store_p or s_live[k]:
+                p_r = p[sl]
+            else:
+                p_r = np.multiply(lam3[sl], p_lam3, out=tile[: sl.stop - sl.start])
+                p_r += y[sl]
+            np.matmul(p_r, v, out=u_spare[sl])
         u_prev = u
-        u = solve_u_system(
-            np.matmul(p, v, out=u_spare), g1, g2, lam1, lam2, 1.0, tf, u_spare, hat
-        )
+        u = solve_u_system(u_spare, g1, g2, lam1, lam2, 1.0, tf, u_spare, hat)
         u_spare = u_prev
         if debug:
             worst_increase = checkpoint(worst_increase)
             s_before = np.zeros_like(y) if s is None else s.copy()
             lam3_before = lam3.copy()
 
-        # Per tile, T = Y - U V^T + Lam3, then -E in P's tile, S, and
-        # T - E - S in the tile buffer; the shared tail takes the fit
-        # residual T - E - S - Lam3, the next Lam3 = (mu/mu')*(T - E - S),
-        # the next P and P^T U, with the sums the diagnostics need.
+        # Per tile, T = Y - U V^T + Lam3, then E and S, leaving T - E - S
+        # in the tile buffer; the shared tail takes the fit residual
+        # T - E - S - Lam3 and the next Lam3 = (mu/mu')*(T - E - S), then
+        # the next P and P^T U, with the sums the diagnostics need.  Where P
+        # is stored, -E - S is formed in its tile.  Elsewhere S is zero,
+        # E = c*T and the next Lam3 = (mu/mu')*(1 - c)*T, so E =
+        # (mu'/(2*beta))*Lam3 and P = Y + (1 - mu'/(2*beta))*Lam3 is
+        # rebuilt in the tile buffer once T - E has been read.
         vt = v.T
         rescale = mu / mu_next
         c = mu / (mu + 2.0 * cfg.beta)
         one_minus_c = 2.0 * cfg.beta / (mu + 2.0 * cfg.beta)
         s_thresh = cfg.lam / mu
+        if not store_p:
+            p_lam3 = 1.0 - mu_next / (2.0 * cfg.beta)
         fit_sq = e_sq = s_abs = 0.0
         pu = np.zeros((b, r))
         for k, sl in enumerate(tiles):
             t = tile[: sl.stop - sl.start]
-            lam3_r, p_r = lam3[sl], resid[sl]
+            lam3_r = lam3[sl]
             np.matmul(u[sl], vt, out=t)
             np.subtract(y[sl], t, out=t)
             t += lam3_r
@@ -720,10 +754,14 @@ def solve_casorati(
             if not s_live[k] and one_minus_c * max(t.max(), -t.min()) > s_thresh:
                 if s is None:
                     s = np.zeros((mn, b))
+                if p is None:
+                    p = np.empty((mn, b))
                 s_live[k] = True
+            p_r = p[sl] if store_p or s_live[k] else None
             if not s_live[k]:
-                np.multiply(t, -c, out=p_r)  # -E
-                e_sq += float(np.vdot(p_r, p_r))
+                e_sq += float(np.vdot(t, t)) * c * c  # E = c*T
+                if p_r is not None:
+                    np.multiply(t, -c, out=p_r)  # -E
                 t *= one_minus_c  # T - E
             else:
                 s_r = s[sl]
@@ -738,10 +776,12 @@ def solve_casorati(
             lam3_r -= t  # minus the fit residual
             fit_sq += float(np.vdot(lam3_r, lam3_r))
             np.multiply(t, rescale, out=lam3_r)
-            p_r += y[sl]
-            p_r += lam3_r
+            if p_r is None:
+                p_r = np.multiply(lam3_r, p_lam3, out=t)
+            else:
+                p_r += lam3_r
+            p_r += y[sl]  # P
             pu += p_r.T @ u[sl]
-        p = resid
         if debug:
             # The pass updated E, S and Lam3 together; check E and S as the
             # sequential block updates would have left them.
@@ -796,6 +836,6 @@ def solve_casorati(
         mu = mu_next
 
     # V U^T is the band-sequential (B, M*N) layout of the cube, built in
-    # resid's buffer, which the loop no longer needs.
-    restored = np.matmul(v, u.T, out=resid.reshape(b, mn))
+    # Lam3's buffer, which the loop no longer needs.
+    restored = np.matmul(v, u.T, out=lam3.reshape(b, mn))
     return HsiCube(m, n, b, restored.reshape(-1)), diags

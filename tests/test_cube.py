@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -107,8 +108,9 @@ def test_cube_validation():
         HsiCube(0, 1, 1, np.zeros(0))
     with pytest.raises(ValueError, match="length"):
         HsiCube(2, 2, 1, np.zeros(5))
-    with pytest.raises(ValueError, match="finite"):
-        HsiCube(1, 1, 2, np.array([1.0, np.nan]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            HsiCube(1, 1, 3, np.array([1.0, bad, 2.0]))
 
 
 def test_band_out_of_range(rng):
@@ -164,6 +166,22 @@ def test_normalize_roundtrip(rng):
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
     back = denormalize_bands(out, rec)
     np.testing.assert_allclose(back.data, cube.data, rtol=1e-12, atol=1e-12)
+
+
+def test_denormalize_allocates_only_its_output(rng):
+    m, n, b = 48, 48, 96
+    cube = HsiCube(m, n, b, rng.random(m * n * b))
+    rec = NormalizationRecord(mins=rng.random(b) - 0.5, maxs=rng.random(b) + 1.0)
+    tracemalloc.start()
+    try:
+        back = denormalize_bands(cube, rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * m * n * b * 8
+    x = unfold_casorati(cube)
+    want = fold_casorati(x * (rec.maxs - rec.mins) + rec.mins, m, n)
+    np.testing.assert_allclose(back.data, want.data, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("tile_rows", [1, 8, 1000], ids=["row", "ragged", "one-tile"])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,48 @@ class TestOneScoringPath:
     def test_shape_mismatch_raises(self, score):
         with pytest.raises(ValueError, match="mismatch"):
             score(random_cube(6, 6, 3, seed=23), random_cube(6, 6, 4, seed=24))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestScoringMemory:
+    """Scoring takes no cube-sized temporary, and gives the dense formulas' values."""
+
+    m, n, b = 48, 48, 96
+
+    def cubes(self):
+        return random_cube(self.m, self.n, self.b, seed=25), random_cube(self.m, self.n, self.b, seed=26)
+
+    def test_compute_report(self):
+        ref, test = self.cubes()
+        report, peak = traced_peak(compute_report, ref, test)
+        assert peak <= 0.1 * self.m * self.n * self.b * 8
+        x, y = unfold_casorati(ref), unfold_casorati(test)
+        mse = np.mean((x - y) ** 2, axis=0)
+        psnr = 10.0 * np.log10(1.0 / mse)
+        np.testing.assert_allclose(report.per_band_psnr, psnr, rtol=1e-12, atol=0)
+        ergas = 100.0 * math.sqrt(float(np.mean(mse / x.mean(axis=0) ** 2)))
+        assert report.ergas == pytest.approx(ergas, rel=1e-12, abs=0)
+        cos = np.einsum("ij,ij->i", x, y) / (
+            np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+        )
+        msam = float(np.mean(np.arccos(np.clip(cos, -1.0, 1.0))))
+        assert report.msam == pytest.approx(msam, rel=1e-12, abs=0)
+
+    def test_mpsnr(self):
+        ref, test = self.cubes()
+        value, peak = traced_peak(mpsnr, ref, test)
+        assert peak <= 0.1 * self.m * self.n * self.b * 8
+        mse = np.mean((unfold_casorati(ref) - unfold_casorati(test)) ** 2, axis=0)
+        assert value == pytest.approx(float(np.mean(10.0 * np.log10(1.0 / mse))), rel=1e-12, abs=0)
 
 
 class TestNonFiniteEncoding:

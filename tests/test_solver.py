@@ -476,18 +476,18 @@ class TestSolve:
         assert [d.s_active for d in diags[:2]] == [False, True]
 
     def test_peak_allocation_while_s_is_zero(self):
-        # Y's copy, Gam3 and the P buffer are the MN x B arrays a solve needs
-        # while S is zero; S adds one more once it turns on.
+        # Y's copy and Gam3 are the MN x B arrays a solve needs while S is
+        # zero.
         m, n, b = 48, 48, 96
         diags, peak = peak_allocation(
             m, n, b, "c", mu0=1e-3, max_iter=3, epsilon=1e-30
         )
         assert not any(d.s_active for d in diags)
-        assert peak <= 4.0 * m * n * b * 8
+        assert peak <= 3.0 * m * n * b * 8
 
     def test_peak_allocation_while_s_is_active(self):
-        # S is stored from iteration 1; E never is, so S adds one MN x B
-        # array to the S-zero working set.
+        # S is stored from iteration 1, and with it P; E never is, so the
+        # two add two MN x B arrays to the S-zero working set.
         m, n, b = 48, 48, 96
         diags, peak = peak_allocation(
             m, n, b, "e", lam=0.02, mu0=0.5, max_iter=3, epsilon=1e-30
@@ -781,6 +781,22 @@ class TestFusedLoopOracle:
             noisy, oracle_config(beta=0.0), fit_atol=1e-30
         )
         assert all(d.fit_residual == 0.0 for d in diags)
+        assert not any(d.s_active for d in diags)
+        assert np.count_nonzero(ref_state.e) > 0
+
+    def test_matches_reference_kernels_where_the_e_weight_overflows(self, monkeypatch):
+        # At this beta, MU_MAX/(2*beta) overflows: Gam3/mu = (mu/(2*beta))*E
+        # is too faint to rebuild P from, so P is stored on every tile, as
+        # with beta = 0.  rho = 4 takes mu/(2*beta) past the float range
+        # after iteration 7's row pass, so iteration 8 would read the
+        # rebuild's factor as -inf.
+        beta = 1e-305
+        assert math.isinf(MU_MAX / (2.0 * beta))
+        cfg = oracle_config(beta=beta, rho=4.0)
+        assert math.isinf(cfg.mu0 * cfg.rho**7 / (2.0 * beta))
+        noisy = oracle_cube()
+        force_tile_rows(monkeypatch, noisy, 13)
+        diags, ref_state = check_against_reference_kernels(noisy, cfg, fit_atol=1e-30)
         assert not any(d.s_active for d in diags)
         assert np.count_nonzero(ref_state.e) > 0
 
