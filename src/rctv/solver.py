@@ -60,12 +60,13 @@ formed in P's tile, and Y_r + Lam_3r added.  On a tile where S is zero,
 E_r = c*T_r and Lam_3r = (mu/mu')*(1 - c)*T_r, so E_r =
 (mu'/(2*beta))*Lam_3r and P_r = Y_r + (1 - mu'/(2*beta))*Lam_3r: the
 row pass rebuilds it in the tile buffer once T_r - E_r is spent, and so
-does the next U right-hand side.  That needs Lam_3 to carry E: with
-beta = 0 (c = 1, so Lam_3 stays zero and S never turns on), or where
-MU_MAX/(2*beta) overflows, P is stored on every tile instead.  The first
-P is Y, and the first V update reads V_0 in place of Y^T U_0, which is
-V_0 scaled by the Gram eigenvalues: V_0 maximizes <Y^T U_0, V> either
-way.  The restored V U^T is written into Lam_3's buffer.
+does the next U right-hand side.  That needs Lam_3 to carry E, so
+DenoiseConfig takes only a beta > 0 with MU_MAX/(2*beta) finite.  Each
+row tile is in one of two states: S is zero and P is rebuilt, or S is
+live and S and P are both stored.  The first P is Y, and the first V
+update reads V_0 in place of Y^T U_0, which is V_0 scaled by the Gram
+eigenvalues: V_0 maximizes <Y^T U_0, V> either way.  The restored V U^T
+is written into Lam_3's buffer.
 
 The column pass (_column_pass) tiles the plane by whole columns of M
 pixels, so the vertical wrap stays inside a tile and the horizontal
@@ -147,10 +148,12 @@ class DenoiseConfig:
 
     rank      number of coefficient slices R (must be <= B at solve time)
     tau       TV weight, shared by the horizontal and vertical differences
-    beta      Gaussian-noise weight (quadratic penalty on E)
+    beta      Gaussian-noise weight (quadratic penalty on E); > 0 with
+              MU_MAX/(2*beta) finite, as the solve recovers E from Lam_3
     lam       sparse-noise weight (l1 penalty on S)
-    mu0       initial ADMM penalty; runs converge once mu reaches about
-              40-45, so the start and rho set the iteration count
+    mu0       initial ADMM penalty, in (0, MU_MAX]; runs converge once mu
+              reaches about 40-45, so the start and rho set the iteration
+              count
     rho       penalty growth factor per iteration (> 1); at the defaults
               a run converges in about 23 iterations (39 at rho = 1.25)
     epsilon   convergence tolerance on the squared relative residuals
@@ -188,15 +191,19 @@ class DenoiseConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("tau", "beta", "lam"):
+        for name in ("tau", "lam"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
+        if not 0 < self.mu0 <= MU_MAX:
+            raise ValueError(f"mu0 must be in (0, MU_MAX = {MU_MAX:g}], got {self.mu0}")
         # Finite settings can still overflow 2*beta (the E weight's
-        # denominator) or tau/mu0 (the first TV threshold).
-        if not math.isfinite(2.0 * self.beta):
-            raise ValueError(f"beta too large: 2*beta overflows, got beta={self.beta}")
+        # denominator), MU_MAX/(2*beta) (which recovers E from Lam_3 where S
+        # is zero) or tau/mu0 (the first TV threshold).
+        two_beta = 2.0 * self.beta
+        if not (self.beta > 0 and math.isfinite(two_beta) and math.isfinite(MU_MAX / two_beta)):
+            raise ValueError(
+                f"beta must be > 0 with 2*beta and MU_MAX/(2*beta) finite, got beta={self.beta}"
+            )
         if not math.isfinite(self.tau / self.mu0):
             raise ValueError(
                 f"tau too large: tau/mu0 overflows, got tau={self.tau}, mu0={self.mu0}"
@@ -581,9 +588,8 @@ def solve_casorati(
     caller's y is the only M*N x B input array alive during the solve.
     While S is zero the solve adds one more, Lam_3, and the restored cube
     is written into it.  P is rebuilt from Y and Lam_3 tile by tile; the
-    first row tile on which S leaves zero allocates S and P, and only the
-    tiles where S is live write their pages (with beta = 0, or beta so
-    small that MU_MAX/(2*beta) overflows, P is allocated up front).
+    first row tile on which S leaves zero allocates S and P together, and
+    only the tiles where S is live write their pages.
 
     Initialization takes V as the top-R eigenvectors of Y^T Y and U = Y V
     for the unfolded input Y (its truncated SVD) and zeros everything
@@ -620,7 +626,7 @@ def solve_casorati(
     tf = build_transfer_functions(m, n)
 
     u, v = truncated_svd_init(y, r)
-    s = None
+    s = p = None
     g1, g2 = np.zeros((mn, r)), np.zeros((mn, r))
     lam1, lam2 = np.zeros((mn, r)), np.zeros((mn, r))
     lam3 = np.zeros((mn, b))
@@ -631,23 +637,19 @@ def solve_casorati(
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
-    # P = Y - E - S + Lam3 is stored in p on the row tiles where S is live
-    # (or on all of them with store_p); every other tile rebuilds it as
-    # Y + p_lam3*Lam3.  P is Y while E, S and Lam3 are zero.  The first
-    # P^T U = Y^T U0 is V0 scaled by the Gram eigenvalues, so V0 maximizes
-    # <P^T U, V> (an exact V-block minimizer, even where an eigenvalue is
-    # 0) and seeds the first V update in its place.
+    # P = Y - E - S + Lam3 is stored in p on the row tiles where S is live;
+    # every other tile rebuilds it as Y + p_lam3*Lam3.  P is Y while E, S
+    # and Lam3 are zero.  The first P^T U = Y^T U0 is V0 scaled by the Gram
+    # eigenvalues, so V0 maximizes <P^T U, V> (an exact V-block minimizer,
+    # even where an eigenvalue is 0) and seeds the first V update in its
+    # place.
     pu = v
     p_lam3 = 1.0
-    # With beta = 0, Lam3 stays zero and carries no E; where MU_MAX/(2*beta)
-    # overflows, it carries E too faintly.  Then P is stored on every tile.
-    store_p = cfg.beta == 0 or not math.isfinite(MU_MAX / (2.0 * cfg.beta))
-    p = y.copy() if store_p else None
     rows = max(1, _TILE_BYTES // (8 * b))
     tile = np.empty((rows, b))
     tiles = [slice(lo, min(lo + rows, mn)) for lo in range(0, mn, rows)]
     # The row tiles on which S has left zero; the others take the S = 0
-    # step and, unless store_p, touch no page of S or of P.
+    # step and touch no page of S or of P.
     s_live = [False] * len(tiles)
     cols = min(n, max(1, _TILE_BYTES // (8 * m * r)))
     col_tiles = np.empty((2, cols, m, r))
@@ -671,7 +673,7 @@ def solve_casorati(
         s_now = np.zeros_like(y) if s is None else s
         p_now = y + p_lam3 * lam3
         for k, sl in enumerate(tiles):
-            if store_p or s_live[k]:
+            if s_live[k]:
                 p_now[sl] = p[sl]
         g1_at, g2_at = (g1, g2) if g_at is None else g_at
         state = SolverState(
@@ -711,7 +713,7 @@ def solve_casorati(
         # which the solve overwrites with the new U.  A P tile that is not
         # stored is rebuilt in the tile buffer.
         for k, sl in enumerate(tiles):
-            if store_p or s_live[k]:
+            if s_live[k]:
                 p_r = p[sl]
             else:
                 p_r = np.multiply(lam3[sl], p_lam3, out=tile[: sl.stop - sl.start])
@@ -738,8 +740,7 @@ def solve_casorati(
         c = mu / (mu + 2.0 * cfg.beta)
         one_minus_c = 2.0 * cfg.beta / (mu + 2.0 * cfg.beta)
         s_thresh = cfg.lam / mu
-        if not store_p:
-            p_lam3 = 1.0 - mu_next / (2.0 * cfg.beta)
+        p_lam3 = 1.0 - mu_next / (2.0 * cfg.beta)
         fit_sq = e_sq = s_abs = 0.0
         pu = np.zeros((b, r))
         for k, sl in enumerate(tiles):
@@ -753,18 +754,13 @@ def solve_casorati(
             # fit_sq.
             if not s_live[k] and one_minus_c * max(t.max(), -t.min()) > s_thresh:
                 if s is None:
-                    s = np.zeros((mn, b))
-                if p is None:
-                    p = np.empty((mn, b))
+                    s, p = np.zeros((mn, b)), np.empty((mn, b))
                 s_live[k] = True
-            p_r = p[sl] if store_p or s_live[k] else None
             if not s_live[k]:
                 e_sq += float(np.vdot(t, t)) * c * c  # E = c*T
-                if p_r is not None:
-                    np.multiply(t, -c, out=p_r)  # -E
                 t *= one_minus_c  # T - E
             else:
-                s_r = s[sl]
+                s_r, p_r = s[sl], p[sl]
                 np.subtract(s_r, t, out=p_r)
                 p_r *= c  # -E
                 e_sq += float(np.vdot(p_r, p_r))
@@ -776,7 +772,7 @@ def solve_casorati(
             lam3_r -= t  # minus the fit residual
             fit_sq += float(np.vdot(lam3_r, lam3_r))
             np.multiply(t, rescale, out=lam3_r)
-            if p_r is None:
+            if not s_live[k]:
                 p_r = np.multiply(lam3_r, p_lam3, out=t)
             else:
                 p_r += lam3_r

@@ -351,6 +351,21 @@ class TestDenoise:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "flag, value", [("--beta", "0"), ("--beta", "1e-305"), ("--mu0", "1e7")]
+    )
+    def test_unsolvable_beta_or_mu0_rejected_before_reading_input(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        reads = []
+        monkeypatch.setattr(rctv.cli, "read_cube", lambda *a: reads.append(a))
+        code = main(["denoise", "--input", str(tmp_path / "missing.hsic"),
+                     "--output", str(tmp_path / "o.hsic"), "--rank", "2", flag, value])
+        assert code == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert reads == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "shape, rank, message",
         [((1, 64, 8), "auto", "plane dims must be >= 2, got 1x64"),
          ((64, 1, 8), "2", "plane dims must be >= 2, got 64x1"),
