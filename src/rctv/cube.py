@@ -26,9 +26,6 @@ HSIC_LAYOUT = "bsq-colmajor"
 MAX_ELEMENTS = 2**31
 # The longest header line read_cube looks through for its terminator.
 MAX_HEADER_BYTES = 64 * 1024
-# Bytes in one row tile of casorati_rows: the strided rows it reads and the
-# tile it writes stay in cache while the tile is normalized.
-_TILE_BYTES = 256 * 1024
 
 
 class CubeFormatError(ValueError):
@@ -149,24 +146,18 @@ def casorati_rows(cube: HsiCube, record: NormalizationRecord | None = None) -> n
     Row k is the spectrum of pixel k, contiguous, which is the layout a
     pass over row tiles streams.  With a record, each band is normalized on
     the way, (x - min) / span, with the same arithmetic as normalize_bands,
-    so the values are bit-identical to its output.  The matrix is built one
-    tile of rows at a time and is the only M*N x B array allocated.
+    so the values are bit-identical to its output.  The output is the only
+    M*N x B array allocated.
     """
-    if record is not None and record.mins.size != cube.bands:
+    x = unfold_casorati(cube)
+    if record is None:
+        return x.copy(order="C")
+    if record.mins.size != cube.bands:
         raise ValueError(
             f"record has {record.mins.size} bands, cube has {cube.bands}"
         )
-    x = unfold_casorati(cube)
-    out = np.empty(x.shape)
-    span = None if record is None else record.span
-    rows = max(1, _TILE_BYTES // (8 * cube.bands))
-    for lo in range(0, x.shape[0], rows):
-        t, x_r = out[lo : lo + rows], x[lo : lo + rows]
-        if record is None:
-            t[...] = x_r
-        else:
-            np.subtract(x_r, record.mins, out=t)
-            t /= span
+    out = np.subtract(x, record.mins, out=np.empty(x.shape))
+    out /= record.span
     return out
 
 
@@ -186,12 +177,14 @@ def fold_casorati(mat: np.ndarray, height: int, width: int) -> HsiCube:
 def normalize_bands(cube: HsiCube) -> tuple[HsiCube, NormalizationRecord]:
     """Min-max rescale each band to [0, 1]; constant bands map to all-zeros.
 
-    The result keeps the band-sequential layout; casorati_rows gives the
-    same values as a C-ordered Casorati matrix.
+    The result keeps the band-sequential layout and is the only M*N x B
+    array allocated; casorati_rows gives the same values as a C-ordered
+    Casorati matrix.
     """
     rec = NormalizationRecord.of(cube)
-    y = (unfold_casorati(cube) - rec.mins) / rec.span
-    return fold_casorati(y, cube.height, cube.width), rec
+    out = np.subtract(cube.data.reshape(cube.bands, -1), rec.mins[:, None])
+    out /= rec.span[:, None]
+    return HsiCube(cube.height, cube.width, cube.bands, out.reshape(-1)), rec
 
 
 def denormalize_bands(cube: HsiCube, rec: NormalizationRecord) -> HsiCube:
@@ -211,13 +204,14 @@ def denormalize_bands(cube: HsiCube, rec: NormalizationRecord) -> HsiCube:
 def write_cube(cube: HsiCube, path) -> None:
     """Write the native .hsic format (JSON header line + f32le payload).
 
-    A value beyond the float32 range raises ValueError before the file is
-    opened.
+    The float32 payload is the only M*N x B array allocated.  A value beyond
+    the float32 range raises ValueError before the file is opened.
     """
     with np.errstate(over="ignore"):
         payload = cube.data.astype("<f4")
-    # The cube's values are finite, so a non-finite one here overflowed.
-    if not np.isfinite(payload).all():
+    # The cube's values are finite, so a non-finite one here overflowed;
+    # min and max reach any infinity without a cube-sized mask.
+    if not (np.isfinite(payload.min()) and np.isfinite(payload.max())):
         raise ValueError("cube values exceed the float32 range of .hsic")
     header = {
         "magic": HSIC_MAGIC,

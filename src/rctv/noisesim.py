@@ -16,7 +16,7 @@ Column and band indices in records are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -89,7 +89,8 @@ class NoiseRecord:
     stripes: Optional[dict[int, list[tuple[int, float]]]]
 
     def to_json_obj(self) -> dict:
-        obj = asdict(self)
+        # A shallow copy: json.dump only reads the per-band lists.
+        obj = dict(vars(self))
         # JSON object keys must be strings.
         for key in ("deadlines", "stripes"):
             if obj[key] is not None:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rctv.cube
 from rctv.cube import (
     MAX_HEADER_BYTES,
     CubeFormatError,
@@ -184,13 +183,46 @@ def test_denormalize_allocates_only_its_output(rng):
     np.testing.assert_allclose(back.data, want.data, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("tile_rows", [1, 8, 1000], ids=["row", "ragged", "one-tile"])
-def test_casorati_rows_is_the_c_ordered_normalize_bands(monkeypatch, rng, tile_rows):
-    # 35 rows: 8-row tiles leave a ragged last tile of 3.  Band 2 is constant.
+def test_normalize_is_the_elementwise_formula(rng):
+    # Band 3 is constant, so its span is replaced by 1.
+    arr = 10.0 * rng.random((6, 7, 5)) - 3.0
+    arr[:, :, 3] = -2.25
+    cube = HsiCube.from_array(arr)
+    normalized, rec = normalize_bands(cube)
+    want = (unfold_casorati(cube) - rec.mins) / rec.span
+    assert np.array_equal(unfold_casorati(normalized), want)
+    assert np.array_equal(want[:, 3], np.zeros(42))
+
+
+@pytest.mark.parametrize(
+    "op, bound",
+    [
+        (lambda cube, rec, path: normalize_bands(cube), 1.1),
+        (lambda cube, rec, path: casorati_rows(cube, rec), 1.1),
+        (lambda cube, rec, path: write_cube(cube, path), 0.55),
+    ],
+    ids=["normalize_bands", "casorati_rows", "write_cube"],
+)
+def test_allocates_only_its_output(tmp_path, rng, op, bound):
+    # Each builds one M*N x B output (write_cube's is the float32 payload)
+    # and no cube-sized temporary beside it.
+    m, n, b = 48, 48, 96
+    cube = HsiCube(m, n, b, rng.random(m * n * b))
+    rec = NormalizationRecord.of(cube)
+    tracemalloc.start()
+    try:
+        op(cube, rec, tmp_path / "c.hsic")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * m * n * b * 8
+
+
+def test_casorati_rows_is_the_c_ordered_normalize_bands(rng):
+    # Band 2 is constant.
     arr = 10.0 * rng.random((7, 5, 4)) - 3.0
     arr[:, :, 2] = 1.5
     cube = HsiCube.from_array(arr)
-    monkeypatch.setattr(rctv.cube, "_TILE_BYTES", tile_rows * 8 * cube.bands)
     normalized, rec = normalize_bands(cube)
     assert np.array_equal(NormalizationRecord.of(cube).mins, rec.mins)
     assert np.array_equal(NormalizationRecord.of(cube).maxs, rec.maxs)

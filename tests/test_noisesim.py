@@ -295,6 +295,8 @@ class TestReplay:
         cube = random_cube(6, 6, 31, seed=22)
         noisy, record = apply_case(cube, "f", "msi31", seed=79)
         obj = record.to_json_obj()
+        # The JSON object is a copy: its str keys leave the record's int keys.
+        assert all(type(b) is int for b in (*record.deadlines, *record.stripes))
         back = NoiseRecord.from_json_obj(json.loads(json.dumps(obj)))
         again = replay(back, cube)
         np.testing.assert_array_equal(noisy.data, again.data)
