@@ -218,9 +218,14 @@ def test_allocates_only_its_output(tmp_path, rng, op, bound):
     assert peak <= bound * m * n * b * 8
 
 
-def test_casorati_rows_is_the_c_ordered_normalize_bands(rng):
+@pytest.mark.parametrize(
+    "shape", [(1, 35), (7, 5), (35, 1)], ids=["row", "ragged", "one-tile"]
+)
+def test_casorati_rows_is_the_c_ordered_normalize_bands(rng, shape):
+    # 35 pixels as one image row, a non-square plane and one image column,
+    # so the k = j*M + i order is checked at both degenerate extents.
     # Band 2 is constant.
-    arr = 10.0 * rng.random((7, 5, 4)) - 3.0
+    arr = 10.0 * rng.random((*shape, 4)) - 3.0
     arr[:, :, 2] = 1.5
     cube = HsiCube.from_array(arr)
     normalized, rec = normalize_bands(cube)
