@@ -17,7 +17,7 @@ from rctv.cube import (
     unfold_casorati,
     write_cube,
 )
-from rctv.solver import DenoiseConfig, IterationDiagnostics, SolverState, solve, solve_casorati
+from rctv.solver import DenoiseConfig, IterationDiagnostics, solve, solve_casorati
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "HsiCube",
     "NormalizationRecord",
     "DenoiseConfig",
-    "SolverState",
     "IterationDiagnostics",
     "solve",
     "solve_casorati",

@@ -81,8 +81,9 @@ and ||U - U_prev C||^2 and U^T U for rel_change, which is computed from
 the factors in O(M*N*R^2) with no copy of the previous U V^T; the Gram is
 carried on as U_prev's.  The U solve runs in buffers allocated once and
 writes U into one of two buffers in turn, so U_prev survives until the
-pass and the loop allocates no (M*N, R) array.  In debug mode the G check
-re-baselines the Lagrangian at the G that the last pass read.
+pass and the loop allocates no (M*N, R) array.  In debug mode each
+iteration records six Lagrangian values: a baseline at the G that the
+last pass read, then one after each of the five block updates.
 
 A non-finite residual or objective stops the solve with a ValueError
 naming the iteration.  The per-block update_* functions,
@@ -155,7 +156,7 @@ class DenoiseConfig:
               reaches about 40-45, so the start and rho set the iteration
               count
     rho       penalty growth factor per iteration (> 1); at the defaults
-              a run converges in about 23 iterations (39 at rho = 1.25)
+              a run converges in about 23 iterations
     epsilon   convergence tolerance on the squared relative residuals
     max_iter  iteration cap; hitting it is reported, not an error
 
@@ -231,7 +232,8 @@ class SolverState:
 
     The reference kernels and augmented_lagrangian take their iterates in
     this form.  solve() keeps its own as local variables and builds a
-    SolverState only in debug mode, to evaluate the Lagrangian.
+    SolverState only in debug mode, for each of the six Lagrangian values
+    it records per iteration.
     """
 
     u: np.ndarray
@@ -599,12 +601,14 @@ def solve_casorati(
     raising; divergence does not: a non-finite fit residual, split residual
     or objective raises ValueError naming the iteration and the quantity.
 
-    With debug=True, the augmented Lagrangian is evaluated around every
-    block update and the worst relative increase per iteration is recorded
-    in the diagnostics (each block is an exact minimizer, so anything
-    beyond roundoff indicates a broken update).  E enters it as recovered
-    from P, which debug mode rebuilds in full on the tiles where the loop
-    does not store it, and S that the loop does not store as zero.
+    With debug=True, each iteration records six values of the augmented
+    Lagrangian, a baseline and one after each of the G, V, U, E and S
+    updates, and block_increase is the worst relative rise between
+    consecutive ones (each block is an exact minimizer, so anything beyond
+    roundoff indicates a broken update); nothing else in the result
+    changes.  E enters it as recovered from P, which debug mode rebuilds
+    in full on the tiles where the loop does not store it, and S that the
+    loop does not store as zero.
     """
     if not isinstance(y, np.ndarray):
         raise ValueError(f"expected a numpy array, got {type(y).__name__}")
@@ -683,31 +687,20 @@ def solve_casorati(
         )
         return augmented_lagrangian(y, state, cfg, m, n)
 
-    lag = 0.0
-
-    def checkpoint(worst, **at):
-        # Debug-only: the Lagrangian must not rise across a block update.
-        nonlocal lag
-        lag_new = lagrangian(**at)
-        rise = (lag_new - lag) / max(1.0, abs(lag))
-        lag = lag_new
-        return rise if worst is None else max(worst, rise)
-
     for it in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         mu_next = min(cfg.rho * mu, MU_MAX)
         v_prev = v
-        worst_increase = None
+        lags = None
         if debug:
             # The last column pass wrote G ahead of this check, with the
-            # multipliers and mu since changed: re-baseline at the G it
-            # read, then check the G it wrote.
-            lag = lagrangian(g_at=g_before)
-            worst_increase = checkpoint(worst_increase)
+            # multipliers and mu since changed: the baseline is at the G it
+            # read, the next value at the G it wrote.
+            lags = [lagrangian(g_at=g_before), lagrangian()]
 
         v = procrustes_v(pu)
         if debug:
-            worst_increase = checkpoint(worst_increase)
+            lags.append(lagrangian())
         # mu cancels from the U normal equations in scaled form; the
         # right-hand side P V is formed tile by tile in the spare buffer,
         # which the solve overwrites with the new U.  A P tile that is not
@@ -723,7 +716,7 @@ def solve_casorati(
         u = solve_u_system(u_spare, g1, g2, lam1, lam2, 1.0, tf, u_spare, hat)
         u_spare = u_prev
         if debug:
-            worst_increase = checkpoint(worst_increase)
+            lags.append(lagrangian())
             s_before = np.zeros_like(y) if s is None else s.copy()
             lam3_before = lam3.copy()
 
@@ -781,8 +774,8 @@ def solve_casorati(
         if debug:
             # The pass updated E, S and Lam3 together; check E and S as the
             # sequential block updates would have left them.
-            worst_increase = checkpoint(worst_increase, s_at=s_before, lam3_at=lam3_before)
-            worst_increase = checkpoint(worst_increase, lam3_at=lam3_before)
+            lags.append(lagrangian(s_at=s_before, lam3_at=lam3_before))
+            lags.append(lagrangian(lam3_at=lam3_before))
             np.copyto(g_before[0], g1)
             np.copyto(g_before[1], g2)
         _check_v_orthonormal(v)
@@ -823,7 +816,10 @@ def solve_casorati(
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 rel_change=rel_change,
                 s_active=s is not None,
-                block_increase=worst_increase,
+                block_increase=None if lags is None else max(
+                    (after - before) / max(1.0, abs(before))
+                    for before, after in zip(lags, lags[1:])
+                ),
             )
         )
 

@@ -472,6 +472,51 @@ class TestSolve:
         diags = check_debug_block_decrease(noisy, oracle_config(lam=MID_RUN_LAM))
         assert [d.s_active for d in diags[:2]] == [False, True]
 
+    @pytest.mark.parametrize("case", ["criterion_3", "mid_run"])
+    def test_debug_leaves_the_solve_untouched(self, monkeypatch, case):
+        # Acceptance criterion 3 scores a debug run, so debug mode must give
+        # the production result: the same bytes, and the same diagnostics
+        # up to wall time and block_increase.
+        if case == "criterion_3":
+            clean = smooth_rank_cube(32, 32, 10, 3, seed=42)
+            noisy, _ = apply_case(clean, "c", "msi31", seed=7)
+            cfg = DenoiseConfig.preset("mixed", rank=3, tau=0.3)
+        else:
+            noisy, cfg = oracle_cube(), oracle_config(lam=MID_RUN_LAM)
+            force_tile_rows(monkeypatch, noisy, 5)
+        restored, diags = solve(noisy, cfg)
+        restored_debug, diags_debug = solve(noisy, cfg, debug=True)
+        assert restored_debug.data.tobytes() == restored.data.tobytes()
+        assert len(diags_debug) == len(diags)
+        for d, d_debug in zip(diags, diags_debug):
+            assert dataclasses.replace(d_debug, wall_ms=d.wall_ms, block_increase=None) == d
+        if case == "mid_run":
+            assert [d.s_active for d in diags[:2]] == [False, True]
+
+    @pytest.mark.parametrize("case", ["debug_case", "mid_run"])
+    def test_block_increase_is_the_worst_of_five_rises(self, monkeypatch, case):
+        # Each iteration evaluates the Lagrangian 6 times: a baseline and
+        # one after each block update.  block_increase is the worst relative
+        # rise between consecutive values.
+        if case == "debug_case":
+            noisy, cfg = debug_case()
+        else:
+            noisy, cfg = oracle_cube(), oracle_config(lam=MID_RUN_LAM)
+            force_tile_rows(monkeypatch, noisy, 5)
+        values = []
+
+        def recording(*args):
+            values.append(augmented_lagrangian(*args))
+            return values[-1]
+
+        monkeypatch.setattr(rctv.solver, "augmented_lagrangian", recording)
+        _, diags = solve(noisy, cfg, debug=True)
+        assert len(values) == 6 * len(diags)
+        for k, d in enumerate(diags):
+            lags = values[6 * k : 6 * k + 6]
+            rises = [(b - a) / max(1.0, abs(a)) for a, b in zip(lags, lags[1:])]
+            assert d.block_increase == max(rises)
+
     def test_peak_allocation_while_s_is_zero(self):
         # Y's copy and Gam3 are the MN x B arrays a solve needs while S is
         # zero.
