@@ -5,8 +5,10 @@ MSAM compare spectra.  All of them assume band-normalized data, so the
 PSNR/SSIM peak is 1.  SSIM uses the single-scale Gaussian-window
 form (11x11, sigma 1.5, K1=0.01, K2=0.03) with valid-region averaging; on
 bands too small for the 11-pixel window the window shrinks to the largest
-odd size that fits.  ERGAS is 100 * sqrt(mean_b(MSE_b / mean_b^2)) over
-bands with nonzero reference mean.  MSAM is reported in radians.
+odd size that fits, and a band under 3x3 is refused with a ValueError
+(rctv metrics exits 2), as no 3-pixel window fits it.  ERGAS is
+100 * sqrt(mean_b(MSE_b / mean_b^2)) over bands with nonzero reference
+mean.  MSAM is reported in radians.
 
 compute_report scores all four from one pair of Casorati views and one
 per-band mean squared error MSE_b, which gives both the band PSNRs and
@@ -147,7 +149,7 @@ def _correlate_valid(img: np.ndarray, row_taps: np.ndarray, col_taps: np.ndarray
 
 
 def effective_ssim_window(height: int, width: int) -> int:
-    """The 11-pixel default, shrunk to the largest odd size that fits."""
+    """The 11-pixel default, shrunk to the largest odd size that fits; under 3x3 raises."""
     smallest = min(height, width)
     if smallest < 3:
         raise ValueError(f"band {height}x{width} too small for SSIM")

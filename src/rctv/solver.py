@@ -39,14 +39,13 @@ iterates, then one over column tiles of the (M*N, R) ones.  The V and U
 updates read only P = Y - E - S + Lam_3: the V update is Procrustes on
 P^T U and the U right-hand side is P V, formed one row tile at a time.
 The row pass runs after the U update and, per tile of rows r, forms
-T_r = Y_r - U_r V^T + Lam_3r in the tile buffer, then E_r and S_r,
-leaving T_r - E_r - S_r there.  A tail shared by both S cases then takes
-the data-fit residual T_r - E_r - S_r - Lam_3r, writes
-Lam_3r = (mu/mu')*(T_r - E_r - S_r) for the grown penalty
-mu' = min(rho*mu, MU_MAX), forms the next iteration's
-P_r = Y_r - E_r - S_r + Lam_3r and adds P_r^T U_r for the next V update.
-It sums ||fit||^2, ||E||^2 and sum|S| for the diagnostics and the
-objective.
+T_r = Y_r - U_r V^T + Lam_3r in the tile buffer, then E_r = c*(T_r - S_r)
+and S_r = shrink(T_r - E_r, lam/mu).  It takes the data-fit residual
+fit_r = T_r - E_r - S_r - Lam_3r, writes Lam_3r = (mu/mu')*(T_r - E_r -
+S_r) for the grown penalty mu' = min(rho*mu, MU_MAX), forms the next
+iteration's P_r = Y_r - E_r - S_r + Lam_3r and adds P_r^T U_r for the
+next V update.  It sums ||fit||^2, ||E||^2 and lam*||S||_1 for the
+diagnostics and the objective.
 
 E is never stored, and P only on the tiles where S has left zero.  S
 starts as None and stays None while the S update would leave it zero:
@@ -55,8 +54,18 @@ allocates S as zeros, and P's buffer, on the first tile where
 (1 - c)*max|T_r| exceeds lam/mu.  The same test runs per tile: a tile
 takes the S = 0 step until its own shrink lets an entry through, so rows
 of S and P that are not needed are never written and their pages never
-touched.  On a live tile, -E_r = c*(S_r - T_r) and then -E_r - S_r are
-formed in P's tile, and Y_r + Lam_3r added.  On a tile where S is zero,
+touched.  A live tile writes U_r V^T into P's tile and T_r into the tile
+buffer, then works in S's and Lam_3's tiles: D_r = T_r - S_r (with
+||E_r||^2 = c^2*||D_r||^2), E_r = c*D_r, R_r = T_r - E_r and
+K_r = clip(R_r, -lam/mu, lam/mu), so that the new S_r = R_r - K_r and
+T_r - E_r - S_r = K_r.  Hence fit_r = K_r - Lam_3r and the new
+Lam_3r = (mu/mu')*K_r, and two identities spare the passes that would
+form Y_r - E_r - S_r and |S_r|.  First, P_r = U_r V^T + fit_r + Lam_3r,
+as Y_r - E_r - S_r = U_r V^T + fit_r.  Second, lam*||S_r||_1 =
+mu'*<S_r, Lam_3r>: the new Lam_3r is (lam/mu')*sign(S_r) wherever S_r is
+nonzero, the S block's optimality condition in scaled form (Boyd et al.
+2011, section 3.3).  A tile that goes live in an iteration forms T_r
+for its S test and then again from U_r V^T.  On a tile where S is zero,
 E_r = c*T_r and Lam_3r = (mu/mu')*(1 - c)*T_r, so E_r =
 (mu'/(2*beta))*Lam_3r and P_r = Y_r + (1 - mu'/(2*beta))*Lam_3r: the
 row pass rebuilds it in the tile buffer once T_r - E_r is spent, and so
@@ -720,56 +729,66 @@ def solve_casorati(
             s_before = np.zeros_like(y) if s is None else s.copy()
             lam3_before = lam3.copy()
 
-        # Per tile, T = Y - U V^T + Lam3, then E and S, leaving T - E - S
-        # in the tile buffer; the shared tail takes the fit residual
-        # T - E - S - Lam3 and the next Lam3 = (mu/mu')*(T - E - S), then
-        # the next P and P^T U, with the sums the diagnostics need.  Where P
-        # is stored, -E - S is formed in its tile.  Elsewhere S is zero,
+        # Per tile, T = Y - U V^T + Lam3, then E, S, the fit residual
+        # T - E - S - Lam3, the next Lam3 = (mu/mu')*(T - E - S), the next P
+        # and P^T U, with the sums the diagnostics need.  Where S is zero,
         # E = c*T and the next Lam3 = (mu/mu')*(1 - c)*T, so E =
         # (mu'/(2*beta))*Lam3 and P = Y + (1 - mu'/(2*beta))*Lam3 is
-        # rebuilt in the tile buffer once T - E has been read.
+        # rebuilt in the tile buffer once T - E has been read.  A live tile
+        # writes U V^T into P's tile, T into the tile buffer and works in
+        # S's and Lam3's tiles from there: E = c*(T - S), R = T - E,
+        # K = clip(R, +-lam/mu) = T - E - S' for the next S' = R - K, so the
+        # fit residual is K - Lam3, the next Lam3 is (mu/mu')*K and
+        # P = U V^T + fit + Lam3.  mu'*Lam3 is lam*sign(S') wherever S' is
+        # nonzero, so lam*||S'||_1 = mu'*<S', Lam3>.
         vt = v.T
         rescale = mu / mu_next
         c = mu / (mu + 2.0 * cfg.beta)
         one_minus_c = 2.0 * cfg.beta / (mu + 2.0 * cfg.beta)
         s_thresh = cfg.lam / mu
         p_lam3 = 1.0 - mu_next / (2.0 * cfg.beta)
-        fit_sq = e_sq = s_abs = 0.0
+        fit_sq = e_sq = s_l1 = 0.0
         pu = np.zeros((b, r))
         for k, sl in enumerate(tiles):
             t = tile[: sl.stop - sl.start]
             lam3_r = lam3[sl]
-            np.matmul(u[sl], vt, out=t)
-            np.subtract(y[sl], t, out=t)
-            t += lam3_r
-            # With S = 0 on the tile the S update shrinks T - E = (1 - c)*T
-            # by lam/mu.  A NaN tile compares False here and shows up in
-            # fit_sq.
-            if not s_live[k] and one_minus_c * max(t.max(), -t.min()) > s_thresh:
-                if s is None:
-                    s, p = np.zeros((mn, b)), np.empty((mn, b))
-                s_live[k] = True
             if not s_live[k]:
+                np.matmul(u[sl], vt, out=t)
+                np.subtract(y[sl], t, out=t)
+                t += lam3_r
+                # With S = 0 on the tile the S update shrinks T - E =
+                # (1 - c)*T by lam/mu; a tile whose shrink lets an entry
+                # through takes the live steps from the top.  A NaN tile
+                # compares False here and shows up in fit_sq.
+                if one_minus_c * max(t.max(), -t.min()) > s_thresh:
+                    if s is None:
+                        s, p = np.zeros((mn, b)), np.empty((mn, b))
+                    s_live[k] = True
+            if s_live[k]:
+                s_r, p_r = s[sl], p[sl]
+                np.matmul(u[sl], vt, out=p_r)
+                np.subtract(y[sl], p_r, out=t)
+                t += lam3_r  # T
+                np.subtract(t, s_r, out=s_r)  # T - S
+                e_sq += float(np.vdot(s_r, s_r)) * c * c
+                s_r *= c  # E
+                t -= s_r  # R = T - E
+                np.clip(t, -s_thresh, s_thresh, out=s_r)  # K
+                np.subtract(s_r, lam3_r, out=lam3_r)  # the fit residual
+                fit_sq += float(np.vdot(lam3_r, lam3_r))
+                p_r += lam3_r
+                np.multiply(s_r, rescale, out=lam3_r)
+                p_r += lam3_r  # P
+                np.subtract(t, s_r, out=s_r)  # S'
+                s_l1 += mu_next * float(np.vdot(s_r, lam3_r))
+            else:
                 e_sq += float(np.vdot(t, t)) * c * c  # E = c*T
                 t *= one_minus_c  # T - E
-            else:
-                s_r, p_r = s[sl], p[sl]
-                np.subtract(s_r, t, out=p_r)
-                p_r *= c  # -E
-                e_sq += float(np.vdot(p_r, p_r))
-                t += p_r  # T - E
-                soft_threshold(t, s_thresh, out=s_r)
-                s_abs += float(np.abs(s_r).sum())
-                t -= s_r  # T - E - S
-                p_r -= s_r  # -E - S
-            lam3_r -= t  # minus the fit residual
-            fit_sq += float(np.vdot(lam3_r, lam3_r))
-            np.multiply(t, rescale, out=lam3_r)
-            if not s_live[k]:
+                lam3_r -= t  # minus the fit residual
+                fit_sq += float(np.vdot(lam3_r, lam3_r))
+                np.multiply(t, rescale, out=lam3_r)
                 p_r = np.multiply(lam3_r, p_lam3, out=t)
-            else:
-                p_r += lam3_r
-            p_r += y[sl]  # P
+                p_r += y[sl]  # P
             pu += p_r.T @ u[sl]
         if debug:
             # The pass updated E, S and Lam3 together; check E and S as the
@@ -793,7 +812,7 @@ def solve_casorati(
             cfg.tau * sums.grad_abs[0]
             + cfg.tau * sums.grad_abs[1]
             + cfg.beta * e_sq
-            + cfg.lam * s_abs
+            + s_l1
         )
         for name, value in (
             ("fit_res", fit_res),

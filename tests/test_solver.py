@@ -255,6 +255,24 @@ def oracle_config(**overrides):
 MID_RUN_LAM = 0.8
 
 
+def spy_s_clips(monkeypatch, bands, record):
+    """Call record(K) after each np.clip that writes a live row tile of solve()'s S.
+
+    A live tile shrinks S by clipping T - E to K in S's own tile, a view of
+    the S that solve() holds.  The reference kernels' S shrinks clip into
+    fresh arrays, and the G shrinks have R columns, not B.
+    """
+    clip = np.clip
+
+    def recording(a, low, high, out=None):
+        result = clip(a, low, high, out=out)
+        if a.shape[1] == bands and out is not None and out.base is not None:
+            record(result)
+        return result
+
+    monkeypatch.setattr(np, "clip", recording)
+
+
 def check_against_reference_kernels(noisy, cfg):
     """solve() against the dense reference loop, every iteration to 1e-10.
 
@@ -569,6 +587,39 @@ class TestSolve:
         assert len(rises) == cfg.max_iter
         assert max(rises[1:]) < 0.5 * m * n * r * 8
 
+    def test_s_live_iterations_allocate_no_tile(self, monkeypatch):
+        # With S live from iteration 1, every row tile works in S's, P's
+        # and Lam3's own tiles and the tile buffer, so from one V update to
+        # the next the traced memory never rises by a row tile above its
+        # level at the first of them: numpy's 3 x 64 KiB iteration buffers
+        # for strided operands stay below the 256 KiB tile.  S and P are
+        # allocated at iteration 1 and stay, so they raise the level, not
+        # the rise.
+        m, n, r = 128, 128, 8
+        clean = smooth_rank_cube(m, n, 16, 2, seed=9)
+        noisy, _ = apply_case(clean, "e", "msi31", seed=1)
+        cfg = DenoiseConfig.preset(
+            "mixed", rank=r, tau=0.1, lam=0.02, mu0=0.5, max_iter=4, epsilon=1e-30
+        )
+        rises = []
+
+        def recording(w):
+            current, peak = tracemalloc.get_traced_memory()
+            rises.append(peak - current)
+            tracemalloc.reset_peak()
+            return procrustes_v(w)
+
+        monkeypatch.setattr(rctv.solver, "procrustes_v", recording)
+        tracemalloc.start()
+        try:
+            _, diags = solve(noisy, cfg)
+        finally:
+            tracemalloc.stop()
+        assert all(d.s_active for d in diags)
+        # The first record spans the set-up before the loop.
+        assert len(rises) == cfg.max_iter
+        assert max(rises[1:]) < rctv.solver._TILE_BYTES
+
     def test_rank_or_plane_rejected_before_copying_y(self, monkeypatch):
         copies = []
         monkeypatch.setattr(rctv.solver, "casorati_rows", lambda c: copies.append(c))
@@ -807,6 +858,7 @@ class TestFusedLoopOracle:
             return soft_threshold(a, threshold, out=out)
 
         monkeypatch.setattr(rctv.solver, "soft_threshold", recording)
+        spy_s_clips(monkeypatch, noisy.bands, lambda k: widths.append(k.shape[1]))
         diags, _ = check_against_reference_kernels(noisy, cfg)
         assert next(d.iteration for d in diags if d.s_active) == 2
         # The init column pass shrinks the first two G splits (R columns)
@@ -821,6 +873,25 @@ class TestFusedLoopOracle:
             live |= set(np.flatnonzero(np.any(state.s, axis=1)) // rows)
             expected += "s" * len(live) + g_pass
         assert "".join("g" if w == cfg.rank else "s" for w in widths) == expected
+
+    def test_matches_reference_kernels_at_zero_lambda(self, monkeypatch):
+        # At lam = 0 the S threshold is 0, so every row tile, ragged last one
+        # included, is live from iteration 1 and clips T - E to K = 0 in
+        # S's tile.  The fit residual K - Lam3 and the next Lam3 = (mu/mu')*K
+        # are then exactly 0, and with them the sparse term mu'*<S', Lam3>:
+        # the objective is the reference's, whose lam*||S||_1 is 0.
+        noisy, rows = oracle_cube(), 13
+        force_tile_rows(monkeypatch, noisy, rows)
+        cfg = oracle_config(lam=0.0)
+        clipped = []
+        spy_s_clips(monkeypatch, noisy.bands, lambda k: clipped.append(np.count_nonzero(k)))
+        diags, ref_state = check_against_reference_kernels(noisy, cfg)
+        n_tiles = -(-noisy.height * noisy.width // rows)
+        assert len(clipped) == n_tiles * cfg.max_iter
+        assert not any(clipped)
+        assert all(d.s_active for d in diags)
+        assert all(d.fit_residual == 0.0 for d in diags)
+        assert np.count_nonzero(ref_state.s) > 0
 
     def test_matches_reference_kernels_while_s_stays_zero(self, monkeypatch):
         noisy = oracle_cube()
