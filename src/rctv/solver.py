@@ -54,9 +54,11 @@ allocates S as zeros, and P's buffer, on the first tile where
 (1 - c)*max|T_r| exceeds lam/mu.  The same test runs per tile: a tile
 takes the S = 0 step until its own shrink lets an entry through, so rows
 of S and P that are not needed are never written and their pages never
-touched.  A live tile writes U_r V^T into P's tile and T_r into the tile
-buffer, then works in S's and Lam_3's tiles: D_r = T_r - S_r (with
-||E_r||^2 = c^2*||D_r||^2), E_r = c*D_r, R_r = T_r - E_r and
+touched.  Every tile forms T_r once: a live tile from U_r V^T written
+into P's tile, any other in the tile buffer alone, and a tile whose test
+fires then writes U_r V^T into P's tile.  A live tile works in S's and
+Lam_3's tiles from T_r: D_r = T_r - S_r (with ||E_r||^2 =
+c^2*||D_r||^2), E_r = c*D_r, R_r = T_r - E_r and
 K_r = clip(R_r, -lam/mu, lam/mu), so that the new S_r = R_r - K_r and
 T_r - E_r - S_r = K_r.  Hence fit_r = K_r - Lam_3r and the new
 Lam_3r = (mu/mu')*K_r, and two identities spare the passes that would
@@ -64,18 +66,17 @@ form Y_r - E_r - S_r and |S_r|.  First, P_r = U_r V^T + fit_r + Lam_3r,
 as Y_r - E_r - S_r = U_r V^T + fit_r.  Second, lam*||S_r||_1 =
 mu'*<S_r, Lam_3r>: the new Lam_3r is (lam/mu')*sign(S_r) wherever S_r is
 nonzero, the S block's optimality condition in scaled form (Boyd et al.
-2011, section 3.3).  A tile that goes live in an iteration forms T_r
-for its S test and then again from U_r V^T.  On a tile where S is zero,
-E_r = c*T_r and Lam_3r = (mu/mu')*(1 - c)*T_r, so E_r =
-(mu'/(2*beta))*Lam_3r and P_r = Y_r + (1 - mu'/(2*beta))*Lam_3r: the
-row pass rebuilds it in the tile buffer once T_r - E_r is spent, and so
-does the next U right-hand side.  That needs Lam_3 to carry E, so
-DenoiseConfig takes only a beta > 0 with MU_MAX/(2*beta) finite.  Each
-row tile is in one of two states: S is zero and P is rebuilt, or S is
-live and S and P are both stored.  The first P is Y, and the first V
-update reads V_0 in place of Y^T U_0, which is V_0 scaled by the Gram
-eigenvalues: V_0 maximizes <Y^T U_0, V> either way.  The restored V U^T
-is written into Lam_3's buffer.
+2011, section 3.3).  On a tile where S is zero, E_r = c*T_r and
+Lam_3r = (mu/mu')*(1 - c)*T_r, so E_r = (mu'/(2*beta))*Lam_3r.  Hence
+P's rule, which solve_casorati's p_rows alone applies: P_r is stored
+where S is live, else rebuilt as Y_r + (1 - mu'/(2*beta))*Lam_3r, by the
+row pass in the tile buffer once T_r - E_r is spent, by the next U
+right-hand side and by the debug Lagrangian.  That needs Lam_3 to carry
+E, so DenoiseConfig takes only a beta > 0 with MU_MAX/(2*beta) finite.
+The first P is Y, and the first V update reads V_0 in place of
+Y^T U_0, which is V_0 scaled by the Gram eigenvalues: V_0 maximizes
+<Y^T U_0, V> either way.  The restored V U^T is written into Lam_3's
+buffer.
 
 The column pass (_column_pass) tiles the plane by whole columns of M
 pixels, so the vertical wrap stays inside a tile and the horizontal
@@ -650,9 +651,8 @@ def solve_casorati(
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
-    # P = Y - E - S + Lam3 is stored in p on the row tiles where S is live;
-    # every other tile rebuilds it as Y + p_lam3*Lam3.  P is Y while E, S
-    # and Lam3 are zero.  The first P^T U = Y^T U0 is V0 scaled by the Gram
+    # P = Y - E - S + Lam3 (p_rows) is Y while E, S and Lam3 are zero, so
+    # p_lam3 starts at 1.  The first P^T U = Y^T U0 is V0 scaled by the Gram
     # eigenvalues, so V0 maximizes <P^T U, V> (an exact V-block minimizer,
     # even where an eigenvalue is 0) and seeds the first V update in its
     # place.
@@ -678,16 +678,24 @@ def solve_casorati(
     hat = np.empty((n, m // 2 + 1, r), dtype=np.complex128)
     diags: list[IterationDiagnostics] = []
 
+    def p_rows(k, sl, out):
+        # P on row tile k (rows sl): stored where S is live, else rebuilt
+        # into out as Y + p_lam3*Lam3 from the Lam3 stored now.
+        if s_live[k]:
+            return p[sl]
+        np.multiply(lam3[sl], p_lam3, out=out)
+        out += y[sl]
+        return out
+
     def lagrangian(s_at=None, lam3_at=None, g_at=None):
         # Debug-only: the Lagrangian at the loop's iterates, optionally with
-        # S, Lam3 or the G pair replaced.  P, stored or rebuilt, always
-        # pairs with the Lam3 stored now, so E = Y - S + Lam3 - P; S that
-        # the loop does not store is zero.
+        # S, Lam3 or the G pair replaced.  P (p_rows) pairs with the Lam3
+        # stored now, so E = Y - S + Lam3 - P; S that the loop does not
+        # store is zero.
         s_now = np.zeros_like(y) if s is None else s
-        p_now = y + p_lam3 * lam3
+        p_now = np.empty_like(y)
         for k, sl in enumerate(tiles):
-            if s_live[k]:
-                p_now[sl] = p[sl]
+            p_now[sl] = p_rows(k, sl, p_now[sl])
         g1_at, g2_at = (g1, g2) if g_at is None else g_at
         state = SolverState(
             u=u, v=v, e=y - s_now + lam3 - p_now, s=s_now if s_at is None else s_at,
@@ -711,16 +719,10 @@ def solve_casorati(
         if debug:
             lags.append(lagrangian())
         # mu cancels from the U normal equations in scaled form; the
-        # right-hand side P V is formed tile by tile in the spare buffer,
-        # which the solve overwrites with the new U.  A P tile that is not
-        # stored is rebuilt in the tile buffer.
+        # right-hand side P V is formed tile by tile (p_rows) in the spare
+        # buffer, which the solve overwrites with the new U.
         for k, sl in enumerate(tiles):
-            if s_live[k]:
-                p_r = p[sl]
-            else:
-                p_r = np.multiply(lam3[sl], p_lam3, out=tile[: sl.stop - sl.start])
-                p_r += y[sl]
-            np.matmul(p_r, v, out=u_spare[sl])
+            np.matmul(p_rows(k, sl, tile[: sl.stop - sl.start]), v, out=u_spare[sl])
         u_prev = u
         u = solve_u_system(u_spare, g1, g2, lam1, lam2, 1.0, tf, u_spare, hat)
         u_spare = u_prev
@@ -729,18 +731,10 @@ def solve_casorati(
             s_before = np.zeros_like(y) if s is None else s.copy()
             lam3_before = lam3.copy()
 
-        # Per tile, T = Y - U V^T + Lam3, then E, S, the fit residual
-        # T - E - S - Lam3, the next Lam3 = (mu/mu')*(T - E - S), the next P
-        # and P^T U, with the sums the diagnostics need.  Where S is zero,
-        # E = c*T and the next Lam3 = (mu/mu')*(1 - c)*T, so E =
-        # (mu'/(2*beta))*Lam3 and P = Y + (1 - mu'/(2*beta))*Lam3 is
-        # rebuilt in the tile buffer once T - E has been read.  A live tile
-        # writes U V^T into P's tile, T into the tile buffer and works in
-        # S's and Lam3's tiles from there: E = c*(T - S), R = T - E,
-        # K = clip(R, +-lam/mu) = T - E - S' for the next S' = R - K, so the
-        # fit residual is K - Lam3, the next Lam3 is (mu/mu')*K and
-        # P = U V^T + fit + Lam3.  mu'*Lam3 is lam*sign(S') wherever S' is
-        # nonzero, so lam*||S'||_1 = mu'*<S', Lam3>.
+        # The row pass, as the module docstring sets it out: per tile, T,
+        # then E, S, the fit residual, the next Lam3, the next P and P^T U,
+        # with the sums the diagnostics need.  From here p_lam3 pairs P with
+        # the Lam3 this pass writes.
         vt = v.T
         rescale = mu / mu_next
         c = mu / (mu + 2.0 * cfg.beta)
@@ -752,23 +746,20 @@ def solve_casorati(
         for k, sl in enumerate(tiles):
             t = tile[: sl.stop - sl.start]
             lam3_r = lam3[sl]
-            if not s_live[k]:
-                np.matmul(u[sl], vt, out=t)
-                np.subtract(y[sl], t, out=t)
-                t += lam3_r
-                # With S = 0 on the tile the S update shrinks T - E =
-                # (1 - c)*T by lam/mu; a tile whose shrink lets an entry
-                # through takes the live steps from the top.  A NaN tile
-                # compares False here and shows up in fit_sq.
-                if one_minus_c * max(t.max(), -t.min()) > s_thresh:
-                    if s is None:
-                        s, p = np.zeros((mn, b)), np.empty((mn, b))
-                    s_live[k] = True
+            uvt = p[sl] if s_live[k] else t
+            np.matmul(u[sl], vt, out=uvt)
+            np.subtract(y[sl], uvt, out=t)
+            t += lam3_r  # T
+            # With S = 0 on the tile the S update shrinks T - E = (1 - c)*T
+            # by lam/mu; a tile whose shrink lets an entry through goes live
+            # here.  A NaN tile compares False and shows up in fit_sq.
+            if not s_live[k] and one_minus_c * max(t.max(), -t.min()) > s_thresh:
+                if s is None:
+                    s, p = np.zeros((mn, b)), np.empty((mn, b))
+                s_live[k] = True
+                np.matmul(u[sl], vt, out=p[sl])
             if s_live[k]:
                 s_r, p_r = s[sl], p[sl]
-                np.matmul(u[sl], vt, out=p_r)
-                np.subtract(y[sl], p_r, out=t)
-                t += lam3_r  # T
                 np.subtract(t, s_r, out=s_r)  # T - S
                 e_sq += float(np.vdot(s_r, s_r)) * c * c
                 s_r *= c  # E
@@ -787,8 +778,7 @@ def solve_casorati(
                 lam3_r -= t  # minus the fit residual
                 fit_sq += float(np.vdot(lam3_r, lam3_r))
                 np.multiply(t, rescale, out=lam3_r)
-                p_r = np.multiply(lam3_r, p_lam3, out=t)
-                p_r += y[sl]  # P
+                p_r = p_rows(k, sl, t)  # P
             pu += p_r.T @ u[sl]
         if debug:
             # The pass updated E, S and Lam3 together; check E and S as the

@@ -227,19 +227,28 @@ class TestDenoise:
         manifest = json.loads((tmp_path / "o.hsic.manifest.json").read_text())
         assert manifest["input_sha256"] == hashlib.sha256(clean_path.read_bytes()).hexdigest()
 
-    def test_output_is_the_library_quick_start(self, tmp_path, clean_path):
+    @pytest.mark.parametrize("max_iter", [5, None], ids=["max_iter5", "converged"])
+    def test_output_is_the_library_quick_start(self, tmp_path, clean_path, max_iter):
         # The CLI normalizes into the solve's matrix with casorati_rows and
         # calls solve_casorati; the library path goes through
-        # normalize_bands and solve().  The written bytes must agree.
+        # normalize_bands and solve().  The written bytes must agree, also
+        # through a converged run in which S goes live mid-run.
         noisy_path = tmp_path / "noisy.hsic"
         main(["simulate", "--input", str(clean_path), "--output", str(noisy_path),
               "--case", "e", "--seed", "1"])
         out = tmp_path / "cli.hsic"
+        cap = [] if max_iter is None else ["--max-iter", str(max_iter)]
         assert main(["denoise", "--input", str(noisy_path), "--output", str(out),
-                     "--rank", "auto", "--max-iter", "5"]) == 0
-        rank = json.loads((tmp_path / "cli.hsic.manifest.json").read_text())["config"]["rank"]
+                     "--rank", "auto"] + cap) == 0
+        manifest = json.loads((tmp_path / "cli.hsic.manifest.json").read_text())
+        if max_iter is None:
+            assert manifest["stop_reason"] == "converged"
+            assert manifest["s_first_iter"] is not None
+        cfg = DenoiseConfig(rank=manifest["config"]["rank"])
+        if max_iter is not None:
+            cfg = dataclasses.replace(cfg, max_iter=max_iter)
         normalized, rec = normalize_bands(read_cube(noisy_path))
-        restored, _ = solve(normalized, DenoiseConfig(rank=rank, max_iter=5))
+        restored, _ = solve(normalized, cfg)
         write_cube(denormalize_bands(restored, rec), tmp_path / "lib.hsic")
         assert out.read_bytes() == (tmp_path / "lib.hsic").read_bytes()
 

@@ -433,12 +433,20 @@ class TestSolve:
         assert not any(d.s_active for d in diags)
         assert sum(g_nonzeros) > 0
 
-    def test_debug_lagrangian_at_implicit_e(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["debug_case", "mid_run"])
+    def test_debug_lagrangian_at_implicit_e(self, monkeypatch, case):
         # Each iteration re-baselines the Lagrangian, then checks it after
-        # 5 block updates.  The baseline at E recovered from P and S = 0 must
-        # equal the Lagrangian at the dense reference loop's stored E and S.
-        noisy, cfg = debug_case()
-        cfg = dataclasses.replace(cfg, max_iter=4)
+        # 5 block updates.  The baseline at E recovered from P, with S = 0
+        # where the loop does not store it, must equal the Lagrangian at the
+        # dense reference loop's stored E and S.  In the mid-run case S is
+        # live from iteration 2 on some row tiles, so the baselines mix
+        # stored and rebuilt P tiles.
+        if case == "debug_case":
+            noisy, cfg = debug_case()
+            cfg = dataclasses.replace(cfg, max_iter=4)
+        else:
+            noisy, cfg = oracle_cube(), oracle_config(lam=MID_RUN_LAM, max_iter=6)
+            force_tile_rows(monkeypatch, noisy, 5)
         values = []
 
         def recording(*args):
@@ -448,7 +456,10 @@ class TestSolve:
         monkeypatch.setattr(rctv.solver, "augmented_lagrangian", recording)
         g_nonzeros = count_g_nonzeros(monkeypatch, cfg.rank)
         _, diags = solve(noisy, cfg, debug=True)
-        assert not any(d.s_active for d in diags)
+        if case == "debug_case":
+            assert not any(d.s_active for d in diags)
+        else:
+            assert [d.s_active for d in diags[:2]] == [False, True]
         assert sum(g_nonzeros) > 0
         assert len(values) == 6 * cfg.max_iter
         y = unfold_casorati(noisy)
@@ -947,6 +958,37 @@ class TestFusedLoopOracle:
         assert len(calls) == 0
         assert len(passes) == cfg.max_iter + 1
         assert shrink_outs and all(out is not None for out in shrink_outs)
+
+    def test_each_row_tile_forms_t_once_per_iteration(self, monkeypatch):
+        # Every row tile forms T = Y - U V^T + Lam3 once per iteration with
+        # one np.subtract from a row tile of the read-only Y, the iteration
+        # in which it goes live included.  V updates segment the iterations.
+        noisy, rows = oracle_cube(), 5
+        force_tile_rows(monkeypatch, noisy, rows)
+        cfg = oracle_config(lam=MID_RUN_LAM)
+        counts = [0]
+        subtract = np.subtract
+
+        def counting_v(w):
+            counts.append(0)
+            return procrustes_v(w)
+
+        def counting_subtract(a, *args, **kwargs):
+            if (
+                isinstance(a, np.ndarray) and a.ndim == 2
+                and a.shape[1] == noisy.bands and not a.flags.writeable
+            ):
+                counts[-1] += 1
+            return subtract(a, *args, **kwargs)
+
+        monkeypatch.setattr(rctv.solver, "procrustes_v", counting_v)
+        monkeypatch.setattr(np, "subtract", counting_subtract)
+        _, diags = solve(noisy, cfg)
+        n_tiles = -(-noisy.height * noisy.width // rows)
+        assert n_tiles == 45
+        assert counts == [0] + [n_tiles] * len(diags)
+        assert not diags[0].s_active
+        assert all(d.s_active for d in diags[1:])
 
     def test_first_v_update_reads_init_basis(self, monkeypatch):
         # Y^T U0 is V0 scaled by the Gram eigenvalues, and V0 maximizes
