@@ -26,6 +26,9 @@ HSIC_LAYOUT = "bsq-colmajor"
 MAX_ELEMENTS = 2**31
 # The longest header line read_cube looks through for its terminator.
 MAX_HEADER_BYTES = 64 * 1024
+# Bytes in one block of whole image columns that _band_sequential copies at
+# a time, sized as solver._TILE_BYTES sizes its tiles.
+_BLOCK_BYTES = 256 * 1024
 
 
 class CubeFormatError(ValueError):
@@ -80,14 +83,17 @@ class HsiCube:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "HsiCube":
-        """Build from an (M, N, B) array indexed [i, j, b]."""
-        arr = np.asarray(arr, dtype=np.float64)
+        """Build from an (M, N, B) array indexed [i, j, b].
+
+        A C-ordered array keeps each pixel's spectrum contiguous, so it is
+        copied in blocks of whole image columns, for the reason
+        fold_casorati gives.
+        """
+        arr = np.asarray(arr)
         if arr.ndim != 3:
             raise ValueError(f"expected a 3-d array, got ndim={arr.ndim}")
         m, n, b = arr.shape
-        # [b, j, i] raveled C-order = band-major, column-major planes.
-        data = arr.transpose(2, 1, 0).reshape(-1)
-        return cls(m, n, b, data)
+        return cls(m, n, b, _band_sequential(arr.transpose(1, 0, 2)))
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,26 @@ class NormalizationRecord:
         return np.where(self.maxs == self.mins, 1.0, self.maxs - self.mins)
 
 
+def _band_sequential(pixels: np.ndarray) -> np.ndarray:
+    """Band-sequential float64 storage of an (N, M, B) array indexed [j, i, b].
+
+    Returns pixels.transpose(2, 0, 1) raveled: a view when that already is
+    contiguous float64, else a new array, the only M*N x B one allocated,
+    written one block of whole image columns (about _BLOCK_BYTES, at least
+    one column) at a time, so that each block is written while it is still
+    in cache.
+    """
+    planes = pixels.transpose(2, 0, 1)
+    if planes.dtype == np.float64 and planes.flags.c_contiguous:
+        return planes.reshape(-1)
+    n, m, b = pixels.shape
+    out = np.empty(planes.shape)
+    step = max(1, _BLOCK_BYTES // max(1, 8 * m * b))
+    for j in range(0, n, step):
+        out[:, j : j + step] = planes[:, j : j + step]
+    return out.reshape(-1)
+
+
 def unfold_casorati(cube: HsiCube) -> np.ndarray:
     """Unfold to the (M*N, B) Casorati matrix as a read-only view.
 
@@ -162,15 +188,23 @@ def casorati_rows(cube: HsiCube, record: NormalizationRecord | None = None) -> n
 
 
 def fold_casorati(mat: np.ndarray, height: int, width: int) -> HsiCube:
-    """Inverse of unfold_casorati for an (M*N, B) matrix."""
-    mat = np.asarray(mat, dtype=np.float64)
+    """Inverse of unfold_casorati for an (M*N, B) matrix.
+
+    A Fortran-ordered float64 matrix becomes the cube's storage as it is.
+    Any other is copied one block of whole image columns at a time: a
+    C-ordered matrix's rows are spectra, and a transposing copy of the
+    whole matrix would miss cache on every read.  casorati_rows copies the
+    other way in one pass, since there each read follows a band's
+    contiguous plane.
+    """
+    mat = np.asarray(mat)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={mat.ndim}")
     if mat.shape[0] != height * width:
         raise ValueError(
             f"row count {mat.shape[0]} != M*N = {height * width}"
         )
-    data = np.ascontiguousarray(mat.T).reshape(-1)
+    data = _band_sequential(mat.reshape(width, height, mat.shape[1]))
     return HsiCube(height, width, mat.shape[1], data)
 
 

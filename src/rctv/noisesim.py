@@ -4,12 +4,13 @@ Six composite cases (a)-(f) combine per-band Gaussian noise, salt-and-pepper
 impulses, zeroed full-height "deadline" columns, and constant-offset stripe
 columns.  A case table sets the Gaussian and impulse levels; a profile
 table sets the band windows, counts and widths of the structural stages,
-deadlines then stripes, which run in place on one copy of the cube.
-Everything is driven by numpy's PCG64 generator: streams are identical
-across platforms for a fixed numpy version, each corruption stage derives
-its own sub-seed from the master seed, and a NoiseRecord carries the seed,
-case, profile, window rescaling and the realized per-band values and
-placements, from which replay() reruns the case bit-exactly.
+deadlines then stripes.  apply_case runs every stage in place on one
+buffer, which becomes the noisy cube.  Everything is driven by numpy's
+PCG64 generator: streams are identical across platforms for a fixed numpy
+version, each corruption stage derives its own sub-seed from the master
+seed, and a NoiseRecord carries the seed, case, profile, window rescaling
+and the realized per-band values and placements, from which replay()
+reruns the case bit-exactly.
 
 Column and band indices in records are 0-based.
 """
@@ -138,6 +139,47 @@ def _per_band_values(param: SigmaLike, bands: int, rng: np.random.Generator):
     return np.full(bands, float(param))
 
 
+def _gaussian(
+    planes: np.ndarray, clean: np.ndarray, sigma: SigmaLike, rng: np.random.Generator
+) -> np.ndarray:
+    """Write clean plus Gaussian noise into planes; return the per-band sigmas.
+
+    planes and clean are (B, M*N), planes C-ordered and writable.  Each
+    band's draws go straight into its plane and are scaled and summed there
+    while the plane is in cache.  Drawn band by band, the stream is the one
+    a single draw of the whole cube gives, and n*s + x is the same bits as
+    x + n*s.
+    """
+    sigmas = _per_band_values(sigma, planes.shape[0], rng)
+    if np.any(sigmas < 0):
+        raise ValueError("gaussian sigma must be >= 0")
+    for plane, s, x in zip(planes, sigmas, clean):
+        rng.standard_normal(out=plane)
+        plane *= s
+        plane += x
+    return sigmas
+
+
+def _impulse(
+    planes: np.ndarray, ratio: SigmaLike, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Salt-and-pepper corruption of the (B, M*N) planes, in place.
+
+    Returns the per-band ratios and corrupted counts; see add_impulse.
+    """
+    ratios = _per_band_values(ratio, planes.shape[0], rng)
+    if np.any((ratios < 0) | (ratios > 1)):
+        raise ValueError("impulse ratio must lie in [0, 1]")
+    mn = planes.shape[1]
+    counts = np.floor(ratios * mn).astype(np.int64)
+    for plane, count in zip(planes, counts.tolist()):
+        if count == 0:
+            continue
+        idx = rng.choice(mn, size=count, replace=False)
+        plane[idx] = rng.integers(0, 2, size=count).astype(np.float64)
+    return ratios, counts
+
+
 def add_gaussian(
     cube: HsiCube, sigma: SigmaLike, rng: np.random.Generator
 ) -> tuple[HsiCube, np.ndarray]:
@@ -145,14 +187,9 @@ def add_gaussian(
 
     Returns the corrupted cube and the realized per-band sigmas.
     """
-    sigmas = _per_band_values(sigma, cube.bands, rng)
-    if np.any(sigmas < 0):
-        raise ValueError("gaussian sigma must be >= 0")
-    # Scaled and summed in the drawn array: x + n and n + x are the same bits.
-    data = rng.standard_normal(cube.data.size).reshape(cube.bands, -1)
-    data *= sigmas[:, None]
-    data += cube.data.reshape(cube.bands, -1)
-    return HsiCube(cube.height, cube.width, cube.bands, data.ravel()), sigmas
+    planes = np.empty((cube.bands, cube.height * cube.width))
+    sigmas = _gaussian(planes, cube.data.reshape(cube.bands, -1), sigma, rng)
+    return HsiCube(cube.height, cube.width, cube.bands, planes.ravel()), sigmas
 
 
 def add_impulse(
@@ -164,19 +201,8 @@ def add_impulse(
     or 1 with equal probability; everything else is untouched bit-for-bit.
     Returns (cube, per-band ratios, per-band corrupted counts).
     """
-    ratios = _per_band_values(ratio, cube.bands, rng)
-    if np.any((ratios < 0) | (ratios > 1)):
-        raise ValueError("impulse ratio must lie in [0, 1]")
-    mn = cube.height * cube.width
     data = cube.data.copy()
-    counts = np.floor(ratios * mn).astype(np.int64)
-    for b in range(cube.bands):
-        count = int(counts[b])
-        if count == 0:
-            continue
-        idx = rng.choice(mn, size=count, replace=False)
-        vals = rng.integers(0, 2, size=count).astype(np.float64)
-        data[b * mn + idx] = vals
+    ratios, counts = _impulse(data.reshape(cube.bands, -1), ratio, rng)
     return HsiCube(cube.height, cube.width, cube.bands, data), ratios, counts
 
 
@@ -248,10 +274,12 @@ def apply_case(
 
     Stages run Gaussian, then impulse, then deadlines (cases b, d, e, f),
     then stripes (case f), each from its own stage_rng, so dropping or
-    adding a later stage never perturbs the earlier ones.  The two
-    structural stages edit one copy of the cube in place.  Profile band
-    windows assume the profile's native band count; other counts get
-    proportionally rescaled windows and the fact is flagged.
+    adding a later stage never perturbs the earlier ones.  Every stage
+    edits one buffer in place: the Gaussian stage writes the clean cube
+    plus its draws into it, and the later stages overwrite or add to its
+    entries, so the noisy cube is the only M*N x B array allocated.
+    Profile band windows assume the profile's native band count; other
+    counts get proportionally rescaled windows and the fact is flagged.
     """
     if case_id not in CASES:
         raise ValueError(f"unknown case {case_id!r}; choose from {CASES}")
@@ -275,7 +303,12 @@ def apply_case(
             f"deadline width up to {prof['deadline_width'][1]} exceeds width {cube.width}"
         )
     sigma, ratio = _CASE_LEVELS[case_id]
-    out, sigmas = add_gaussian(cube, sigma, stage_rng(seed, "gaussian"))
+    # Every stage edits this one buffer; the cube built from it at the end
+    # is the only finite check.
+    planes = np.empty((cube.bands, cube.height * cube.width))
+    sigmas = _gaussian(
+        planes, cube.data.reshape(cube.bands, -1), sigma, stage_rng(seed, "gaussian")
+    )
     record = NoiseRecord(
         seed=seed,
         case=case_id,
@@ -288,23 +321,21 @@ def apply_case(
         stripes=None,
     )
     if ratio is not None:
-        out, ratios, counts = add_impulse(out, ratio, stage_rng(seed, "impulse"))
+        ratios, counts = _impulse(planes, ratio, stage_rng(seed, "impulse"))
         record.impulse_ratio = [float(r) for r in ratios]
         record.impulse_count = [int(c) for c in counts]
     if has_deadlines:
-        data = out.data.copy()
         # Column-major planes: one C-ordered (B, N, M) view, [b, j] a column.
-        planes = data.reshape(cube.bands, cube.width, cube.height)
+        columns = planes.reshape(cube.bands, cube.width, cube.height)
         record.deadlines = _zero_deadlines(
-            planes, window("deadline_window"), prof["deadline_count"],
+            columns, window("deadline_window"), prof["deadline_count"],
             prof["deadline_width"], stage_rng(seed, "deadline"),
         )
         if case_id == "f":
             record.stripes = _strike_stripes(
-                planes, window("stripe_window"), prof["stripe_count"], stage_rng(seed, "stripe")
+                columns, window("stripe_window"), prof["stripe_count"], stage_rng(seed, "stripe")
             )
-        out = HsiCube(cube.height, cube.width, cube.bands, data)
-    return out, record
+    return HsiCube(cube.height, cube.width, cube.bands, planes.reshape(-1)), record
 
 
 def replay(record: NoiseRecord, clean: HsiCube) -> HsiCube:

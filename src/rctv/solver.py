@@ -162,11 +162,15 @@ class DenoiseConfig:
     beta      Gaussian-noise weight (quadratic penalty on E); > 0 with
               MU_MAX/(2*beta) finite, as the solve recovers E from Lam_3
     lam       sparse-noise weight (l1 penalty on S)
-    mu0       initial ADMM penalty, in (0, MU_MAX]; runs converge once mu
-              reaches about 40-45, so the start and rho set the iteration
-              count
-    rho       penalty growth factor per iteration (> 1); at the defaults
-              a run converges in about 23 iterations
+    mu0       initial ADMM penalty, in (0, MU_MAX]; iteration k runs at
+              mu = mu0 * rho**(k - 1), and measured runs converged once
+              it reached about 75-112, so the start and rho set the
+              iteration count
+    rho       penalty growth factor per iteration (> 1); at the default
+              mu0 and rho a run converges in about 23 iterations
+              (measured: 23, at mu = 74.8, on 128x128x64 mixed-noise
+              inputs at tau = 0.3; 24, at mu = 112, on a 16x16x8 one at
+              the default tau)
     epsilon   convergence tolerance on the squared relative residuals
     max_iter  iteration cap; hitting it is reported, not an error
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rctv.cube
 from rctv.cube import (
     MAX_HEADER_BYTES,
     CubeFormatError,
@@ -94,6 +95,15 @@ def test_fold_dimension_mismatch():
         fold_casorati(np.zeros((5, 1)), 2, 2)
 
 
+def test_empty_axis_reaches_the_dimension_check():
+    # A zero-length plane or band axis copies nothing and fails as a cube.
+    for mat, m, n in ((np.zeros((0, 3)), 0, 4), (np.zeros((4, 0)), 2, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            fold_casorati(mat, m, n)
+    with pytest.raises(ValueError, match="positive"):
+        HsiCube.from_array(np.zeros((2, 3, 0)))
+
+
 def test_band_view_matches_casorati_rows(rng):
     cube = HsiCube(3, 4, 2, rng.random(24))
     mat = unfold_casorati(cube)
@@ -140,6 +150,54 @@ def test_cube_views_a_contiguous_float64_input(rng):
     # A strided input is copied into an array of the cube's own.
     strided = rng.random(24)[::2]
     assert not np.shares_memory(HsiCube(2, 3, 2, strided).data, strided)
+
+
+def pixels(rng, shape, kind):
+    """A random array of the given shape: float64, float32, or a strided view."""
+    if kind == "strided":
+        # Every other row of a taller array, last row first.
+        return rng.random((2 * shape[0], *shape[1:]))[::-2]
+    x = rng.random(shape)
+    return x.astype(np.float32) if kind == "float32" else x
+
+
+@pytest.mark.parametrize("kind", ["float64", "float32", "strided"])
+@pytest.mark.parametrize(
+    "dims, cols",
+    [((5, 7, 3), 2), ((5, 7, 3), None), ((1, 9, 4), 2), ((6, 1, 4), 1), ((6, 5, 1), 2)],
+    ids=["ragged", "one-block", "M=1", "N=1", "B=1"],
+)
+def test_column_blocks_equal_one_transposing_copy(monkeypatch, rng, dims, cols, kind):
+    # A block of `cols` image columns, as force_tile_rows shrinks solve()'s
+    # tiles; where it does not divide N the last block is ragged.  None
+    # keeps the default, under which each of these cubes is one block.
+    m, n, b = dims
+    if cols is not None:
+        monkeypatch.setattr(rctv.cube, "_BLOCK_BYTES", cols * 8 * m * b)
+    mat = pixels(rng, (m * n, b), kind)
+    folded = fold_casorati(mat, m, n)
+    assert folded.data.tobytes() == np.ascontiguousarray(mat.T, dtype=np.float64).tobytes()
+    arr = pixels(rng, (m, n, b), kind)
+    built = HsiCube.from_array(arr)
+    want = np.ascontiguousarray(arr.transpose(2, 1, 0), dtype=np.float64)
+    assert built.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["float64", "float32", "strided"])
+@pytest.mark.parametrize(
+    "shape, build",
+    [((48 * 48, 96), lambda x: fold_casorati(x, 48, 48)), ((48, 48, 96), HsiCube.from_array)],
+    ids=["fold_casorati", "from_array"],
+)
+def test_column_blocks_allocate_only_the_output(rng, shape, build, kind):
+    x = pixels(rng, shape, kind)
+    tracemalloc.start()
+    try:
+        build(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * x.size * 8
 
 
 def test_normalize_affine():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import rctv.noisesim
 from rctv.cube import HsiCube, fold_casorati
 from rctv.noisesim import (
     _CASE_LEVELS,
+    CASES,
     NoiseRecord,
     _free_starts,
     _strike_stripes,
@@ -55,6 +57,18 @@ class TestGaussian:
         _, sigmas = add_gaussian(cube, (0.05, 0.15), np.random.default_rng(5))
         assert np.all((sigmas >= 0.05) & (sigmas <= 0.15))
         assert len(set(sigmas.tolist())) > 1
+
+    def test_bands_draw_one_stream(self):
+        # Drawn band by band into the output, the noise is the stream of
+        # one draw of the whole cube, scaled per band and added to it.
+        cube = random_cube(7, 5, 6, seed=3)
+        out, sigmas = add_gaussian(cube, (0.05, 0.15), np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        want_sigmas = rng.uniform(0.05, 0.15, 6)
+        noise = rng.standard_normal(7 * 5 * 6).reshape(6, -1)
+        want = noise * want_sigmas[:, None] + cube.data.reshape(6, -1)
+        assert sigmas.tobytes() == want_sigmas.tobytes()
+        assert out.data.tobytes() == want.tobytes()
 
     def test_negative_sigma_rejected(self):
         cube = random_cube(4, 4, 2, seed=0)
@@ -232,11 +246,31 @@ class TestApplyCase:
         assert sorted(record.deadlines) == [3, 4, 5]
 
     def test_narrow_cube_rejected_before_any_noise(self, monkeypatch):
-        draws = []
-        monkeypatch.setattr(rctv.noisesim, "add_gaussian", lambda *a: draws.append(a))
+        # Every stage draws from a stage_rng, so a stage that was not
+        # asked for its generator drew nothing.
+        stages = []
+        real = rctv.noisesim.stage_rng
+        monkeypatch.setattr(
+            rctv.noisesim, "stage_rng", lambda seed, stage: stages.append(stage) or real(seed, stage)
+        )
         with pytest.raises(ValueError, match="deadline width up to 5 exceeds width 4"):
             apply_case(random_cube(40, 4, 31, seed=0), "b", "msi31", seed=1)
-        assert draws == []
+        assert stages == []
+        apply_case(random_cube(40, 5, 31, seed=0), "b", "msi31", seed=1)
+        assert stages == ["gaussian", "deadline"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_allocates_one_buffer(self, case):
+        # Every stage edits the buffer that becomes the noisy cube.
+        m, n, b = 48, 48, 160
+        cube = random_cube(m, n, b, seed=26)
+        tracemalloc.start()
+        try:
+            apply_case(cube, case, "hsi160", seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * m * n * b * 8
 
     def test_invalid_case_rejected(self):
         cube = random_cube(4, 4, 4, seed=0)
@@ -248,27 +282,32 @@ class TestApplyCase:
     @pytest.mark.parametrize("dims", [(9, 13), (13, 9)])
     @pytest.mark.parametrize("bands", [12, 31, 160])
     @pytest.mark.parametrize("profile", ["msi31", "hsi160"])
-    @pytest.mark.parametrize("case", ["b", "d", "e", "f"])
+    @pytest.mark.parametrize("case", CASES)
     def test_record_reproduces_structural_stages(self, case, profile, bands, dims):
+        # add_gaussian then add_impulse, from the same stage_rngs, and then
+        # the record's deadlines and stripes give the noisy cube bit for bit.
         m, n = dims
         cube = random_cube(m, n, bands, seed=25)
         seed = 82
         noisy, record = apply_case(cube, case, profile, seed)
         sigma, ratio = _CASE_LEVELS[case]
-        before, _ = add_gaussian(cube, sigma, stage_rng(seed, "gaussian"))
+        before, sigmas = add_gaussian(cube, sigma, stage_rng(seed, "gaussian"))
+        assert record.gaussian_sigma == sigmas.tolist()
         if ratio is not None:
-            before, _, _ = add_impulse(before, ratio, stage_rng(seed, "impulse"))
+            before, ratios, counts = add_impulse(before, ratio, stage_rng(seed, "impulse"))
+            assert record.impulse_ratio == ratios.tolist()
+            assert record.impulse_count == counts.tolist()
         # Apply the record alone to the (M, N) band planes.
         planes = np.stack([before.band(b) for b in range(bands)], axis=2)
-        assert record.deadlines
-        for b, runs in record.deadlines.items():
+        assert bool(record.deadlines) == (case not in ("a", "c"))
+        for b, runs in (record.deadlines or {}).items():
             for start, width in runs:
                 planes[:, start : start + width, b] = 0.0
         assert (record.stripes is not None) == (case == "f")
         for b, stripes in (record.stripes or {}).items():
             for col, offset in stripes:
                 planes[:, col, b] += offset
-        np.testing.assert_array_equal(noisy.data, HsiCube.from_array(planes).data)
+        assert noisy.data.tobytes() == HsiCube.from_array(planes).data.tobytes()
 
     def test_hsi160_windows(self):
         cube = random_cube(4, 4, 160, seed=19)
