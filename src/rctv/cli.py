@@ -1,14 +1,15 @@
 """Command-line frontend: simulate, denoise, metrics, rankest, bench.
 
-main runs every subcommand: it exits at once if the directory of --output
-is missing or if --output itself names a directory (except for metrics,
-whose --output is a base name), caps BLAS threads, times the command and
-writes a JSON manifest next to its primary output (none if the command
-fails), so results can be reproduced: simulate replays bit-exactly from
-(input, case, profile, seed); denoise is deterministic for fixed inputs on
-one platform.  Every manifest holds command, args (the parsed flags; a
-denoise override flag that was not given is null), code_version,
-numpy_version, python_version and wall_ms, then the command's own keys:
+main runs every subcommand: it exits at once if --output is empty, if the
+directory of --output is missing or if --output itself names a directory
+(except for metrics, whose --output is a base name), caps BLAS threads,
+times the command and writes a JSON manifest next to its primary output
+(none if the command fails), so results can be reproduced: simulate
+replays bit-exactly from (input, case, profile, seed); denoise is
+deterministic for fixed inputs on one platform.  Every manifest holds
+command, args (the parsed flags; a denoise override flag that was not
+given is null), code_version, numpy_version, python_version and wall_ms,
+then the command's own keys:
 
 - simulate: windows_rescaled;
 - denoise: config, rank_source, iterations, stop_reason ("converged" or
@@ -47,10 +48,10 @@ import numpy as np
 import rctv
 from rctv.cube import (
     HsiCube,
-    NormalizationRecord,
     casorati_rows,
     denormalize_bands,
     fold_casorati,
+    normalize_bands,
     read_cube,
     unfold_casorati,
     write_cube,
@@ -163,8 +164,9 @@ def _write_manifest(path, args, wall_ms: float, extra: dict) -> None:
 
 
 def cmd_simulate(args) -> tuple[str, dict]:
-    cube = read_cube(args.input)
-    noisy, record = apply_case(cube, args.case, args.profile, args.seed)
+    # The clean cube is not kept, so that the write's float32 payload is not
+    # a third M*N x B array beside it and the noisy one.
+    noisy, record = apply_case(read_cube(args.input), args.case, args.profile, args.seed)
     write_cube(noisy, args.output)
     _write_json(str(args.output) + ".noise.json", record.to_json_obj())
     print(f"wrote {args.output} (case {args.case}, profile {args.profile}, seed {args.seed})")
@@ -191,12 +193,14 @@ def cmd_denoise(args) -> tuple[str, dict]:
     rank = estimate_rank(unfold_casorati(cube)) if args.rank == "auto" else args.rank
     cfg = dataclasses.replace(cfg, rank=rank)
 
-    # Normalize straight into the C-ordered matrix the solve streams, then
-    # drop the input, so that the solve's own arrays are the only M*N x B
-    # ones alive while it runs.
-    rec = NormalizationRecord.of(cube)
-    y = casorati_rows(cube, rec)
+    # The library's steps: normalize, then copy into the C-ordered matrix
+    # the solve streams, dropping each input once it is used, so that at
+    # most two M*N x B arrays are alive before the solve and its own are
+    # the only ones while it runs.
+    normalized, rec = normalize_bands(cube)
     del cube
+    y = casorati_rows(normalized)
+    del normalized
     t_solve = time.perf_counter()
     restored, diags = solve_casorati(y, height, width, cfg)
     solve_ms = (time.perf_counter() - t_solve) * 1e3
@@ -411,8 +415,11 @@ def main(argv=None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        # Every subcommand has --output (optional only for rankest); for
+        # Every subcommand has --output (optional only for rankest, whose
+        # default is None); none may be empty, which is no path.  For
         # metrics it is a base name, so only there may it name a directory.
+        if args.output == "":
+            raise ValueError("--output may not be empty")
         if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
             raise ValueError(f"--output {args.output}: directory does not exist")
         if args.output and args.subcommand != "metrics" and os.path.isdir(args.output):

@@ -117,12 +117,6 @@ class NormalizationRecord:
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
-    @classmethod
-    def of(cls, cube: "HsiCube") -> "NormalizationRecord":
-        """The per-band min and max of a cube."""
-        x = unfold_casorati(cube)
-        return cls(mins=x.min(axis=0), maxs=x.max(axis=0))
-
     @property
     def span(self) -> np.ndarray:
         """The divisor that maps each band onto [0, 1].
@@ -166,25 +160,14 @@ def unfold_casorati(cube: HsiCube) -> np.ndarray:
     return cube.data.reshape(cube.bands, mn).T
 
 
-def casorati_rows(cube: HsiCube, record: NormalizationRecord | None = None) -> np.ndarray:
+def casorati_rows(cube: HsiCube) -> np.ndarray:
     """The (M*N, B) Casorati matrix as a new C-ordered, writable array.
 
     Row k is the spectrum of pixel k, contiguous, which is the layout a
-    pass over row tiles streams.  With a record, each band is normalized on
-    the way, (x - min) / span, with the same arithmetic as normalize_bands,
-    so the values are bit-identical to its output.  The output is the only
-    M*N x B array allocated.
+    pass over row tiles streams.  The output is the only M*N x B array
+    allocated; to solve on normalized data, copy normalize_bands' output.
     """
-    x = unfold_casorati(cube)
-    if record is None:
-        return x.copy(order="C")
-    if record.mins.size != cube.bands:
-        raise ValueError(
-            f"record has {record.mins.size} bands, cube has {cube.bands}"
-        )
-    out = np.subtract(x, record.mins, out=np.empty(x.shape))
-    out /= record.span
-    return out
+    return unfold_casorati(cube).copy(order="C")
 
 
 def fold_casorati(mat: np.ndarray, height: int, width: int) -> HsiCube:
@@ -211,12 +194,14 @@ def fold_casorati(mat: np.ndarray, height: int, width: int) -> HsiCube:
 def normalize_bands(cube: HsiCube) -> tuple[HsiCube, NormalizationRecord]:
     """Min-max rescale each band to [0, 1]; constant bands map to all-zeros.
 
-    The result keeps the band-sequential layout and is the only M*N x B
-    array allocated; casorati_rows gives the same values as a C-ordered
-    Casorati matrix.
+    Each band becomes (x - min) / span, the one place this rule is
+    computed.  The result keeps the band-sequential layout and is the only
+    M*N x B array allocated; casorati_rows copies it into the C-ordered
+    matrix solve_casorati takes.
     """
-    rec = NormalizationRecord.of(cube)
-    out = np.subtract(cube.data.reshape(cube.bands, -1), rec.mins[:, None])
+    x = cube.data.reshape(cube.bands, -1)
+    rec = NormalizationRecord(mins=x.min(axis=1), maxs=x.max(axis=1))
+    out = np.subtract(x, rec.mins[:, None])
     out /= rec.span[:, None]
     return HsiCube(cube.height, cube.width, cube.bands, out.reshape(-1)), rec
 

@@ -86,6 +86,25 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["args"]["seed"] == 9
 
+    @pytest.mark.parametrize("case", ["b", "f"])
+    def test_peak_allocation_is_apply_cases_own(self, tmp_path, case):
+        # apply_case needs the clean and the noisy cube; simulate drops the
+        # clean one before the write, whose float32 payload is half a cube.
+        # A warm-up run takes the first call's one-time allocations.
+        m, n, b = 48, 48, 160
+        clean_path = tmp_path / "clean.hsic"
+        write_cube(random_cube(m, n, b, seed=5), clean_path)
+        argv = ["simulate", "--input", str(clean_path), "--output", str(tmp_path / "n.hsic"),
+                "--case", case, "--profile", "hsi160", "--seed", "2"]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * m * n * b * 8, peak / (m * n * b * 8)
+
     def test_invalid_case_fails_before_writing(self, tmp_path, clean_path):
         out = tmp_path / "never.hsic"
         with pytest.raises(SystemExit):
@@ -148,9 +167,9 @@ class TestDenoise:
         assert [json.loads(line)["s_active"] for line in lines] == ref_s_active
 
     def test_peak_allocation_is_the_solves_own(self, tmp_path):
-        # denoise normalizes straight into the C-ordered matrix the solve
-        # streams and drops its float64 input before the solve, so it holds
-        # no MN x B array beyond what solve() holds itself, its copy of Y
+        # denoise normalizes, copies into the C-ordered matrix the solve
+        # streams and drops each input once it is used, so it holds no
+        # MN x B array beyond what solve() holds itself, its copy of Y
         # included.  S turns on mid-run, so both peaks include it.
         m, n, b = 48, 48, 96
         clean = smooth_rank_cube(m, n, b, 3, seed=3)
@@ -229,10 +248,10 @@ class TestDenoise:
 
     @pytest.mark.parametrize("max_iter", [5, None], ids=["max_iter5", "converged"])
     def test_output_is_the_library_quick_start(self, tmp_path, clean_path, max_iter):
-        # The CLI normalizes into the solve's matrix with casorati_rows and
-        # calls solve_casorati; the library path goes through
-        # normalize_bands and solve().  The written bytes must agree, also
-        # through a converged run in which S goes live mid-run.
+        # The CLI copies normalize_bands' output with casorati_rows and
+        # calls solve_casorati; the library path hands normalize_bands'
+        # output to solve().  The written bytes must agree, also through a
+        # converged run in which S goes live mid-run.
         noisy_path = tmp_path / "noisy.hsic"
         main(["simulate", "--input", str(clean_path), "--output", str(noisy_path),
               "--case", "e", "--seed", "1"])
@@ -387,7 +406,7 @@ class TestDenoise:
         path = tmp_path / "in.hsic"
         write_cube(random_cube(*shape, seed=0), path)
         calls = []
-        for name in ("estimate_rank", "casorati_rows", "solve_casorati"):
+        for name in ("estimate_rank", "normalize_bands", "casorati_rows", "solve_casorati"):
             monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
         out = tmp_path / "o.hsic"
         code = main(["denoise", "--input", str(path), "--output", str(out), "--rank", rank])
@@ -764,6 +783,30 @@ def test_only_denoise_reads_the_thread_env(tmp_path, clean_path, monkeypatch, co
     monkeypatch.setenv("RCTV_THREADS", "abc")
     assert main([command] + command_flags(command, str(clean_path), str(tmp_path / "out"))) == 0
     assert applied == caps
+
+
+@pytest.mark.parametrize(
+    "command, heavy",
+    [("simulate", "apply_case"), ("denoise", "solve_casorati"), ("metrics", "compute_report"),
+     ("rankest", "estimate_rank"), ("bench", "run_bench")],
+)
+def test_empty_output_rejected_before_heavy_work(
+    tmp_path, clean_path, monkeypatch, capsys, command, heavy
+):
+    # An empty --output is no path: it must not pass for rankest's None
+    # default, nor reach the write after the work is done.
+    calls = []
+    for name in ("read_cube", heavy):
+        monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
+    monkeypatch.chdir(tmp_path)
+    flags = command_flags(command, str(clean_path), "")
+    if command == "rankest":
+        flags = flags + ["--output", ""]
+    code = main([command] + flags)
+    assert code == 2
+    assert "--output" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic"]
 
 
 def test_console_entry_point():

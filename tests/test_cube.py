@@ -255,9 +255,9 @@ def test_normalize_is_the_elementwise_formula(rng):
 @pytest.mark.parametrize(
     "op, bound",
     [
-        (lambda cube, rec, path: normalize_bands(cube), 1.1),
-        (lambda cube, rec, path: casorati_rows(cube, rec), 1.1),
-        (lambda cube, rec, path: write_cube(cube, path), 0.55),
+        (lambda cube, path: normalize_bands(cube), 1.1),
+        (lambda cube, path: casorati_rows(cube), 1.1),
+        (lambda cube, path: write_cube(cube, path), 0.55),
     ],
     ids=["normalize_bands", "casorati_rows", "write_cube"],
 )
@@ -266,10 +266,9 @@ def test_allocates_only_its_output(tmp_path, rng, op, bound):
     # and no cube-sized temporary beside it.
     m, n, b = 48, 48, 96
     cube = HsiCube(m, n, b, rng.random(m * n * b))
-    rec = NormalizationRecord.of(cube)
     tracemalloc.start()
     try:
-        op(cube, rec, tmp_path / "c.hsic")
+        op(cube, tmp_path / "c.hsic")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -286,22 +285,14 @@ def test_casorati_rows_is_the_c_ordered_normalize_bands(rng, shape):
     arr = 10.0 * rng.random((*shape, 4)) - 3.0
     arr[:, :, 2] = 1.5
     cube = HsiCube.from_array(arr)
-    normalized, rec = normalize_bands(cube)
-    assert np.array_equal(NormalizationRecord.of(cube).mins, rec.mins)
-    assert np.array_equal(NormalizationRecord.of(cube).maxs, rec.maxs)
-    rows = casorati_rows(cube, rec)
+    normalized, _ = normalize_bands(cube)
+    rows = casorati_rows(normalized)
     assert rows.flags.c_contiguous and rows.flags.writeable and rows.dtype == np.float64
     assert np.array_equal(rows, np.ascontiguousarray(unfold_casorati(normalized)))
     assert np.array_equal(rows[:, 2], np.zeros(35))
     raw = casorati_rows(cube)
     assert raw.flags.c_contiguous and not np.shares_memory(raw, cube.data)
     assert np.array_equal(raw, unfold_casorati(cube))
-
-
-def test_casorati_rows_band_count_mismatch(rng):
-    rec = NormalizationRecord.of(HsiCube(2, 2, 2, rng.random(8)))
-    with pytest.raises(ValueError, match="bands"):
-        casorati_rows(HsiCube(2, 2, 3, rng.random(12)), rec)
 
 
 def test_denormalize_band_count_mismatch(rng):
