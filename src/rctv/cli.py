@@ -1,15 +1,15 @@
 """Command-line frontend: simulate, denoise, metrics, rankest, bench.
 
-main runs every subcommand: it exits at once if --output is empty, if the
-directory of --output is missing or if --output itself names a directory
-(except for metrics, whose --output is a base name), caps BLAS threads,
-times the command and writes a JSON manifest next to its primary output
-(none if the command fails), so results can be reproduced: simulate
-replays bit-exactly from (input, case, profile, seed); denoise is
-deterministic for fixed inputs on one platform.  Every manifest holds
-command, args (the parsed flags; a denoise override flag that was not
-given is null), code_version, numpy_version, python_version and wall_ms,
-then the command's own keys:
+main runs every subcommand: it exits at once if the file name of --output
+is empty ("" or out/), if the directory of --output is missing or if
+--output itself names a directory (except for metrics, whose --output is a
+base name), caps BLAS threads, times the command and writes a JSON
+manifest next to its primary output (none if the command fails), so
+results can be reproduced: simulate replays bit-exactly from (input,
+case, profile, seed); denoise is deterministic for fixed inputs on one
+platform.  Every manifest holds command, args (the parsed flags; a
+denoise override flag that was not given is null), code_version,
+numpy_version, python_version and wall_ms, then the command's own keys:
 
 - simulate: windows_rescaled;
 - denoise: config, rank_source, iterations, stop_reason ("converged" or
@@ -416,10 +416,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # Every subcommand has --output (optional only for rankest, whose
-        # default is None); none may be empty, which is no path.  For
-        # metrics it is a base name, so only there may it name a directory.
-        if args.output == "":
-            raise ValueError("--output may not be empty")
+        # default is None); its file name may not be empty ("" or a path
+        # ending in a separator names no file).  For metrics it is a base
+        # name, so only there may it name a directory.
+        if args.output is not None and not os.path.basename(args.output):
+            raise ValueError(f"--output {args.output!r}: file name is empty")
         if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
             raise ValueError(f"--output {args.output}: directory does not exist")
         if args.output and args.subcommand != "metrics" and os.path.isdir(args.output):

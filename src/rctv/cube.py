@@ -27,7 +27,7 @@ MAX_ELEMENTS = 2**31
 # The longest header line read_cube looks through for its terminator.
 MAX_HEADER_BYTES = 64 * 1024
 # Bytes in one block of whole image columns that _band_sequential copies at
-# a time, sized as solver._TILE_BYTES sizes its tiles.
+# a time; the solver takes the same size, as _TILE_BYTES, for its tiles.
 _BLOCK_BYTES = 256 * 1024
 
 

@@ -2,15 +2,15 @@
 
 Six composite cases (a)-(f) combine per-band Gaussian noise, salt-and-pepper
 impulses, zeroed full-height "deadline" columns, and constant-offset stripe
-columns.  A case table sets the Gaussian and impulse levels; a profile
-table sets the band windows, counts and widths of the structural stages,
-deadlines then stripes.  apply_case runs every stage in place on one
-buffer, which becomes the noisy cube.  Everything is driven by numpy's
-PCG64 generator: streams are identical across platforms for a fixed numpy
-version, each corruption stage derives its own sub-seed from the master
-seed, and a NoiseRecord carries the seed, case, profile, window rescaling
-and the realized per-band values and placements, from which replay()
-reruns the case bit-exactly.
+columns.  A case table names every stage a case runs, with its Gaussian
+and impulse levels; a profile table sets the band windows, counts and
+widths of the structural stages, deadlines then stripes.  apply_case runs
+every stage in place on one buffer, which becomes the noisy cube.
+Everything is driven by numpy's PCG64 generator: streams are identical
+across platforms for a fixed numpy version, each corruption stage derives
+its own sub-seed from the master seed, and a NoiseRecord carries the
+seed, case, profile, window rescaling and the realized per-band values
+and placements, from which replay() reruns the case bit-exactly.
 
 Column and band indices in records are 0-based.
 """
@@ -32,18 +32,20 @@ _U64_MASK = (1 << 64) - 1
 # is possible from the record's seed: stage_rng(record.seed, stage).
 _STAGE_CODES = {"gaussian": 1, "impulse": 2, "deadline": 3, "stripe": 4}
 
-# Gaussian sigma and impulse ratio of each case: a scalar for every band, a
-# (lo, hi) range with one value drawn per band, or None to skip the stage.
-_CASE_LEVELS = {
-    "a": (0.1, None),
-    "b": (0.1, None),
-    "c": (0.075, 0.1),
-    "d": (0.075, 0.1),
-    "e": ((0.05, 0.15), (0.05, 0.15)),
-    "f": ((0.05, 0.15), (0.05, 0.15)),
+# Every stage of each case, in the order apply_case runs them: the Gaussian
+# sigma and impulse ratio (a scalar for every band, a (lo, hi) range with
+# one value drawn per band, or None to skip the stage), then whether the
+# deadline and stripe stages run.
+_CASE_STAGES = {
+    "a": (0.1, None, False, False),
+    "b": (0.1, None, True, False),
+    "c": (0.075, 0.1, False, False),
+    "d": (0.075, 0.1, True, False),
+    "e": ((0.05, 0.15), (0.05, 0.15), True, False),
+    "f": ((0.05, 0.15), (0.05, 0.15), True, True),
 }
 
-CASES = tuple(_CASE_LEVELS)
+CASES = tuple(_CASE_STAGES)
 
 # The structural stages: 1-based inclusive band windows at the profile's
 # native band count, and inclusive (lo, hi) count and width ranges.
@@ -272,14 +274,16 @@ def apply_case(
 ) -> tuple[HsiCube, NoiseRecord]:
     """Corrupt a cube per one of the named cases (a)-(f).
 
-    Stages run Gaussian, then impulse, then deadlines (cases b, d, e, f),
-    then stripes (case f), each from its own stage_rng, so dropping or
-    adding a later stage never perturbs the earlier ones.  Every stage
-    edits one buffer in place: the Gaussian stage writes the clean cube
-    plus its draws into it, and the later stages overwrite or add to its
-    entries, so the noisy cube is the only M*N x B array allocated.
-    Profile band windows assume the profile's native band count; other
-    counts get proportionally rescaled windows and the fact is flagged.
+    Stages run Gaussian, then impulse, then deadlines, then stripes, a
+    case running those its _CASE_STAGES row names, each from its own
+    stage_rng, so dropping or adding a later stage never perturbs the
+    earlier ones.  Every stage edits one buffer in place: the Gaussian
+    stage writes the clean cube plus its draws into it, and the later
+    stages overwrite or add to its entries, so the noisy cube is the only
+    M*N x B array allocated.  The NoiseRecord is built once, after the
+    last stage.  Profile band windows assume the profile's native band
+    count; other counts get proportionally rescaled windows and the fact
+    is flagged.
     """
     if case_id not in CASES:
         raise ValueError(f"unknown case {case_id!r}; choose from {CASES}")
@@ -296,45 +300,43 @@ def apply_case(
             hi = max(min(cube.bands, round(hi * cube.bands / prof["bands"])), lo)
         return range(lo - 1, hi)
 
-    has_deadlines = case_id in ("b", "d", "e", "f")
+    sigma, ratio, has_deadlines, has_stripes = _CASE_STAGES[case_id]
     # Fail before any noise is drawn, not after the first two stages.
     if has_deadlines and prof["deadline_width"][1] > cube.width:
         raise ValueError(
             f"deadline width up to {prof['deadline_width'][1]} exceeds width {cube.width}"
         )
-    sigma, ratio = _CASE_LEVELS[case_id]
     # Every stage edits this one buffer; the cube built from it at the end
     # is the only finite check.
     planes = np.empty((cube.bands, cube.height * cube.width))
     sigmas = _gaussian(
         planes, cube.data.reshape(cube.bands, -1), sigma, stage_rng(seed, "gaussian")
     )
+    ratios = counts = deadlines = stripes = None
+    if ratio is not None:
+        ratios, counts = _impulse(planes, ratio, stage_rng(seed, "impulse"))
+    # Column-major planes: one C-ordered (B, N, M) view, [b, j] a column.
+    columns = planes.reshape(cube.bands, cube.width, cube.height)
+    if has_deadlines:
+        deadlines = _zero_deadlines(
+            columns, window("deadline_window"), prof["deadline_count"],
+            prof["deadline_width"], stage_rng(seed, "deadline"),
+        )
+    if has_stripes:
+        stripes = _strike_stripes(
+            columns, window("stripe_window"), prof["stripe_count"], stage_rng(seed, "stripe")
+        )
     record = NoiseRecord(
         seed=seed,
         case=case_id,
         profile=profile,
         windows_rescaled=rescaled,
-        gaussian_sigma=[float(s) for s in sigmas],
-        impulse_ratio=None,
-        impulse_count=None,
-        deadlines=None,
-        stripes=None,
+        gaussian_sigma=sigmas.tolist(),
+        impulse_ratio=None if ratios is None else ratios.tolist(),
+        impulse_count=None if counts is None else counts.tolist(),
+        deadlines=deadlines,
+        stripes=stripes,
     )
-    if ratio is not None:
-        ratios, counts = _impulse(planes, ratio, stage_rng(seed, "impulse"))
-        record.impulse_ratio = [float(r) for r in ratios]
-        record.impulse_count = [int(c) for c in counts]
-    if has_deadlines:
-        # Column-major planes: one C-ordered (B, N, M) view, [b, j] a column.
-        columns = planes.reshape(cube.bands, cube.width, cube.height)
-        record.deadlines = _zero_deadlines(
-            columns, window("deadline_window"), prof["deadline_count"],
-            prof["deadline_width"], stage_rng(seed, "deadline"),
-        )
-        if case_id == "f":
-            record.stripes = _strike_stripes(
-                columns, window("stripe_window"), prof["stripe_count"], stage_rng(seed, "stripe")
-            )
     return HsiCube(cube.height, cube.width, cube.bands, planes.reshape(-1)), record
 
 

@@ -22,7 +22,7 @@ stops when the squared relative data-fit and both split residuals all drop
 below epsilon, or after max_iter sweeps.  The restored cube is the folded
 U V^T.
 
-solve() runs this ADMM in scaled form (Boyd et al., "Distributed
+solve_casorati() runs this ADMM in scaled form (Boyd et al., "Distributed
 Optimization and Statistical Learning via the Alternating Direction
 Method of Multipliers", 2011, sections 3.1.1 and 3.4.1): it holds
 Lam_i = Gam_i/mu in place of the multipliers.  Then G_i = shrink(D_i(U) +
@@ -30,11 +30,12 @@ Lam_i, tau/mu), mu cancels from the U normal equations, the dual step
 is Lam_i += D_i(U) - G_i, and growing the penalty to mu' rescales
 Lam_i by mu/mu'.  mu enters the arithmetic only through the thresholds,
 c = mu/(mu + 2*beta) and that rescale.  The iterates are plain local
-variables of solve().
+variables of solve_casorati(); solve() copies the cube into a Casorati
+matrix and calls it.
 
-solve() makes two passes per iteration, each over tiles of a few hundred
-KiB, so that every step of a pass finds its tile in cache instead of
-streaming whole arrays from memory: one over row tiles of the M*N x B
+solve_casorati() makes two passes per iteration, each over tiles of a few
+hundred KiB, so that every step of a pass finds its tile in cache instead
+of streaming whole arrays from memory: one over row tiles of the M*N x B
 iterates, then one over column tiles of the (M*N, R) ones.  The V and U
 updates read only P = Y - E - S + Lam_3: the V update is Procrustes on
 P^T U and the U right-hand side is P V, formed one row tile at a time.
@@ -123,6 +124,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+# _TILE_BYTES, the cube module's cache-block size, is the bytes in one of
+# solve_casorati()'s tile buffers: the row tile of the MN x B pass, and
+# each of the two column tiles of the (MN, R) pass (whole columns of the
+# plane, at least one and at most N).  A pass runs one tile through all of
+# its steps while the tile of every operand is still in cache, instead of
+# streaming each whole array from memory once per step.
+from rctv.cube import _BLOCK_BYTES as _TILE_BYTES
 from rctv.cube import HsiCube, casorati_rows
 from rctv.diffops import (
     HORIZONTAL,
@@ -137,13 +145,6 @@ from rctv.metrics import encode_float
 
 # Penalty cap: keeps the tau/mu thresholds out of denormal range.
 MU_MAX = 1e6
-
-# Bytes in one of solve()'s tile buffers: the row tile of the MN x B pass,
-# and each of the two column tiles of the (MN, R) pass (whole columns of
-# the plane, at least one and at most N).  A pass runs one tile through
-# all of its steps while the tile of every operand is still in cache,
-# instead of streaming each whole array from memory once per step.
-_TILE_BYTES = 256 * 1024
 
 PRESETS = {
     # Mostly-Gaussian noise: the sparse term is effectively disabled.
@@ -245,9 +246,9 @@ class SolverState:
     """All ADMM iterates, with the unscaled multipliers Gam_i.
 
     The reference kernels and augmented_lagrangian take their iterates in
-    this form.  solve() keeps its own as local variables and builds a
-    SolverState only in debug mode, for each of the six Lagrangian values
-    it records per iteration.
+    this form.  solve_casorati() keeps its own as local variables and
+    builds a SolverState only in debug mode, for each of the six
+    Lagrangian values it records per iteration.
     """
 
     u: np.ndarray

@@ -793,20 +793,25 @@ def test_only_denoise_reads_the_thread_env(tmp_path, clean_path, monkeypatch, co
 def test_empty_output_rejected_before_heavy_work(
     tmp_path, clean_path, monkeypatch, capsys, command, heavy
 ):
-    # An empty --output is no path: it must not pass for rankest's None
-    # default, nor reach the write after the work is done.
+    # An --output whose file name is empty is no path: it must not pass for
+    # rankest's None default, nor reach the write after the work is done,
+    # nor (for metrics) name hidden files inside an existing directory.
     calls = []
     for name in ("read_cube", heavy):
         monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
     monkeypatch.chdir(tmp_path)
-    flags = command_flags(command, str(clean_path), "")
-    if command == "rankest":
-        flags = flags + ["--output", ""]
-    code = main([command] + flags)
-    assert code == 2
-    assert "--output" in capsys.readouterr().err
-    assert calls == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic"]
+    (tmp_path / "sub").mkdir()
+    for output in ("", "sub/", "missing/"):
+        flags = command_flags(command, str(clean_path), output)
+        if command == "rankest":
+            flags = flags + ["--output", output]
+        code = main([command] + flags)
+        assert code == 2, output
+        assert "--output" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+            "clean.hsic", "sub",
+        ]
 
 
 def test_console_entry_point():

@@ -12,8 +12,7 @@ from conftest import random_cube
 from rctv.cube import HsiCube, fold_casorati, unfold_casorati
 from rctv.metrics import (
     MetricsReport,
-    _correlate_valid,
-    _ssim_tap_matrices,
+    _tap_matrix,
     compute_report,
     effective_ssim_window,
     encode_float,
@@ -167,7 +166,7 @@ class TestSsim:
         taps = gaussian_window(win, 1.5)
         windows = sliding_window_view(img, (win, win))
         expected = np.einsum("ijab,a,b->ij", windows, taps, taps)
-        got = _correlate_valid(img, *_ssim_tap_matrices(*shape))
+        got = _tap_matrix(shape[0], taps) @ img @ _tap_matrix(shape[1], taps).T
         assert got.shape == (shape[0] - win + 1, shape[1] - win + 1)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -281,6 +280,18 @@ class TestCrossMetricProperties:
         assert report.mpsnr == pytest.approx(np.mean(report.per_band_psnr))
         assert report.mssim == pytest.approx(np.mean(report.per_band_ssim))
         assert report.wall_ms >= 0
+
+    def test_json_keys_are_the_fields_in_order(self):
+        cube = random_cube(12, 12, 4, seed=21)
+        noisy, _ = add_gaussian(cube, 0.1, np.random.default_rng(22))
+        report = compute_report(cube, noisy)
+        obj = report.to_json_obj()
+        assert list(obj) == [
+            "mpsnr", "mssim", "ergas", "msam", "per_band_psnr", "per_band_ssim",
+            "wall_ms", "ergas_excluded_bands", "msam_excluded_pixels",
+        ]
+        # Every value is finite, so each field is written as it is.
+        assert obj == vars(report)
 
     def test_report_identity_sentinels(self):
         cube = random_cube(12, 12, 4, seed=21)

@@ -8,7 +8,7 @@ from conftest import random_cube
 import rctv.noisesim
 from rctv.cube import HsiCube, fold_casorati
 from rctv.noisesim import (
-    _CASE_LEVELS,
+    _CASE_STAGES,
     CASES,
     NoiseRecord,
     _free_starts,
@@ -290,7 +290,7 @@ class TestApplyCase:
         cube = random_cube(m, n, bands, seed=25)
         seed = 82
         noisy, record = apply_case(cube, case, profile, seed)
-        sigma, ratio = _CASE_LEVELS[case]
+        sigma, ratio, _, _ = _CASE_STAGES[case]
         before, sigmas = add_gaussian(cube, sigma, stage_rng(seed, "gaussian"))
         assert record.gaussian_sigma == sigmas.tolist()
         if ratio is not None:
