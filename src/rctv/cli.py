@@ -3,21 +3,26 @@
 main runs every subcommand: it exits at once if the file name of --output
 is empty ("" or out/), if the directory of --output is missing or if
 --output itself names a directory (except for metrics, whose --output is a
-base name), caps BLAS threads, times the command and writes a JSON
-manifest next to its primary output (none if the command fails), so
-results can be reproduced: simulate replays bit-exactly from (input,
-case, profile, seed); denoise is deterministic for fixed inputs on one
-platform.  Every manifest holds command, args (the parsed flags; a
-denoise override flag that was not given is null), code_version,
-numpy_version, python_version and wall_ms, then the command's own keys:
+base name and may name a directory other than "." or ".."), caps BLAS
+threads, times the command and writes a JSON manifest next to its primary
+output (none if the command fails), so results can be reproduced:
+simulate replays bit-exactly from (input, case, profile, seed); denoise is
+deterministic for fixed inputs on one platform.  Every manifest holds
+command, args (the parsed flags; a denoise override flag that was not
+given is null), code_version, numpy_version, python_version and wall_ms,
+then the command's own keys:
 
 - simulate: windows_rescaled;
 - denoise: config, rank_source, iterations, stop_reason ("converged" or
   "max_iter"), s_first_iter (the first iteration in which the sparse term
   S left zero, null if it never did), solve_ms, input_sha256 (the SHA-256
   of the input file), peak_rss_mib (the process's peak resident memory),
+  signal_dims and rank_bound (as for rankest; null unless --rank auto),
   threads_requested, threads_applied;
-- metrics: none; rankest: rank, the one --rank auto uses;
+- metrics: none;
+- rankest: rank, the one --rank auto uses, signal_dims (HySime's count
+  before the clamp) and rank_bound ("low" or "high" when that end of the
+  clamp set the rank, null when HySime did);
 - bench: threads_requested, threads_applied.
 
 The BLAS thread cap covers the whole command.  denoise takes it from
@@ -68,8 +73,6 @@ from rctv.solver import (
     solve_casorati,
 )
 
-ENERGY_FRACTION = 0.995
-
 # The DenoiseConfig fields that denoise flags override, as (flag, args
 # dest, field, type, help).  Each flag defaults to None, which keeps the
 # value of --preset's config.
@@ -89,23 +92,61 @@ except ImportError:  # declared dep; without it _thread_cap warns
     threadpool_limits = None
 
 
-def estimate_rank(y: np.ndarray) -> int:
-    """Smallest R whose leading singular values carry ENERGY_FRACTION.
+@dataclasses.dataclass(frozen=True)
+class RankEstimate:
+    """The rank --rank auto uses and HySime's count before the clamp."""
 
-    Energy is cumulative squared singular values over their total; the
-    squared singular values are the eigenvalues of the B x B Gram matrix
-    Y^T Y.  The result is clamped to [2, ceil(0.15 * B)]: the typical
-    subspace dimension of a B-band cube is a small fraction of B.  It never
-    exceeds B, so a 1-band cube gets rank 1.
+    rank: int
+    signal_dims: int
+
+    @property
+    def bound(self) -> str | None:
+        """"low" or "high" when that end of the clamp set the rank, else None."""
+        if self.rank == self.signal_dims:
+            return None
+        return "low" if self.rank > self.signal_dims else "high"
+
+
+def estimate_rank(y: np.ndarray) -> RankEstimate:
+    """HySime's signal subspace dimension of Y, from the B x B Gram G = Y^T Y.
+
+    HySime (Bioucas-Dias & Nascimento 2008, "Hyperspectral Subspace
+    Identification", IEEE TGRS 46(8)) regresses each band on the others:
+    band i's residual energy is 1/(G^-1)_ii, which forms the diagonal noise
+    correlation R_n.  The signal correlation is R_x = (I - W)^T G (I - W),
+    with W = G^-1 diag(1/(G^-1)_ii).  signal_dims counts the eigenvectors e
+    of R_x whose power in Y beats twice their noise power,
+    e^T G e > 2 e^T R_n e.  Only G is formed, so the cost is one Y^T Y
+    product plus O(B^3); nothing of Y's size is allocated.
+
+    G is inverted through its eigendecomposition, eigenvalues floored at
+    eps * B * lambda_max, and R_n gains hysime.m's ridge trace(R_x)/(B 1e5),
+    so zero, constant or duplicate bands, and fewer pixels than bands, give
+    a finite count; a noiseless rank-k matrix counts k.  The rule is
+    invariant to scaling Y, so G is scaled to lambda_max = 1 first.  The
+    rank is signal_dims clamped to [2, ceil(0.15 * B)]: the typical subspace
+    dimension of a B-band cube is a small fraction of B.  It never exceeds
+    B, so a 1-band cube gets rank 1.
     """
-    energy, _ = gram_eigh(y)
-    total = float(np.sum(energy))
-    if total == 0.0:
+    energy, vecs = gram_eigh(y)
+    bands = energy.size
+    if energy[0] == 0.0:
         raise ValueError("cannot estimate rank of an all-zero matrix")
-    cum = np.cumsum(energy) / total
-    r = int(np.searchsorted(cum, ENERGY_FRACTION) + 1)
-    hi = max(math.ceil(0.15 * energy.size), 2)
-    return min(max(r, 2), hi, energy.size)
+    energy = energy / energy[0]
+    gram = (vecs * energy) @ vecs.T
+    gram_inv = (vecs / np.maximum(energy, np.finfo(np.float64).eps * bands)) @ vecs.T
+    noise = 1.0 / np.diag(gram_inv)
+    # I - W, with W = G^-1 diag(noise): column i of Y (I - W) is band i's
+    # fit from the other bands.
+    keep = np.eye(bands) - gram_inv * noise
+    r_x = keep.T @ gram @ keep
+    noise += np.trace(r_x) / (bands * 1e5)
+    _, e = np.linalg.eigh(r_x)
+    signal_power = np.einsum("ij,ij->j", e, gram @ e)
+    noise_power = noise @ (e * e)
+    dims = int(np.count_nonzero(signal_power > 2.0 * noise_power))
+    hi = max(math.ceil(0.15 * bands), 2)
+    return RankEstimate(min(max(dims, 2), hi, bands), dims)
 
 
 @contextmanager
@@ -173,6 +214,14 @@ def cmd_simulate(args) -> tuple[str, dict]:
     return str(args.output) + ".manifest.json", {"windows_rescaled": record.windows_rescaled}
 
 
+def _rank_keys(est: RankEstimate | None) -> dict:
+    """The rank decision's manifest keys; null when no estimate was made."""
+    return {
+        "signal_dims": None if est is None else est.signal_dims,
+        "rank_bound": None if est is None else est.bound,
+    }
+
+
 def _parse_rank(text: str):
     return "auto" if text == "auto" else _positive_int(text)
 
@@ -190,8 +239,8 @@ def cmd_denoise(args) -> tuple[str, dict]:
     # normalization; --rank auto checks rank 1, as its estimate is at
     # most the band count.
     check_solvable(height, width, cube.bands, 1 if args.rank == "auto" else args.rank)
-    rank = estimate_rank(unfold_casorati(cube)) if args.rank == "auto" else args.rank
-    cfg = dataclasses.replace(cfg, rank=rank)
+    auto = estimate_rank(unfold_casorati(cube)) if args.rank == "auto" else None
+    cfg = dataclasses.replace(cfg, rank=args.rank if auto is None else auto.rank)
 
     # The library's steps: normalize, then copy into the C-ordered matrix
     # the solve streams, dropping each input once it is used, so that at
@@ -220,7 +269,8 @@ def cmd_denoise(args) -> tuple[str, dict]:
         "config": {
             "lambda" if k == "lam" else k: v for k, v in dataclasses.asdict(cfg).items()
         },
-        "rank_source": "auto" if args.rank == "auto" else "flag",
+        "rank_source": "flag" if auto is None else "auto",
+        **_rank_keys(auto),
         "iterations": len(diags),
         "stop_reason": "converged" if diags[-1].converged(cfg.epsilon) else "max_iter",
         "s_first_iter": next((d.iteration for d in diags if d.s_active), None),
@@ -248,10 +298,10 @@ def cmd_metrics(args) -> tuple[str, dict]:
 
 
 def cmd_rankest(args) -> tuple[str, dict]:
-    cube = read_cube(args.input)
-    rank = estimate_rank(unfold_casorati(cube))
-    print(rank)
-    return args.output or (str(args.input) + ".rankest.manifest.json"), {"rank": rank}
+    est = estimate_rank(unfold_casorati(read_cube(args.input)))
+    print(est.rank)
+    path = args.output or (str(args.input) + ".rankest.manifest.json")
+    return path, {"rank": est.rank, **_rank_keys(est)}
 
 
 def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
@@ -417,13 +467,17 @@ def main(argv=None) -> int:
     try:
         # Every subcommand has --output (optional only for rankest, whose
         # default is None); its file name may not be empty ("" or a path
-        # ending in a separator names no file).  For metrics it is a base
-        # name, so only there may it name a directory.
+        # ending in a separator names no file).  Its directory is taken as
+        # written, so "missing/." is missing.  For metrics it is a base
+        # name, so only there may it name a directory, and then not as "."
+        # or "..", whose <base>.json would be a hidden "..json" or "...json".
         if args.output is not None and not os.path.basename(args.output):
             raise ValueError(f"--output {args.output!r}: file name is empty")
-        if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        if args.output and not os.path.isdir(os.path.dirname(args.output) or os.curdir):
             raise ValueError(f"--output {args.output}: directory does not exist")
-        if args.output and args.subcommand != "metrics" and os.path.isdir(args.output):
+        if args.output and os.path.isdir(args.output) and (
+            args.subcommand != "metrics" or os.path.basename(args.output) in (".", "..")
+        ):
             raise ValueError(f"--output {args.output}: is a directory")
         # Only denoise (--threads) and bench (always 1) have a threads value.
         threads = getattr(args, "threads", None)

@@ -15,8 +15,15 @@ from conftest import gapped_random_cube, nan_u_solve, random_cube, smooth_rank_c
 import rctv
 import rctv.cli
 import rctv.solver
-from rctv.cli import bench_cube, build_parser, estimate_rank, main, run_bench
-from rctv.cube import denormalize_bands, normalize_bands, read_cube, write_cube
+from rctv.cli import RankEstimate, bench_cube, build_parser, estimate_rank, main, run_bench
+from rctv.cube import (
+    denormalize_bands,
+    normalize_bands,
+    read_cube,
+    unfold_casorati,
+    write_cube,
+)
+from rctv.metrics import mpsnr
 from rctv.noisesim import PROFILES, NoiseRecord, apply_case, replay
 from rctv.solver import PRESETS, DenoiseConfig, solve
 from test_solver import reference_solve
@@ -32,22 +39,71 @@ def clean_path(tmp_path):
 
 class TestEstimateRank:
     def test_exact_rank(self, rng):
+        # Noiseless rank 3: the floored inverse and the ridge leave the
+        # three signal directions and nothing else.
         y = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 31))
-        assert estimate_rank(y) == 3
+        assert estimate_rank(y) == RankEstimate(rank=3, signal_dims=3)
 
-    def test_equal_energy_identity(self):
-        # Four equal singular values over a floor of 36 at 1e-3: the four
-        # carry over 99.999% of the energy, so the rule stops at 4, inside
-        # the clamp [2, ceil(0.15 * 40)] = [2, 6].
-        assert estimate_rank(np.diag(np.r_[np.ones(4), np.full(36, 1e-3)])) == 4
+    def test_bench_cube_planted_rank(self):
+        # 32 bands, rank 4, 5% noise: HySime finds the planted rank, below
+        # the clamp ceil(0.15 * 32) = 5.
+        est = estimate_rank(unfold_casorati(bench_cube(32, 32, 32, seed=0)))
+        assert est == RankEstimate(rank=4, signal_dims=4)
+        assert est.bound is None
+
+    def test_uncorrelated_bands_give_lower_clamp(self):
+        # Each band is explained by none of the others, so all of its
+        # energy counts as noise and no direction is signal.
+        est = estimate_rank(np.diag(np.r_[np.ones(4), np.full(36, 1e-3)]))
+        assert est == RankEstimate(rank=2, signal_dims=0)
+        assert est.bound == "low"
+
+    def test_pure_noise_gives_lower_clamp(self, rng):
+        est = estimate_rank(rng.standard_normal((2000, 31)))
+        assert est.rank == 2 and est.signal_dims < 2 and est.bound == "low"
 
     def test_upper_clamp(self, rng):
-        y = rng.standard_normal((60, 31))  # effectively full rank
-        assert estimate_rank(y) == 5  # ceil(0.15*31)
+        y = rng.standard_normal((400, 10)) @ rng.standard_normal((10, 31))
+        y += 0.01 * rng.standard_normal(y.shape)
+        est = estimate_rank(y)
+        assert est == RankEstimate(rank=5, signal_dims=10)  # ceil(0.15*31)
+        assert est.bound == "high"
 
     def test_lower_clamp(self, rng):
         y = np.outer(rng.standard_normal(40), rng.standard_normal(31))
-        assert estimate_rank(y) == 2  # rank-1 signal clamped up
+        assert estimate_rank(y) == RankEstimate(rank=2, signal_dims=1)  # clamped up
+
+    @pytest.mark.parametrize("weak, dims", [(1e-2, 5), (1e-3, 3)])
+    def test_ridge_drops_directions_below_it(self, rng, weak, dims):
+        # Noiseless rank 3 plus rank 2 at a relative amplitude of weak: the
+        # ridge trace(R_x) / (B 1e5) is noise power that a power of 1e-6
+        # relative to the strong directions does not beat, and 1e-4 does.
+        strong = rng.standard_normal((400, 3)) @ rng.standard_normal((3, 31))
+        y = strong + weak * rng.standard_normal((400, 2)) @ rng.standard_normal((2, 31))
+        assert estimate_rank(y).signal_dims == dims
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "duplicate", "few-pixels"])
+    def test_singular_gram_gives_finite_rank(self, rng, kind):
+        y = rng.random((5, 31)) if kind == "few-pixels" else rng.random((100, 31))
+        if kind == "zero":
+            y[:, 3] = 0.0
+        elif kind == "constant":
+            y[:, 3] = 0.7
+        elif kind == "duplicate":
+            y[:, 3] = y[:, 5]
+        est = estimate_rank(y)
+        assert 0 <= est.signal_dims <= 31
+        assert 2 <= est.rank <= 5
+
+    def test_scale_invariant(self, rng):
+        # With a duplicate band the Gram is singular, so its inverse rests on
+        # the eigenvalue floor, which must not underflow at small scales.
+        y = rng.standard_normal((200, 4)) @ rng.standard_normal((4, 31))
+        y += 0.05 * rng.standard_normal(y.shape)
+        y[:, 3] = y[:, 5]
+        est = estimate_rank(y)
+        assert estimate_rank(1e-150 * y) == est == estimate_rank(1e150 * y)
+        assert est.signal_dims >= 4
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):
@@ -55,13 +111,42 @@ class TestEstimateRank:
 
     def test_single_band_clamped_to_band_count(self, rng):
         # The default lower bound of 2 must not exceed B = 1.
-        assert estimate_rank(rng.random((30, 1))) == 1
+        assert estimate_rank(rng.random((30, 1))) == RankEstimate(rank=1, signal_dims=0)
 
     def test_non_finite_rejected(self):
         y = np.eye(4)
         y[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             estimate_rank(y)
+
+    def test_allocates_nothing_pixel_sized(self, rng):
+        # Only the B x B Gram and its O(B^2) companions: nothing near the
+        # size of Y.
+        y = rng.random((200 * 200, 32))
+        tracemalloc.start()
+        try:
+            estimate_rank(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * y.nbytes
+
+    @pytest.mark.parametrize("case", ["a", "c", "e", "f"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_auto_rank_restores_no_worse_than_the_clamp(self, case, seed):
+        # The estimate on the raw noisy cube, solved as denoise solves it,
+        # scores at least the MPSNR of the old rule's rank ceil(0.15 * B).
+        clean = smooth_rank_cube(48, 48, 31, 3, seed=seed)
+        noisy, _ = apply_case(clean, case, "msi31", seed)
+
+        def score(rank):
+            cfg = DenoiseConfig.preset("mixed", rank=rank, tau=0.3)
+            normalized, record = normalize_bands(noisy)
+            restored, diags = solve(normalized, cfg)
+            assert diags[-1].converged(cfg.epsilon)
+            return mpsnr(clean, denormalize_bands(restored, record))
+
+        assert score(estimate_rank(unfold_casorati(noisy)).rank) >= score(5)
 
 
 class TestSimulate:
@@ -224,7 +309,9 @@ class TestDenoise:
               "--rank", "auto", "--max-iter", "2"])
         manifest = json.loads((tmp_path / "auto.hsic.manifest.json").read_text())
         assert manifest["rank_source"] == "auto"
-        assert manifest["config"]["rank"] >= 2
+        # The clean 8-band cube has rank 3, above the clamp ceil(0.15 * 8) = 2.
+        assert manifest["signal_dims"] == 3 and manifest["rank_bound"] == "high"
+        assert manifest["config"]["rank"] == 2
 
     def test_auto_rank_single_band(self, tmp_path):
         path = tmp_path / "one.hsic"
@@ -238,6 +325,7 @@ class TestDenoise:
         assert np.all(np.isfinite(restored.data))
         manifest = json.loads((tmp_path / "one_out.hsic.manifest.json").read_text())
         assert manifest["config"]["rank"] == 1
+        assert manifest["signal_dims"] == 0 and manifest["rank_bound"] == "low"
 
     def test_manifest_records_input_sha256(self, tmp_path, clean_path):
         out = tmp_path / "o.hsic"
@@ -245,6 +333,8 @@ class TestDenoise:
                      "--rank", "2", "--max-iter", "1"]) == 0
         manifest = json.loads((tmp_path / "o.hsic.manifest.json").read_text())
         assert manifest["input_sha256"] == hashlib.sha256(clean_path.read_bytes()).hexdigest()
+        # --rank 2 makes no estimate, so there is no decision to record.
+        assert manifest["signal_dims"] is None and manifest["rank_bound"] is None
 
     @pytest.mark.parametrize("max_iter", [5, None], ids=["max_iter5", "converged"])
     def test_output_is_the_library_quick_start(self, tmp_path, clean_path, max_iter):
@@ -510,6 +600,35 @@ class TestMetricsCommand:
         assert code == 0
         assert (tmp_path / "rep.json").exists() and (tmp_path / "rep.csv").exists()
 
+    @pytest.mark.parametrize("output", [".", "..", "sub/.", "sub/.."])
+    def test_dot_base_rejected_before_reading(
+        self, tmp_path, clean_path, monkeypatch, capsys, output
+    ):
+        # A base of "." or ".." would write hidden ..json, ..csv and
+        # ..manifest.json files inside that directory.
+        reads = []
+        monkeypatch.setattr(rctv.cli, "read_cube", lambda *a: reads.append(a))
+        work = tmp_path / "work"
+        (work / "sub").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        code = main(["metrics", "--reference", str(clean_path),
+                     "--input", str(clean_path), "--output", output])
+        assert code == 2
+        assert f"--output {output}: is a directory" in capsys.readouterr().err
+        assert reads == []
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+            "clean.hsic", "work", "work/sub",
+        ]
+
+    def test_base_in_missing_dir_rejected(self, tmp_path, clean_path, monkeypatch, capsys):
+        # The directory is taken as written: "missing/." does not exist.
+        monkeypatch.chdir(tmp_path)
+        code = main(["metrics", "--reference", str(clean_path),
+                     "--input", str(clean_path), "--output", "missing/."])
+        assert code == 2
+        assert "directory does not exist" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.hsic"]
+
 
 class TestRankest:
     def test_prints_rank_and_writes_manifest(self, tmp_path, clean_path, capsys):
@@ -519,22 +638,24 @@ class TestRankest:
         assert code == 0
         printed = capsys.readouterr().out.strip()
         manifest = json.loads(manifest_path.read_text())
-        assert int(printed) == manifest["rank"]
-        assert 2 <= manifest["rank"] <= 8
+        assert int(printed) == manifest["rank"] == 2
+        assert manifest["signal_dims"] == 3 and manifest["rank_bound"] == "high"
 
     def test_prints_the_rank_denoise_auto_uses(self, tmp_path, capsys):
-        # On this 40-band cube the energy rule picks 4, inside the clamp
-        # [2, ceil(0.15 * 40)] = [2, 6].
+        # This 40-band cube is rank 4 plus a +0.5 offset, a fifth correlation
+        # direction: HySime counts 5, inside the clamp [2, ceil(0.15 * 40)]
+        # = [2, 6].
         path = tmp_path / "in.hsic"
         write_cube(gapped_random_cube(16, 16, 40, 4, seed=2), path)
         assert main(["rankest", "--input", str(path)]) == 0
         printed = int(capsys.readouterr().out)
-        assert printed == 4
+        assert printed == 5
         out = tmp_path / "auto.hsic"
         assert main(["denoise", "--input", str(path), "--output", str(out),
                      "--rank", "auto", "--max-iter", "1"]) == 0
         manifest = json.loads((tmp_path / "auto.hsic.manifest.json").read_text())
         assert manifest["config"]["rank"] == printed
+        assert manifest["signal_dims"] == 5 and manifest["rank_bound"] is None
 
     @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
     def test_bad_fraction_rejected_before_reading_input(
@@ -737,11 +858,11 @@ def command_flags(command, clean, out):
     "command, own_keys",
     [
         ("simulate", {"windows_rescaled"}),
-        ("denoise", {"config", "rank_source", "iterations", "stop_reason",
-                     "s_first_iter", "solve_ms", "input_sha256", "peak_rss_mib"}
-         | THREAD_KEYS),
+        ("denoise", {"config", "rank_source", "signal_dims", "rank_bound", "iterations",
+                     "stop_reason", "s_first_iter", "solve_ms", "input_sha256",
+                     "peak_rss_mib"} | THREAD_KEYS),
         ("metrics", set()),
-        ("rankest", {"rank"}),
+        ("rankest", {"rank", "signal_dims", "rank_bound"}),
         ("bench", THREAD_KEYS),
     ],
 )
