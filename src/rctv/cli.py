@@ -13,23 +13,23 @@ given is null), code_version, numpy_version, python_version and wall_ms,
 then the command's own keys:
 
 - simulate: windows_rescaled;
-- denoise: config, rank_source, iterations, stop_reason ("converged" or
-  "max_iter"), s_first_iter (the first iteration in which the sparse term
-  S left zero, null if it never did), solve_ms, input_sha256 (the SHA-256
-  of the input file), peak_rss_mib (the process's peak resident memory),
-  signal_dims and rank_bound (as for rankest; null unless --rank auto),
-  threads_requested, threads_applied;
+- denoise: config, iterations, stop_reason ("converged" or "max_iter"),
+  s_first_iter (the first iteration in which the sparse term S left zero,
+  null if it never did), solve_ms, input_sha256 (the SHA-256 of the input
+  file), peak_rss_mib (the process's peak resident memory), signal_dims
+  and rank_bound (as for rankest; null unless --rank auto, which
+  args.rank records), threads_applied;
 - metrics: none;
 - rankest: rank, the one --rank auto uses, signal_dims (HySime's count
   before the clamp) and rank_bound ("low" or "high" when that end of the
   clamp set the rank, null when HySime did);
-- bench: threads_requested, threads_applied.
+- bench: threads_applied.
 
 The BLAS thread cap covers the whole command.  denoise takes it from
 --threads (default: none, so machine parallelism); bench always caps to
 one thread; the others run uncapped.  A cap must be an integer >= 1;
 denoise rejects any other value before it reads the input.
-threads_requested records the cap asked for (null when none was) and
+args.threads records the cap asked for (null when none was) and
 threads_applied the cap in force.  Caps go through threadpoolctl: without
 it no cap applies, a warning goes to stderr, and threads_applied is null.
 """
@@ -269,7 +269,6 @@ def cmd_denoise(args) -> tuple[str, dict]:
         "config": {
             "lambda" if k == "lam" else k: v for k, v in dataclasses.asdict(cfg).items()
         },
-        "rank_source": "flag" if auto is None else "auto",
         **_rank_keys(auto),
         "iterations": len(diags),
         "stop_reason": "converged" if diags[-1].converged(cfg.epsilon) else "max_iter",
@@ -310,10 +309,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
         dims = part.lower().split("x")
         if len(dims) != 3 or not all(d.strip().isdecimal() for d in dims):
             raise argparse.ArgumentTypeError(f"bad size {part!r}, expected MxNxB")
-        m, n, b = (int(d) for d in dims)
-        if m < 2 or n < 2 or b < 1:
-            raise argparse.ArgumentTypeError(f"bad size {part!r}")
-        sizes.append((m, n, b))
+        sizes.append(tuple(int(d) for d in dims))
     return sizes
 
 
@@ -486,7 +482,7 @@ def main(argv=None) -> int:
             path, extra = args.func(args)
         wall_ms = (time.perf_counter() - t0) * 1e3
         if "threads" in args:
-            extra.update(threads_requested=threads, threads_applied=threads_applied)
+            extra["threads_applied"] = threads_applied
         _write_manifest(path, args, wall_ms, extra)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,14 +9,14 @@ penalized least-squares system for the coefficient update is solved per
 slice with one real FFT pair.
 
 Directions: "horizontal" differences along j (width), "vertical" along i
-(height).  apply_diff computes next-minus-current with periodic wrap into
-a fresh array; it is the difference of the solver's dense reference
-kernels.  The solve itself uses two in-place forms, both tested against
-dense matrices: diff_columns writes the differences of a range of whole
-columns of the plane into a caller's buffer, for a pass over column
-tiles (the vertical wrap stays inside each column, and the horizontal
-difference reads one column past the range), and _add_diff_adjoint
-accumulates the adjoint into the U right-hand side.
+(height).  The periodic wrap is coded in two places, both tested against
+dense matrices: diff_columns writes next-minus-current for a range of
+whole columns of the plane into a caller's buffer, for the solve's pass
+over column tiles (the vertical wrap stays inside each column, and the
+horizontal difference reads one column past the range), and
+_add_diff_adjoint accumulates the adjoint into the U right-hand side.
+apply_diff is diff_columns over every column, into a fresh array; it is
+the difference of the solver's dense reference kernels.
 build_transfer_functions returns the DFT eigenvalues of the second
 difference as a read-only (M, N) array.  solve_u_system builds its
 right-hand side with slice arithmetic and runs its transforms into buffers
@@ -51,23 +51,22 @@ def _grid(mat: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def apply_diff(mat: np.ndarray, height: int, width: int, direction: str) -> np.ndarray:
-    """Circular forward difference of each slice along the given direction."""
-    axis = _axis(direction)
-    grid = _grid(mat, height, width)
-    diff = np.roll(grid, -1, axis=axis)
-    diff -= grid
-    return diff.reshape(height * width, -1)
+    """Circular forward difference of each slice: diff_columns over all N columns."""
+    _axis(direction)
+    grid = np.ascontiguousarray(_grid(mat, height, width))
+    return diff_columns(grid, 0, width, direction, np.empty_like(grid)).reshape(height * width, -1)
 
 
 def diff_columns(
     grid: np.ndarray, start: int, stop: int, direction: str, out: np.ndarray
 ) -> np.ndarray:
-    """apply_diff for columns start <= j < stop of an (N, M, R) grid view.
+    """Circular forward difference of columns start <= j < stop of an (N, M, R) grid view.
 
     grid and out are C-ordered; out holds at least stop - start columns.
     Writes the differences into out[: stop - start] and returns that part.
     The horizontal difference also reads column stop, or column 0 when
-    stop = N.
+    stop = N, where it wraps; the vertical one wraps each column's last
+    row to its first.  Over all N columns this is apply_diff.
     """
     width, height, r = grid.shape
     cols = grid[start:stop]

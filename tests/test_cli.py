@@ -220,7 +220,7 @@ class TestDenoise:
         assert manifest["config"]["beta"] == 50.0
         assert manifest["config"]["lambda"] == 1.0
         assert manifest["config"]["rank"] == 3
-        assert manifest["rank_source"] == "flag"
+        assert manifest["args"]["rank"] == 3
         lines = (tmp_path / "restored.hsic.diag.jsonl").read_text().strip().split("\n")
         assert len(lines) == manifest["iterations"]
         first = json.loads(lines[0])
@@ -308,7 +308,7 @@ class TestDenoise:
         main(["denoise", "--input", str(clean_path), "--output", str(out),
               "--rank", "auto", "--max-iter", "2"])
         manifest = json.loads((tmp_path / "auto.hsic.manifest.json").read_text())
-        assert manifest["rank_source"] == "auto"
+        assert manifest["args"]["rank"] == "auto"
         # The clean 8-band cube has rank 3, above the clamp ceil(0.15 * 8) = 2.
         assert manifest["signal_dims"] == 3 and manifest["rank_bound"] == "high"
         assert manifest["config"]["rank"] == 2
@@ -390,7 +390,7 @@ class TestDenoise:
             assert code == 0
             assert out.exists()
             manifest = json.loads((tmp_path / f"t{value}.hsic.manifest.json").read_text())
-            assert manifest["threads_requested"] is None
+            assert manifest["args"]["threads"] is None
             assert manifest["threads_applied"] is None
         assert applied == []
         assert capsys.readouterr().err == ""
@@ -406,7 +406,7 @@ class TestDenoise:
         err = capsys.readouterr().err
         assert err.count("warning: BLAS thread cap 1 not applied") == 1
         manifest = json.loads((tmp_path / "t.hsic.manifest.json").read_text())
-        assert manifest["threads_requested"] == 1
+        assert manifest["args"]["threads"] == 1
         assert manifest["threads_applied"] is None
 
     def test_thread_cap_applied(self, tmp_path, clean_path, monkeypatch, capsys):
@@ -424,7 +424,7 @@ class TestDenoise:
         assert caps == [3]
         assert "warning" not in capsys.readouterr().err
         manifest = json.loads((tmp_path / "t.hsic.manifest.json").read_text())
-        assert manifest["threads_requested"] == 3
+        assert manifest["args"]["threads"] == 3
         assert manifest["threads_applied"] == 3
 
     def test_no_thread_cap_requested(self, tmp_path, clean_path, monkeypatch, capsys):
@@ -434,7 +434,7 @@ class TestDenoise:
               "--rank", "2", "--max-iter", "2"])
         assert "warning" not in capsys.readouterr().err
         manifest = json.loads((tmp_path / "t.hsic.manifest.json").read_text())
-        assert manifest["threads_requested"] is None
+        assert manifest["args"]["threads"] is None
         assert manifest["threads_applied"] is None
 
     @pytest.mark.parametrize("value", ["0", "-2", "abc"])
@@ -779,7 +779,7 @@ class TestBench:
         assert code == 0
         assert capsys.readouterr().err.count("warning: BLAS thread cap 1") == 1
         manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
-        assert manifest["threads_requested"] == 1
+        assert manifest["args"]["threads"] == 1
         assert manifest["threads_applied"] is None
 
     def test_run_bench_rank_guard(self):
@@ -799,14 +799,34 @@ class TestBench:
         assert list(tmp_path.iterdir()) == []
 
     def test_flat_plane_rejected_before_any_solve(self, monkeypatch):
-        # The CLI's size parser rejects a plane dim below 2; run_bench
-        # itself must too, before it builds or solves the valid first size.
+        # run_bench is the only plane check the bench subcommand has: it must
+        # reject a plane dim below 2 before it builds or solves the valid
+        # first size.
         solves, builds = [], []
         monkeypatch.setattr(rctv.cli, "solve", lambda *a, **k: solves.append(a))
         monkeypatch.setattr(rctv.cli, "bench_cube", lambda *a: builds.append(a))
         with pytest.raises(ValueError, match="size 1x8x4, rank 2: plane dims must be >= 2"):
             run_bench([(16, 16, 8), (1, 8, 4)], [2], reps=1, max_iter=1, seed=0)
         assert solves == [] and builds == []
+
+    @pytest.mark.parametrize(
+        "size, message",
+        [("1x4x4", "size 1x4x4, rank 1: plane dims must be >= 2, got 1x4"),
+         ("4x4x0", "size 4x4x0, rank 1: rank 1 exceeds band count 0")],
+        ids=["flat-plane", "no-bands"],
+    )
+    def test_unsolvable_size_exits_2(self, tmp_path, monkeypatch, capsys, size, message):
+        # The size parser checks only the MxNxB format; run_bench refuses
+        # the size, naming it and the rule, before it builds any cube.
+        def no_cube(*args):
+            raise AssertionError("bench_cube called")
+
+        monkeypatch.setattr(rctv.cli, "bench_cube", no_cube)
+        code = main(["bench", "--sizes", size, "--ranks", "1", "--max-iter", "1",
+                     "--output", str(tmp_path / "bench.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_output_dir_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
         solves, builds = [], []
@@ -839,7 +859,7 @@ class TestBench:
         assert cube.data.min() >= 0.0 and cube.data.max() <= 1.0
 
 
-THREAD_KEYS = {"threads_requested", "threads_applied"}
+THREAD_KEYS = {"threads_applied"}
 MANIFEST_KEYS = {"command", "args", "code_version", "numpy_version", "python_version", "wall_ms"}
 
 
@@ -858,9 +878,8 @@ def command_flags(command, clean, out):
     "command, own_keys",
     [
         ("simulate", {"windows_rescaled"}),
-        ("denoise", {"config", "rank_source", "signal_dims", "rank_bound", "iterations",
-                     "stop_reason", "s_first_iter", "solve_ms", "input_sha256",
-                     "peak_rss_mib"} | THREAD_KEYS),
+        ("denoise", {"config", "signal_dims", "rank_bound", "iterations", "stop_reason",
+                     "s_first_iter", "solve_ms", "input_sha256", "peak_rss_mib"} | THREAD_KEYS),
         ("metrics", set()),
         ("rankest", {"rank", "signal_dims", "rank_bound"}),
         ("bench", THREAD_KEYS),

@@ -71,15 +71,17 @@ class TestDiffColumns:
     @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (5, 3)])
     def test_every_column_range_matches_apply_diff(self, dims, direction, rng):
         # Every range of whole columns, from one column to the whole plane,
-        # with and without the horizontal wrap at the right edge.
+        # with and without the horizontal wrap at the right edge, against
+        # the dense matrix: apply_diff is diff_columns over all columns, so
+        # it cannot serve as the reference here.
         m, n = dims
         u = rng.standard_normal((m * n, 2))
-        full = apply_diff(u, m, n, direction).reshape(n, m, 2)
+        full = (dense_diff_matrix(m, n, direction) @ u).reshape(n, m, 2)
         out = np.full((n, m, 2), np.nan)
         for start in range(n):
             for stop in range(start + 1, n + 1):
                 got = diff_columns(u.reshape(n, m, 2), start, stop, direction, out)
-                np.testing.assert_array_equal(got, full[start:stop])
+                np.testing.assert_allclose(got, full[start:stop], rtol=0, atol=1e-14)
 
 
 class TestAdjoint:
