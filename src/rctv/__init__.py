@@ -9,7 +9,6 @@ mixed-noise simulators, the usual HSI quality metrics, and a CLI.
 from rctv.cube import (
     HsiCube,
     NormalizationRecord,
-    casorati_rows,
     denormalize_bands,
     fold_casorati,
     normalize_bands,
@@ -17,7 +16,7 @@ from rctv.cube import (
     unfold_casorati,
     write_cube,
 )
-from rctv.solver import DenoiseConfig, IterationDiagnostics, solve, solve_casorati
+from rctv.solver import DenoiseConfig, IterationDiagnostics, denoise, solve
 
 __version__ = "0.1.0"
 
@@ -26,10 +25,9 @@ __all__ = [
     "NormalizationRecord",
     "DenoiseConfig",
     "IterationDiagnostics",
+    "denoise",
     "solve",
-    "solve_casorati",
     "unfold_casorati",
-    "casorati_rows",
     "fold_casorati",
     "normalize_bands",
     "denormalize_bands",

@@ -40,7 +40,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import platform
 import resource
@@ -51,26 +50,17 @@ from contextlib import contextmanager
 import numpy as np
 
 import rctv
-from rctv.cube import (
-    HsiCube,
-    casorati_rows,
-    denormalize_bands,
-    fold_casorati,
-    normalize_bands,
-    read_cube,
-    unfold_casorati,
-    write_cube,
-)
-from rctv.linalg import gram_eigh
+from rctv.cube import HsiCube, fold_casorati, read_cube, unfold_casorati, write_cube
+from rctv.linalg import RankEstimate, estimate_rank
 from rctv.metrics import CSV_COLUMNS, compute_report
 from rctv.noisesim import CASES, PROFILES, apply_case
 from rctv.solver import (
     PRESETS,
     DenoiseConfig,
     check_solvable,
+    denoise,
     diagnostics_to_jsonl,
     solve,
-    solve_casorati,
 )
 
 # The DenoiseConfig fields that denoise flags override, as (flag, args
@@ -90,63 +80,6 @@ try:
     from threadpoolctl import threadpool_limits
 except ImportError:  # declared dep; without it _thread_cap warns
     threadpool_limits = None
-
-
-@dataclasses.dataclass(frozen=True)
-class RankEstimate:
-    """The rank --rank auto uses and HySime's count before the clamp."""
-
-    rank: int
-    signal_dims: int
-
-    @property
-    def bound(self) -> str | None:
-        """"low" or "high" when that end of the clamp set the rank, else None."""
-        if self.rank == self.signal_dims:
-            return None
-        return "low" if self.rank > self.signal_dims else "high"
-
-
-def estimate_rank(y: np.ndarray) -> RankEstimate:
-    """HySime's signal subspace dimension of Y, from the B x B Gram G = Y^T Y.
-
-    HySime (Bioucas-Dias & Nascimento 2008, "Hyperspectral Subspace
-    Identification", IEEE TGRS 46(8)) regresses each band on the others:
-    band i's residual energy is 1/(G^-1)_ii, which forms the diagonal noise
-    correlation R_n.  The signal correlation is R_x = (I - W)^T G (I - W),
-    with W = G^-1 diag(1/(G^-1)_ii).  signal_dims counts the eigenvectors e
-    of R_x whose power in Y beats twice their noise power,
-    e^T G e > 2 e^T R_n e.  Only G is formed, so the cost is one Y^T Y
-    product plus O(B^3); nothing of Y's size is allocated.
-
-    G is inverted through its eigendecomposition, eigenvalues floored at
-    eps * B * lambda_max, and R_n gains hysime.m's ridge trace(R_x)/(B 1e5),
-    so zero, constant or duplicate bands, and fewer pixels than bands, give
-    a finite count; a noiseless rank-k matrix counts k.  The rule is
-    invariant to scaling Y, so G is scaled to lambda_max = 1 first.  The
-    rank is signal_dims clamped to [2, ceil(0.15 * B)]: the typical subspace
-    dimension of a B-band cube is a small fraction of B.  It never exceeds
-    B, so a 1-band cube gets rank 1.
-    """
-    energy, vecs = gram_eigh(y)
-    bands = energy.size
-    if energy[0] == 0.0:
-        raise ValueError("cannot estimate rank of an all-zero matrix")
-    energy = energy / energy[0]
-    gram = (vecs * energy) @ vecs.T
-    gram_inv = (vecs / np.maximum(energy, np.finfo(np.float64).eps * bands)) @ vecs.T
-    noise = 1.0 / np.diag(gram_inv)
-    # I - W, with W = G^-1 diag(noise): column i of Y (I - W) is band i's
-    # fit from the other bands.
-    keep = np.eye(bands) - gram_inv * noise
-    r_x = keep.T @ gram @ keep
-    noise += np.trace(r_x) / (bands * 1e5)
-    _, e = np.linalg.eigh(r_x)
-    signal_power = np.einsum("ij,ij->j", e, gram @ e)
-    noise_power = noise @ (e * e)
-    dims = int(np.count_nonzero(signal_power > 2.0 * noise_power))
-    hi = max(math.ceil(0.15 * bands), 2)
-    return RankEstimate(min(max(dims, 2), hi, bands), dims)
 
 
 @contextmanager
@@ -229,36 +162,16 @@ def _parse_rank(text: str):
 def cmd_denoise(args) -> tuple[str, dict]:
     given = {field: getattr(args, dest) for _, dest, field, _, _ in OVERRIDES}
     overrides = {field: value for field, value in given.items() if value is not None}
-    # Rank 1 stands in until the cube is read, so that a bad flag fails
-    # before the read and the rank estimate.
-    cfg = DenoiseConfig.preset(args.preset, rank=1, **overrides)
-    cube = read_cube(args.input)
+    # A bad flag fails here, before the input is read.
+    cfg = DenoiseConfig.preset(args.preset, rank=args.rank, **overrides)
+    # Hashed before the write, as --output may name the input.
     input_sha256 = _sha256(args.input)
-    height, width = cube.height, cube.width
-    # Fail on a bad plane or rank before the rank estimate and the
-    # normalization; --rank auto checks rank 1, as its estimate is at
-    # most the band count.
-    check_solvable(height, width, cube.bands, 1 if args.rank == "auto" else args.rank)
-    auto = estimate_rank(unfold_casorati(cube)) if args.rank == "auto" else None
-    cfg = dataclasses.replace(cfg, rank=args.rank if auto is None else auto.rank)
-
-    # The library's steps: normalize, then copy into the C-ordered matrix
-    # the solve streams, dropping each input once it is used, so that at
-    # most two M*N x B arrays are alive before the solve and its own are
-    # the only ones while it runs.
-    normalized, rec = normalize_bands(cube)
-    del cube
-    y = casorati_rows(normalized)
-    del normalized
-    t_solve = time.perf_counter()
-    restored, diags = solve_casorati(y, height, width, cfg)
-    solve_ms = (time.perf_counter() - t_solve) * 1e3
-    del y
-    # Drop the normalized output too, so that the write's float32 payload
-    # is not a third M*N x B array alive beside it and the denormalized one.
-    out_cube = denormalize_bands(restored, rec)
-    del restored
-    write_cube(out_cube, args.output)
+    # The path, not a read cube: on CPython 3.10 an argument stays
+    # referenced for the whole call, so the raw cube would outlive its use
+    # and add an M*N x B array to the solve's peak.
+    result = denoise(args.input, cfg)
+    cfg, diags = result.config, result.diagnostics
+    write_cube(result.cube, args.output)
     diagnostics_to_jsonl(diags, str(args.output) + ".diag.jsonl")
     print(
         f"wrote {args.output} (preset {args.preset}, rank {cfg.rank}, "
@@ -269,11 +182,11 @@ def cmd_denoise(args) -> tuple[str, dict]:
         "config": {
             "lambda" if k == "lam" else k: v for k, v in dataclasses.asdict(cfg).items()
         },
-        **_rank_keys(auto),
+        **_rank_keys(result.rank_estimate),
         "iterations": len(diags),
         "stop_reason": "converged" if diags[-1].converged(cfg.epsilon) else "max_iter",
         "s_first_iter": next((d.iteration for d in diags if d.s_active), None),
-        "solve_ms": solve_ms,
+        "solve_ms": result.solve_ms,
         "input_sha256": input_sha256,
         # ru_maxrss is in KiB on Linux.
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

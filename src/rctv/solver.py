@@ -109,8 +109,9 @@ U = Y V.
 
 The loop itself is solve_casorati, which takes Y as the C-ordered
 (M*N, B) matrix the row pass streams and never copies it; solve() builds
-that matrix from a cube with casorati_rows.  A caller that already holds
-the matrix, such as the denoise command, calls solve_casorati directly.
+that matrix from a cube with casorati_rows.  denoise() runs the whole
+restoration of a raw cube or .hsic file, the rank estimate and the band
+normalization included, and the denoise command calls it.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -131,7 +132,8 @@ import numpy as np
 # its steps while the tile of every operand is still in cache, instead of
 # streaming each whole array from memory once per step.
 from rctv.cube import _BLOCK_BYTES as _TILE_BYTES
-from rctv.cube import HsiCube, casorati_rows
+from rctv.cube import HsiCube, casorati_rows, denormalize_bands, normalize_bands
+from rctv.cube import read_cube, unfold_casorati
 from rctv.diffops import (
     HORIZONTAL,
     VERTICAL,
@@ -141,6 +143,7 @@ from rctv.diffops import (
     solve_u_system,
 )
 from rctv.linalg import ORTHONORMALITY_TOL, procrustes_v, soft_threshold, truncated_svd_init
+from rctv.linalg import RankEstimate, estimate_rank
 from rctv.metrics import encode_float
 
 # Penalty cap: keeps the tau/mu thresholds out of denormal range.
@@ -158,7 +161,9 @@ PRESETS = {
 class DenoiseConfig:
     """Solver hyperparameters.
 
-    rank      number of coefficient slices R (must be <= B at solve time)
+    rank      number of coefficient slices R (must be <= B at solve time),
+              or "auto", which only denoise() accepts: it sets R from the
+              raw cube by estimate_rank (HySime) before the normalization
     tau       TV weight, shared by the horizontal and vertical differences
     beta      Gaussian-noise weight (quadratic penalty on E); > 0 with
               MU_MAX/(2*beta) finite, as the solve recovers E from Lam_3
@@ -180,7 +185,7 @@ class DenoiseConfig:
     cap at iteration 47.
     """
 
-    rank: int
+    rank: int | str
     tau: float = 0.01
     beta: float = PRESETS["mixed"]["beta"]
     lam: float = PRESETS["mixed"]["lam"]
@@ -192,7 +197,8 @@ class DenoiseConfig:
     def __post_init__(self):
         # A float or bool rank or max_iter would pass the range checks and
         # fail late, inside the solve; numpy integers are stored as int.
-        for name in ("rank", "max_iter"):
+        auto = isinstance(self.rank, str) and self.rank == "auto"
+        for name in ("max_iter",) if auto else ("rank", "max_iter"):
             value = getattr(self, name)
             try:
                 index = None if isinstance(value, bool) else operator.index(value)
@@ -201,7 +207,7 @@ class DenoiseConfig:
             if index is None:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, index)
-        if self.rank < 1:
+        if not auto and self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         for name in ("tau", "beta", "lam", "mu0", "rho", "epsilon"):
             value = getattr(self, name)
@@ -232,7 +238,7 @@ class DenoiseConfig:
             raise ValueError("max_iter must be >= 1")
 
     @classmethod
-    def preset(cls, name: str, rank: int, **overrides) -> "DenoiseConfig":
+    def preset(cls, name: str, rank: int | str, **overrides) -> "DenoiseConfig":
         """The named PRESETS entry ("gaussian" or "mixed"); overrides set any field, tau too."""
         if name not in PRESETS:
             raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
@@ -565,8 +571,11 @@ def check_solvable(height: int, width: int, bands: int, rank: int) -> None:
     """Raise ValueError for a plane or rank that solve() cannot run on.
 
     The periodic differences need at least 2 pixels along each plane axis,
-    and the rank may not exceed the band count.
+    and the rank may not exceed the band count.  A rank of "auto" is
+    refused too, as only denoise() resolves it.
     """
+    if rank == "auto":
+        raise ValueError('rank "auto" is resolved only by denoise(); solve needs an integer rank')
     if height < 2 or width < 2:
         raise ValueError(f"plane dims must be >= 2, got {height}x{width}")
     if rank > bands:
@@ -583,10 +592,64 @@ def solve(
     Checks the plane and the rank first, then copies the cube's Casorati
     matrix into C order with casorati_rows (the row-tiled pass reads Y one
     block of rows at a time, and rows of the column-major view are
-    strided) and runs solve_casorati on the copy.
+    strided) and runs solve_casorati on the copy.  It takes the cube as
+    given: normalizing a raw cube, and resolving rank "auto", is
+    denoise()'s work.
     """
     check_solvable(y_cube.height, y_cube.width, y_cube.bands, cfg.rank)
     return solve_casorati(casorati_rows(y_cube), y_cube.height, y_cube.width, cfg, debug)
+
+
+class Denoised(NamedTuple):
+    """What denoise() returns.
+
+    cube           the restored cube, in the input's band ranges
+    diagnostics    the solve's per-iteration records
+    config         the config solved with, its "auto" rank resolved
+    rank_estimate  the estimate that resolved an "auto" rank, else None
+    solve_ms       the wall time of solve_casorati alone
+    """
+
+    cube: HsiCube
+    diagnostics: list[IterationDiagnostics]
+    config: DenoiseConfig
+    rank_estimate: Optional[RankEstimate]
+    solve_ms: float
+
+
+def denoise(source, cfg: DenoiseConfig) -> Denoised:
+    """Restore a raw cube: an HsiCube, or the path of an .hsic file.
+
+    Checks the plane and the rank (1 for "auto", as the estimate never
+    exceeds the band count), sizes an "auto" rank with estimate_rank on the
+    raw cube's Casorati view, scales each band to [0, 1] with
+    normalize_bands, copies the result into the C-ordered matrix with
+    casorati_rows, runs solve_casorati on it and maps its output back with
+    denormalize_bands.  Each input is dropped once it is used, so at most
+    two M*N x B arrays are alive before the solve and none beside the
+    solve's own while it runs.  That needs the raw cube to have no other
+    holder: a cube the caller keeps stays alive through the solve, one more
+    M*N x B array, which a path avoids.
+    """
+    cube = source if isinstance(source, HsiCube) else read_cube(source)
+    # Drop the argument's name too, so that del cube frees a cube no
+    # caller holds.
+    del source
+    height, width = cube.height, cube.width
+    auto = cfg.rank == "auto"
+    check_solvable(height, width, cube.bands, 1 if auto else cfg.rank)
+    estimate = estimate_rank(unfold_casorati(cube)) if auto else None
+    if auto:
+        cfg = replace(cfg, rank=estimate.rank)
+    normalized, rec = normalize_bands(cube)
+    del cube
+    y = casorati_rows(normalized)
+    del normalized
+    t_solve = time.perf_counter()
+    restored, diags = solve_casorati(y, height, width, cfg)
+    solve_ms = (time.perf_counter() - t_solve) * 1e3
+    del y
+    return Denoised(denormalize_bands(restored, rec), diags, cfg, estimate, solve_ms)
 
 
 def solve_casorati(

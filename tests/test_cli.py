@@ -15,7 +15,7 @@ from conftest import gapped_random_cube, nan_u_solve, random_cube, smooth_rank_c
 import rctv
 import rctv.cli
 import rctv.solver
-from rctv.cli import RankEstimate, bench_cube, build_parser, estimate_rank, main, run_bench
+from rctv.cli import bench_cube, build_parser, main, run_bench
 from rctv.cube import (
     denormalize_bands,
     normalize_bands,
@@ -23,9 +23,10 @@ from rctv.cube import (
     unfold_casorati,
     write_cube,
 )
+from rctv.linalg import RankEstimate, estimate_rank
 from rctv.metrics import mpsnr
 from rctv.noisesim import PROFILES, NoiseRecord, apply_case, replay
-from rctv.solver import PRESETS, DenoiseConfig, solve
+from rctv.solver import PRESETS, DenoiseConfig, denoise, solve
 from test_solver import reference_solve
 
 
@@ -338,10 +339,10 @@ class TestDenoise:
 
     @pytest.mark.parametrize("max_iter", [5, None], ids=["max_iter5", "converged"])
     def test_output_is_the_library_quick_start(self, tmp_path, clean_path, max_iter):
-        # The CLI copies normalize_bands' output with casorati_rows and
-        # calls solve_casorati; the library path hands normalize_bands'
-        # output to solve().  The written bytes must agree, also through a
-        # converged run in which S goes live mid-run.
+        # The CLI's denoise() copies normalize_bands' output with
+        # casorati_rows and calls solve_casorati; the library path hands
+        # normalize_bands' output to solve().  The written bytes must agree,
+        # also through a converged run in which S goes live mid-run.
         noisy_path = tmp_path / "noisy.hsic"
         main(["simulate", "--input", str(clean_path), "--output", str(noisy_path),
               "--case", "e", "--seed", "1"])
@@ -360,6 +361,68 @@ class TestDenoise:
         restored, _ = solve(normalized, cfg)
         write_cube(denormalize_bands(restored, rec), tmp_path / "lib.hsic")
         assert out.read_bytes() == (tmp_path / "lib.hsic").read_bytes()
+
+    @pytest.mark.parametrize("rank", ["auto", "2"])
+    def test_library_denoise_is_the_command(self, tmp_path, clean_path, rank):
+        # denoise() on the path and on the read cube writes the command's
+        # bytes and returns its config, rank decision and diagnostics,
+        # through a converged run in which S goes live mid-run.
+        noisy_path = tmp_path / "noisy.hsic"
+        main(["simulate", "--input", str(clean_path), "--output", str(noisy_path),
+              "--case", "e", "--seed", "1"])
+        out = tmp_path / "cli.hsic"
+        assert main(["denoise", "--input", str(noisy_path), "--output", str(out),
+                     "--rank", rank]) == 0
+        manifest = json.loads((tmp_path / "cli.hsic.manifest.json").read_text())
+        assert manifest["stop_reason"] == "converged"
+        assert manifest["s_first_iter"] is not None
+        diag_rows = [
+            {k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+            for line in (tmp_path / "cli.hsic.diag.jsonl").read_text().splitlines()
+        ]
+        cfg = DenoiseConfig(rank=rank if rank == "auto" else int(rank))
+        noisy = read_cube(noisy_path)
+        estimate = estimate_rank(unfold_casorati(noisy)) if rank == "auto" else None
+        for source in (noisy_path, noisy):
+            result = denoise(source, cfg)
+            write_cube(result.cube, tmp_path / "lib.hsic")
+            assert (tmp_path / "lib.hsic").read_bytes() == out.read_bytes()
+            assert result.config == DenoiseConfig(rank=manifest["config"]["rank"])
+            assert result.rank_estimate == estimate
+            assert [
+                {k: v for k, v in d.to_json_obj().items() if k != "wall_ms"}
+                for d in result.diagnostics
+            ] == diag_rows
+            assert result.solve_ms > 0
+
+    @pytest.mark.parametrize("source", ["path", "inline-cube"])
+    def test_library_peak_allocation_is_the_solves_own(self, tmp_path, source):
+        # As test_peak_allocation_is_the_solves_own, for denoise() given the
+        # path or a cube no caller holds: it holds no MN x B array beyond
+        # what solve() holds itself.
+        if source == "inline-cube" and sys.version_info < (3, 11):
+            pytest.skip("CPython 3.10 holds a call's arguments until it returns")
+        m, n, b = 48, 48, 96
+        noisy, _ = apply_case(smooth_rank_cube(m, n, b, 3, seed=3), "e", "msi31", seed=2)
+        noisy_path = tmp_path / "noisy.hsic"
+        write_cube(noisy, noisy_path)
+        cfg = DenoiseConfig.preset("mixed", rank="auto", tau=0.3)
+        read = read_cube if source == "inline-cube" else lambda path: path
+        tracemalloc.start()
+        try:
+            result = denoise(read(noisy_path), cfg)
+            _, lib_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert any(d.s_active for d in result.diagnostics)
+        normalized, _ = normalize_bands(read_cube(noisy_path))
+        tracemalloc.start()
+        try:
+            solve(normalized, result.config)
+            _, solve_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lib_peak - solve_peak <= 0.25 * m * n * b * 8, (lib_peak, solve_peak)
 
     def test_replay_matches(self, tmp_path, clean_path):
         out1 = tmp_path / "r1.hsic"
@@ -450,7 +513,8 @@ class TestDenoise:
     @pytest.mark.parametrize("rank", ["2", "auto"])
     def test_bad_flag_rejected_before_reading_input(self, tmp_path, rank, monkeypatch, capsys):
         reads = []
-        monkeypatch.setattr(rctv.cli, "read_cube", lambda *a: reads.append(a))
+        monkeypatch.setattr(rctv.cli, "_sha256", lambda *a: reads.append(a))
+        monkeypatch.setattr(rctv.solver, "read_cube", lambda *a: reads.append(a))
         code = main(["denoise", "--input", str(tmp_path / "missing.hsic"),
                      "--output", str(tmp_path / "o.hsic"), "--rank", rank, "--rho", "1.0"])
         assert code == 2
@@ -475,7 +539,8 @@ class TestDenoise:
         self, tmp_path, monkeypatch, capsys, flag, value
     ):
         reads = []
-        monkeypatch.setattr(rctv.cli, "read_cube", lambda *a: reads.append(a))
+        monkeypatch.setattr(rctv.cli, "_sha256", lambda *a: reads.append(a))
+        monkeypatch.setattr(rctv.solver, "read_cube", lambda *a: reads.append(a))
         code = main(["denoise", "--input", str(tmp_path / "missing.hsic"),
                      "--output", str(tmp_path / "o.hsic"), "--rank", "2", flag, value])
         assert code == 2
@@ -497,7 +562,7 @@ class TestDenoise:
         write_cube(random_cube(*shape, seed=0), path)
         calls = []
         for name in ("estimate_rank", "normalize_bands", "casorati_rows", "solve_casorati"):
-            monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
+            monkeypatch.setattr(rctv.solver, name, lambda *a, name=name, **k: calls.append(name))
         out = tmp_path / "o.hsic"
         code = main(["denoise", "--input", str(path), "--output", str(out), "--rank", rank])
         assert code == 2
@@ -509,8 +574,9 @@ class TestDenoise:
         self, tmp_path, clean_path, monkeypatch, capsys
     ):
         calls = []
+        monkeypatch.setattr(rctv.cli, "_sha256", lambda *a: calls.append("_sha256"))
         for name in ("read_cube", "solve_casorati"):
-            monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
+            monkeypatch.setattr(rctv.solver, name, lambda *a, name=name, **k: calls.append(name))
         out = tmp_path / "nope" / "o.hsic"
         code = main(["denoise", "--input", str(clean_path), "--output", str(out), "--rank", "2"])
         assert code == 2
@@ -715,8 +781,10 @@ def test_output_directory_rejected_before_heavy_work(
     tmp_path, clean_path, monkeypatch, capsys, argv
 ):
     calls = []
-    for name in ("read_cube", "solve", "solve_casorati", "bench_cube"):
-        monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
+    steps = [(rctv.cli, "_sha256"), (rctv.cli, "solve"), (rctv.cli, "bench_cube"),
+             (rctv.solver, "read_cube"), (rctv.solver, "solve_casorati")]
+    for module, name in steps:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
     out = tmp_path / "outdir"
     out.mkdir()
     argv = [str(tmp_path / a) if a == "clean.hsic" else a for a in argv]
@@ -936,9 +1004,11 @@ def test_empty_output_rejected_before_heavy_work(
     # An --output whose file name is empty is no path: it must not pass for
     # rankest's None default, nor reach the write after the work is done,
     # nor (for metrics) name hidden files inside an existing directory.
+    # denoise's steps run in rctv.solver; the others' in rctv.cli.
+    module = rctv.solver if command == "denoise" else rctv.cli
     calls = []
     for name in ("read_cube", heavy):
-        monkeypatch.setattr(rctv.cli, name, lambda *a, name=name, **k: calls.append(name))
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     for output in ("", "sub/", "missing/"):

@@ -681,6 +681,27 @@ class TestSolve:
         assert calls == []
         assert peak < 16 * 1024
 
+    def test_auto_rank_refused_before_allocating(self, monkeypatch):
+        # Only denoise() resolves rank "auto"; the solves refuse it, naming
+        # denoise, before they copy Y or build anything.
+        cube = oracle_cube()
+        y = casorati_rows(cube)
+        calls = []
+        for name in ("casorati_rows", "build_transfer_functions"):
+            monkeypatch.setattr(rctv.solver, name, lambda *a, name=name: calls.append(name))
+        cfg = DenoiseConfig(rank="auto")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"denoise\(\)"):
+                solve(cube, cfg)
+            with pytest.raises(ValueError, match=r"denoise\(\)"):
+                solve_casorati(y, cube.height, cube.width, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 16 * 1024
+
     def test_divergence_fails_fast(self, monkeypatch):
         solves = []
         monkeypatch.setattr(rctv.solver, "solve_u_system", nan_u_solve(solves))
@@ -720,12 +741,15 @@ class TestSolve:
     @pytest.mark.parametrize(
         "kwargs, field",
         [({"rank": 2.5}, "rank"), ({"rank": 2, "max_iter": 3.0}, "max_iter"),
-         ({"rank": True}, "rank")],
-        ids=["float-rank", "float-max-iter", "bool-rank"],
+         ({"rank": True}, "rank"), ({"rank": "Auto"}, "rank"), ({"rank": "2"}, "rank")],
+        ids=["float-rank", "float-max-iter", "bool-rank", "Auto-rank", "str-rank"],
     )
     def test_config_rejects_a_non_integer_count(self, kwargs, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             DenoiseConfig(**kwargs)
+
+    def test_config_takes_auto_rank(self):
+        assert DenoiseConfig.preset("mixed", rank="auto").rank == "auto"
 
     def test_config_takes_numpy_integer_counts_as_int(self):
         cfg = DenoiseConfig(rank=np.int64(3), max_iter=np.int32(4))
@@ -759,12 +783,14 @@ class TestSolve:
     )
     def test_config_rejects_overflowing_derived_value(self, field, value):
         # 2*beta and tau/mu0 overflow at 1e308; the settings themselves are
-        # finite.  The solve recovers E from Lam3 through MU_MAX/(2*beta),
-        # so beta must be positive and that factor finite (it overflows at
-        # 1e-305), and mu0 may not start above the cap it is held at.
+        # finite.  mu0 = 1e-2 is given, not taken from the default, as
+        # tau/mu0 overflows only for mu0 < 1.  The solve recovers E from
+        # Lam3 through MU_MAX/(2*beta), so beta must be positive and that
+        # factor finite (it overflows at 1e-305), and mu0 may not start
+        # above the cap it is held at.
         with pytest.raises(ValueError, match=field):
-            DenoiseConfig(rank=2, **{field: value})
-        DenoiseConfig(rank=2, tau=1e305, lam=1e308)
+            DenoiseConfig(rank=2, **{"mu0": 1e-2, field: value})
+        DenoiseConfig(rank=2, tau=1e305, lam=1e308, mu0=1e-2)
         DenoiseConfig(rank=2, beta=1e-300, mu0=MU_MAX)
 
     def test_diagnostics_non_finite_encoding(self):
