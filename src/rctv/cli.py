@@ -186,6 +186,7 @@ def cmd_denoise(args) -> tuple[str, dict]:
         "iterations": len(diags),
         "stop_reason": "converged" if diags[-1].converged(cfg.epsilon) else "max_iter",
         "s_first_iter": next((d.iteration for d in diags if d.s_active), None),
+        "s_nnz_frac": diags[-1].s_nnz_frac,
         "solve_ms": result.solve_ms,
         "input_sha256": input_sha256,
         # ru_maxrss is in KiB on Linux.

@@ -15,9 +15,14 @@ augmented Lagrangian
     + beta*||E||_F^2 + lam*||S||_1
     + (mu/2)*||Y - U V^T - E - S + Gam_3/mu||_F^2.
 
-Each iteration updates G_i, V, U, E, S in that order (every block update
-is an exact minimizer of the Lagrangian in its block), then performs dual
-ascent on the multipliers and grows the penalty mu by rho.  Iteration
+Each iteration updates G_i, V and U in that order, then E and S as one
+block (every block update is an exact minimizer of the Lagrangian in its
+block), then performs dual ascent on the multipliers and grows the
+penalty mu by rho.  The (E, S) block is the Huber prox (Boyd et al. 2011,
+section 6.1.1, cited below): with T = Y - U V^T + Gam_3/mu and
+c = mu/(mu + 2*beta), S = shrink(T, lam/(mu*(1 - c))) and then
+E = c*(T - S).  It has the fixed points of the paper's sequential E-then-S
+steps and leaves E a multiple of the new Gam_3 (below).  Iteration
 stops when the squared relative data-fit and both split residuals all drop
 below epsilon, or after max_iter sweeps.  The restored cube is the folded
 U V^T.
@@ -40,41 +45,38 @@ iterates, then one over column tiles of the (M*N, R) ones.  The V and U
 updates read only P = Y - E - S + Lam_3: the V update is Procrustes on
 P^T U and the U right-hand side is P V, formed one row tile at a time.
 The row pass runs after the U update and, per tile of rows r, forms
-T_r = Y_r - U_r V^T + Lam_3r in the tile buffer, then E_r = c*(T_r - S_r)
-and S_r = shrink(T_r - E_r, lam/mu).  It takes the data-fit residual
-fit_r = T_r - E_r - S_r - Lam_3r, writes Lam_3r = (mu/mu')*(T_r - E_r -
-S_r) for the grown penalty mu' = min(rho*mu, MU_MAX), forms the next
-iteration's P_r = Y_r - E_r - S_r + Lam_3r and adds P_r^T U_r for the
-next V update.  It sums ||fit||^2, ||E||^2 and lam*||S||_1 for the
-diagnostics and the objective.
+T_r = Y_r - U_r V^T + Lam_3r in the tile buffer, then the (E, S) step.
+It takes the data-fit residual fit_r = T_r - E_r - S_r - Lam_3r, writes
+Lam_3r = (mu/mu')*(T_r - E_r - S_r) for the grown penalty
+mu' = min(rho*mu, MU_MAX), forms the next iteration's P_r and adds
+P_r^T U_r for the next V update.  It sums ||fit||^2, ||E||^2,
+lam*||S||_1 and S's nonzeros for the diagnostics and the objective.
 
-E is never stored, and P only on the tiles where S has left zero.  S
-starts as None and stays None while the S update would leave it zero:
-with S = 0 it shrinks T_r - E_r = (1 - c)*T_r by lam/mu, so the pass
-allocates S as zeros, and P's buffer, on the first tile where
-(1 - c)*max|T_r| exceeds lam/mu.  The same test runs per tile: a tile
-takes the S = 0 step until its own shrink lets an entry through, so rows
-of S and P that are not needed are never written and their pages never
-touched.  Every tile forms T_r once: a live tile from U_r V^T written
-into P's tile, any other in the tile buffer alone, and a tile whose test
-fires then writes U_r V^T into P's tile.  A live tile works in S's and
-Lam_3's tiles from T_r: D_r = T_r - S_r (with ||E_r||^2 =
-c^2*||D_r||^2), E_r = c*D_r, R_r = T_r - E_r and
-K_r = clip(R_r, -lam/mu, lam/mu), so that the new S_r = R_r - K_r and
-T_r - E_r - S_r = K_r.  Hence fit_r = K_r - Lam_3r and the new
-Lam_3r = (mu/mu')*K_r, and two identities spare the passes that would
-form Y_r - E_r - S_r and |S_r|.  First, P_r = U_r V^T + fit_r + Lam_3r,
-as Y_r - E_r - S_r = U_r V^T + fit_r.  Second, lam*||S_r||_1 =
-mu'*<S_r, Lam_3r>: the new Lam_3r is (lam/mu')*sign(S_r) wherever S_r is
-nonzero, the S block's optimality condition in scaled form (Boyd et al.
-2011, section 3.3).  On a tile where S is zero, E_r = c*T_r and
-Lam_3r = (mu/mu')*(1 - c)*T_r, so E_r = (mu'/(2*beta))*Lam_3r.  Hence
-P's rule, which solve_casorati's p_rows alone applies: P_r is stored
-where S is live, else rebuilt as Y_r + (1 - mu'/(2*beta))*Lam_3r, by the
-row pass in the tile buffer once T_r - E_r is spent, by the next U
-right-hand side and by the debug Lagrangian.  That needs Lam_3 to carry
-E, so DenoiseConfig takes only a beta > 0 with MU_MAX/(2*beta) finite.
-The first P is Y, and the first V update reads V_0 in place of
+E, S and P are never stored.  On every tile T_r - E_r - S_r =
+(1 - c)*(T_r - S_r), so the new Lam_3r = (mu/mu')*(1 - c)*(T_r - S_r) and
+E_r = c*(T_r - S_r) = (mu'/(2*beta))*Lam_3r.  Hence P's rule, which
+solve_casorati's p_rows alone applies: P_r = Z_r + (1 - mu'/(2*beta))*Lam_3r
+with Z = Y - S, built in the tile buffer by the row pass once it is done
+with the tile, by the next U right-hand side and by the debug Lagrangian.
+That needs Lam_3 to carry E, so DenoiseConfig takes only a beta > 0 with
+MU_MAX/(2*beta) finite.  Z is the one array stored for S.  It starts as
+None and stays None while S would be zero: S_r is zero while
+(1 - c)*max|T_r| <= lam/mu, the test of the paper's S step at S = 0, so
+the pass allocates Z, touching none of its pages, on the first tile where
+that test fails.  The same test runs per tile: a tile takes the S = 0
+step, E_r = c*T_r and P_r from Y_r, until its own shrink lets an entry
+through, so rows of Z that are not needed are never written.  At
+200x200x160, rank 8, a converged case-f solve with S live peaks at
+3.38 M*N*B*8 bytes under tracemalloc (Y, Lam_3 and Z), against 2.38 while
+S is zero.  A live tile clips T_r to K_r = clip(T_r, -lam/(mu*(1 - c)),
+lam/(mu*(1 - c))) in Z's tile, so S_r = T_r - K_r in the tile buffer,
+T_r - E_r - S_r = (1 - c)*K_r and ||E_r||^2 = c^2*||K_r||^2.  Hence
+fit_r = (1 - c)*K_r - Lam_3r and the new Lam_3r = (mu/mu')*(1 - c)*K_r,
+and lam*||S_r||_1 = mu'*<S_r, Lam_3r>, which spares a pass forming
+|S_r|: the new Lam_3r is (lam/mu')*sign(S_r) wherever S_r is nonzero, the
+S block's optimality condition in scaled form (Boyd et al. 2011, section
+3.3).  Z_r = Y_r - S_r is then written over K_r.  Every tile forms T_r
+once.  The first P is Y, and the first V update reads V_0 in place of
 Y^T U_0, which is V_0 scaled by the Gram eigenvalues: V_0 maximizes
 <Y^T U_0, V> either way.  The restored V U^T is written into Lam_3's
 buffer.
@@ -93,8 +95,8 @@ the factors in O(M*N*R^2) with no copy of the previous U V^T; the Gram is
 carried on as U_prev's.  The U solve runs in buffers allocated once and
 writes U into one of two buffers in turn, so U_prev survives until the
 pass and the loop allocates no (M*N, R) array.  In debug mode each
-iteration records six Lagrangian values: a baseline at the G that the
-last pass read, then one after each of the five block updates.
+iteration records five Lagrangian values: a baseline at the G that the
+last pass read, then one after each of the four block updates.
 
 A non-finite residual or objective stops the solve with a ValueError
 naming the iteration.  The per-block update_* functions,
@@ -253,7 +255,7 @@ class SolverState:
 
     The reference kernels and augmented_lagrangian take their iterates in
     this form.  solve_casorati() keeps its own as local variables and
-    builds a SolverState only in debug mode, for each of the six
+    builds a SolverState only in debug mode, for each of the five
     Lagrangian values it records per iteration.
     """
 
@@ -276,10 +278,12 @@ class IterationDiagnostics:
     Residuals are squared Frobenius norms relative to ||Y||_F^2; mu is the
     penalty in force during the iteration (before growth); rel_change is
     the relative Frobenius change of U V^T versus the previous iterate.
-    s_active says whether the sparse term S was stored (had left zero) by
-    the end of the iteration.  block_increase is populated in debug mode
-    with the worst relative Lagrangian increase observed across the five
-    block updates.
+    s_active says whether S had left zero, and Z = Y - S was allocated,
+    by the end of the iteration; s_nnz_frac is the share of S's M*N*B
+    entries that are nonzero then, counted on the row tiles where S is
+    live (0 while S is zero).  block_increase is populated in debug mode
+    with the worst relative Lagrangian increase observed across the four
+    block updates: G, V, U and (E, S).
     """
 
     iteration: int
@@ -291,6 +295,7 @@ class IterationDiagnostics:
     wall_ms: float
     rel_change: float
     s_active: bool = False
+    s_nnz_frac: float = 0.0
     block_increase: Optional[float] = None
 
     def converged(self, epsilon: float) -> bool:
@@ -312,6 +317,7 @@ class IterationDiagnostics:
             "wall_ms": encode_float(self.wall_ms),
             "rel_change": encode_float(self.rel_change),
             "s_active": self.s_active,
+            "s_nnz_frac": encode_float(self.s_nnz_frac),
         }
         if self.block_increase is not None:
             obj["block_increase"] = encode_float(self.block_increase)
@@ -399,15 +405,24 @@ def update_s(
     y: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
-    e: np.ndarray,
     gam3: np.ndarray,
     mu: float,
     lam: float,
+    beta: float,
 ) -> np.ndarray:
-    """Sparse-noise update: S = shrink(Y - U V^T - E + Gam3/mu) by lam/mu."""
+    """The S of the joint (E, S) step: S = shrink(T, lam/(mu*(1 - c))).
+
+    T = Y - U V^T + Gam3/mu and c = mu/(mu + 2*beta).  With E = c*(T - S)
+    eliminated, beta*||E||^2 + (mu/2)*||T - E - S||^2 is
+    (mu*(1 - c)/2)*||T - S||^2, so this S and update_e's E at it minimize
+    the Lagrangian over E and S jointly (the Huber prox).
+    """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    return soft_threshold(y - u @ v.T - e + gam3 / mu, lam / mu)
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    one_minus_c = 2.0 * beta / (mu + 2.0 * beta)
+    return soft_threshold(y - u @ v.T + gam3 / mu, lam / mu / one_minus_c)
 
 
 class MultiplierUpdate(NamedTuple):
@@ -667,9 +682,9 @@ def solve_casorati(
     solve reads y and never writes it, and makes no copy of it, so the
     caller's y is the only M*N x B input array alive during the solve.
     While S is zero the solve adds one more, Lam_3, and the restored cube
-    is written into it.  P is rebuilt from Y and Lam_3 tile by tile; the
-    first row tile on which S leaves zero allocates S and P together, and
-    only the tiles where S is live write their pages.
+    is written into it.  P is rebuilt tile by tile from Lam_3 and Y, or
+    Z = Y - S where S is live; the first row tile on which S leaves zero
+    allocates Z, and only the tiles where S is live write its pages.
 
     Initialization takes V as the top-R eigenvectors of Y^T Y and U = Y V
     for the unfolded input Y (its truncated SVD) and zeros everything
@@ -679,14 +694,13 @@ def solve_casorati(
     raising; divergence does not: a non-finite fit residual, split residual
     or objective raises ValueError naming the iteration and the quantity.
 
-    With debug=True, each iteration records six values of the augmented
-    Lagrangian, a baseline and one after each of the G, V, U, E and S
-    updates, and block_increase is the worst relative rise between
+    With debug=True, each iteration records five values of the augmented
+    Lagrangian, a baseline and one after each of the G, V, U and joint
+    (E, S) updates, and block_increase is the worst relative rise between
     consecutive ones (each block is an exact minimizer, so anything beyond
     roundoff indicates a broken update); nothing else in the result
-    changes.  E enters it as recovered from P, which debug mode rebuilds
-    in full on the tiles where the loop does not store it, and S that the
-    loop does not store as zero.
+    changes.  E enters it as (1 - p_lam3)*Lam_3 = (mu'/(2*beta))*Lam_3,
+    and S as Y - Z on the live tiles and zero elsewhere.
     """
     if not isinstance(y, np.ndarray):
         raise ValueError(f"expected a numpy array, got {type(y).__name__}")
@@ -708,7 +722,7 @@ def solve_casorati(
     tf = build_transfer_functions(m, n)
 
     u, v = truncated_svd_init(y, r)
-    s = p = None
+    z = None
     g1, g2 = np.zeros((mn, r)), np.zeros((mn, r))
     lam1, lam2 = np.zeros((mn, r)), np.zeros((mn, r))
     lam3 = np.zeros((mn, b))
@@ -719,7 +733,7 @@ def solve_casorati(
 
     y_norm_sq = float(np.vdot(y, y))
     denom = y_norm_sq if y_norm_sq > 0 else 1.0
-    # P = Y - E - S + Lam3 (p_rows) is Y while E, S and Lam3 are zero, so
+    # P = Y - S + p_lam3*Lam3 (p_rows) is Y while S and Lam3 are zero, so
     # p_lam3 starts at 1.  The first P^T U = Y^T U0 is V0 scaled by the Gram
     # eigenvalues, so V0 maximizes <P^T U, V> (an exact V-block minimizer,
     # even where an eigenvalue is 0) and seeds the first V update in its
@@ -730,7 +744,7 @@ def solve_casorati(
     tile = np.empty((rows, b))
     tiles = [slice(lo, min(lo + rows, mn)) for lo in range(0, mn, rows)]
     # The row tiles on which S has left zero; the others take the S = 0
-    # step and touch no page of S or of P.
+    # step and touch no page of Z.
     s_live = [False] * len(tiles)
     cols = min(n, max(1, _TILE_BYTES // (8 * m * r)))
     col_tiles = np.empty((2, cols, m, r))
@@ -747,26 +761,23 @@ def solve_casorati(
     diags: list[IterationDiagnostics] = []
 
     def p_rows(k, sl, out):
-        # P on row tile k (rows sl): stored where S is live, else rebuilt
-        # into out as Y + p_lam3*Lam3 from the Lam3 stored now.
-        if s_live[k]:
-            return p[sl]
+        # P on row tile k (rows sl), built into out as Z + p_lam3*Lam3 where
+        # S is live and Y + p_lam3*Lam3 elsewhere, from the Lam3 stored now.
         np.multiply(lam3[sl], p_lam3, out=out)
-        out += y[sl]
+        out += z[sl] if s_live[k] else y[sl]
         return out
 
-    def lagrangian(s_at=None, lam3_at=None, g_at=None):
+    def lagrangian(lam3_at=None, g_at=None):
         # Debug-only: the Lagrangian at the loop's iterates, optionally with
-        # S, Lam3 or the G pair replaced.  P (p_rows) pairs with the Lam3
-        # stored now, so E = Y - S + Lam3 - P; S that the loop does not
-        # store is zero.
-        s_now = np.zeros_like(y) if s is None else s
-        p_now = np.empty_like(y)
+        # Lam3 or the G pair replaced.  S is Y - Z on the live tiles and
+        # zero elsewhere, and E = (1 - p_lam3)*Lam3 with the Lam3 stored now.
+        s_now = np.zeros_like(y)
         for k, sl in enumerate(tiles):
-            p_now[sl] = p_rows(k, sl, p_now[sl])
+            if s_live[k]:
+                np.subtract(y[sl], z[sl], out=s_now[sl])
         g1_at, g2_at = (g1, g2) if g_at is None else g_at
         state = SolverState(
-            u=u, v=v, e=y - s_now + lam3 - p_now, s=s_now if s_at is None else s_at,
+            u=u, v=v, e=(1.0 - p_lam3) * lam3, s=s_now,
             g1=g1_at, g2=g2_at, gam1=mu * lam1, gam2=mu * lam2,
             gam3=mu * (lam3 if lam3_at is None else lam3_at), mu=mu,
         )
@@ -796,62 +807,61 @@ def solve_casorati(
         u_spare = u_prev
         if debug:
             lags.append(lagrangian())
-            s_before = np.zeros_like(y) if s is None else s.copy()
             lam3_before = lam3.copy()
 
         # The row pass, as the module docstring sets it out: per tile, T,
-        # then E, S, the fit residual, the next Lam3, the next P and P^T U,
-        # with the sums the diagnostics need.  From here p_lam3 pairs P with
-        # the Lam3 this pass writes.
+        # then the (E, S) step, the fit residual, the next Lam3, Z, the next
+        # P and P^T U, with the sums the diagnostics need.  From here p_lam3
+        # pairs P with the Lam3 this pass writes.
         vt = v.T
         rescale = mu / mu_next
         c = mu / (mu + 2.0 * cfg.beta)
         one_minus_c = 2.0 * cfg.beta / (mu + 2.0 * cfg.beta)
         s_thresh = cfg.lam / mu
+        k_thresh = s_thresh / one_minus_c
         p_lam3 = 1.0 - mu_next / (2.0 * cfg.beta)
         fit_sq = e_sq = s_l1 = 0.0
+        s_nnz = 0
         pu = np.zeros((b, r))
         for k, sl in enumerate(tiles):
             t = tile[: sl.stop - sl.start]
             lam3_r = lam3[sl]
-            uvt = p[sl] if s_live[k] else t
-            np.matmul(u[sl], vt, out=uvt)
-            np.subtract(y[sl], uvt, out=t)
+            np.matmul(u[sl], vt, out=t)
+            np.subtract(y[sl], t, out=t)
             t += lam3_r  # T
-            # With S = 0 on the tile the S update shrinks T - E = (1 - c)*T
-            # by lam/mu; a tile whose shrink lets an entry through goes live
-            # here.  A NaN tile compares False and shows up in fit_sq.
+            # The step's S' = shrink(T, lam/(mu*(1 - c))) is zero while
+            # (1 - c)*max|T| <= lam/mu; a tile whose shrink lets an entry
+            # through goes live here.  A NaN tile compares False and shows
+            # up in fit_sq.
             if not s_live[k] and one_minus_c * max(t.max(), -t.min()) > s_thresh:
-                if s is None:
-                    s, p = np.zeros((mn, b)), np.empty((mn, b))
+                if z is None:
+                    # With Z, a bool tile for S' != 0: not_equal into it
+                    # and count_nonzero on it take under half the time of
+                    # count_nonzero on the float tile.
+                    z, nonzero = np.empty((mn, b)), np.empty((rows, b), dtype=bool)
                 s_live[k] = True
-                np.matmul(u[sl], vt, out=p[sl])
             if s_live[k]:
-                s_r, p_r = s[sl], p[sl]
-                np.subtract(t, s_r, out=s_r)  # T - S
-                e_sq += float(np.vdot(s_r, s_r)) * c * c
-                s_r *= c  # E
-                t -= s_r  # R = T - E
-                np.clip(t, -s_thresh, s_thresh, out=s_r)  # K
-                np.subtract(s_r, lam3_r, out=lam3_r)  # the fit residual
+                z_r = z[sl]
+                np.clip(t, -k_thresh, k_thresh, out=z_r)  # K
+                t -= z_r  # S'
+                s_nnz += np.count_nonzero(np.not_equal(t, 0.0, out=nonzero[: len(t)]))
+                e_sq += float(np.vdot(z_r, z_r)) * c * c  # E = c*K
+                z_r *= one_minus_c  # T - E - S'
+                np.subtract(z_r, lam3_r, out=lam3_r)  # the fit residual
                 fit_sq += float(np.vdot(lam3_r, lam3_r))
-                p_r += lam3_r
-                np.multiply(s_r, rescale, out=lam3_r)
-                p_r += lam3_r  # P
-                np.subtract(t, s_r, out=s_r)  # S'
-                s_l1 += mu_next * float(np.vdot(s_r, lam3_r))
+                np.multiply(z_r, rescale, out=lam3_r)
+                s_l1 += mu_next * float(np.vdot(t, lam3_r))
+                np.subtract(y[sl], t, out=z_r)  # Z
             else:
                 e_sq += float(np.vdot(t, t)) * c * c  # E = c*T
                 t *= one_minus_c  # T - E
                 lam3_r -= t  # minus the fit residual
                 fit_sq += float(np.vdot(lam3_r, lam3_r))
                 np.multiply(t, rescale, out=lam3_r)
-                p_r = p_rows(k, sl, t)  # P
-            pu += p_r.T @ u[sl]
+            pu += p_rows(k, sl, t).T @ u[sl]
         if debug:
-            # The pass updated E, S and Lam3 together; check E and S as the
-            # sequential block updates would have left them.
-            lags.append(lagrangian(s_at=s_before, lam3_at=lam3_before))
+            # The pass updated E, S and Lam3 together; check the (E, S)
+            # block before the dual step.
             lags.append(lagrangian(lam3_at=lam3_before))
             np.copyto(g_before[0], g1)
             np.copyto(g_before[1], g2)
@@ -892,7 +902,8 @@ def solve_casorati(
                 mu=mu,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 rel_change=rel_change,
-                s_active=s is not None,
+                s_active=z is not None,
+                s_nnz_frac=s_nnz / (mn * b),
                 block_increase=None if lags is None else max(
                     (after - before) / max(1.0, abs(before))
                     for before, after in zip(lags, lags[1:])

@@ -251,6 +251,8 @@ class TestDenoise:
         assert manifest["s_first_iter"] > 1
         lines = (tmp_path / "restored.hsic.diag.jsonl").read_text().strip().split("\n")
         assert [json.loads(line)["s_active"] for line in lines] == ref_s_active
+        # The last iteration's share of nonzero S entries.
+        assert manifest["s_nnz_frac"] == json.loads(lines[-1])["s_nnz_frac"] > 0
 
     def test_peak_allocation_is_the_solves_own(self, tmp_path):
         # denoise normalizes, copies into the C-ordered matrix the solve
@@ -947,7 +949,8 @@ def command_flags(command, clean, out):
     [
         ("simulate", {"windows_rescaled"}),
         ("denoise", {"config", "signal_dims", "rank_bound", "iterations", "stop_reason",
-                     "s_first_iter", "solve_ms", "input_sha256", "peak_rss_mib"} | THREAD_KEYS),
+                     "s_first_iter", "s_nnz_frac", "solve_ms", "input_sha256",
+                     "peak_rss_mib"} | THREAD_KEYS),
         ("metrics", set()),
         ("rankest", {"rank", "signal_dims", "rank_bound"}),
         ("bench", THREAD_KEYS),

@@ -163,28 +163,79 @@ class TestUpdateE:
         assert np.max(np.abs(grad)) <= 1e-10
 
 
+def joint_step(st, y, lam, beta):
+    """update_s, then update_e at that S: the (E, S) block of the loop."""
+    s = update_s(y, st.u, st.v, st.gam3, st.mu, lam, beta)
+    return update_e(y, st.u, st.v, s, st.gam3, st.mu, beta), s
+
+
+def joint_prox_grid(t, beta, lam, mu, half_width=3.0, points=81, levels=5):
+    """Brute-force argmin over (e, s) of beta*e^2 + lam*|s| + (mu/2)*(t - e - s)^2.
+
+    Each argument is a vector of problems.  A square grid of points^2
+    (e, s) pairs is searched around the last level's best pair, and each
+    level narrows the square to 8 steps of the last grid: the objective is
+    convex, and its valley e + s = const runs along the grid's diagonal.
+    From half-width 3 the fifth level's step is about 1.2e-4.
+    """
+    t, beta, lam, mu = (np.asarray(x, dtype=np.float64)[:, None] for x in (t, beta, lam, mu))
+    best = np.zeros((t.shape[0], 2))
+    offsets = np.linspace(-1.0, 1.0, points)
+    grid_e, grid_s = (x.ravel()[None, :] for x in np.meshgrid(offsets, offsets))
+    for _ in range(levels):
+        e = best[:, :1] + half_width * grid_e
+        s = best[:, 1:] + half_width * grid_s
+        vals = beta * e**2 + lam * np.abs(s) + 0.5 * mu * (t - e - s) ** 2
+        k = np.argmin(vals, axis=1)
+        best = np.stack([np.take_along_axis(x, k[:, None], 1)[:, 0] for x in (e, s)], axis=1)
+        half_width *= 8.0 / (points - 1)
+    return best
+
+
 class TestUpdateS:
     def test_large_lambda_zeroes_s(self, rng):
+        # Then the step is the E step at S = 0: E = c*T.
         st = random_state(rng)
         y = rng.standard_normal(st.e.shape)
-        s = update_s(y, st.u, st.v, st.e, st.gam3, st.mu, 1e12)
+        beta = 3.0
+        e, s = joint_step(st, y, 1e12, beta)
         np.testing.assert_array_equal(s, np.zeros_like(s))
+        t = y - st.u @ st.v.T + st.gam3 / st.mu
+        np.testing.assert_allclose(e, st.mu / (st.mu + 2.0 * beta) * t, rtol=1e-12, atol=1e-12)
 
     def test_zero_lambda_copies_residual(self, rng):
+        # S takes all of T, which leaves E nothing.
         st = random_state(rng)
         y = rng.standard_normal(st.e.shape)
-        s = update_s(y, st.u, st.v, st.e, st.gam3, st.mu, 0.0)
-        expected = y - st.u @ st.v.T - st.e + st.gam3 / st.mu
-        np.testing.assert_array_equal(s, expected)
+        e, s = joint_step(st, y, 0.0, 3.0)
+        np.testing.assert_array_equal(s, y - st.u @ st.v.T + st.gam3 / st.mu)
+        np.testing.assert_allclose(e, np.zeros_like(e), atol=1e-12)
 
-    def test_elementwise_prox_oracle(self, rng):
+    def test_elementwise_prox_oracle(self):
+        # The joint step against a brute-force 2-D grid on 1000 random
+        # (t, beta, lam, mu), each a 1x1 problem with U V^T = 0 and Gam3 = 0.
+        rng = np.random.default_rng(101)
+        t = rng.uniform(-2.0, 2.0, 1000)
+        beta, mu = rng.uniform(0.1, 5.0, (2, 1000))
+        lam = rng.uniform(0.0, 1.0, 1000)
+        zeros = np.zeros((1, 1))
+        got = np.empty((1000, 2))
+        for i in range(1000):
+            st = SolverState(u=zeros, v=np.ones((1, 1)), e=None, s=None, g1=None, g2=None,
+                             gam1=None, gam2=None, gam3=zeros, mu=mu[i])
+            e, s = joint_step(st, np.full((1, 1), t[i]), lam[i], beta[i])
+            got[i] = e[0, 0], s[0, 0]
+        expected = np.concatenate([
+            joint_prox_grid(*(x[i : i + 100] for x in (t, beta, lam, mu)))
+            for i in range(0, 1000, 100)
+        ])
+        assert np.max(np.abs(got - expected)) <= 1e-3
+
+    def test_rejects_a_non_positive_beta(self, rng):
         st = random_state(rng)
         y = rng.standard_normal(st.e.shape)
-        lam = 0.6
-        s = update_s(y, st.u, st.v, st.e, st.gam3, st.mu, lam)
-        target = y - st.u @ st.v.T - st.e + st.gam3 / st.mu
-        for a, got in zip(target.ravel()[:3], s.ravel()[:3]):
-            assert abs(got - prox_l1_grid(a, lam / st.mu)) <= 1e-3
+        with pytest.raises(ValueError, match="beta"):
+            update_s(y, st.u, st.v, st.gam3, st.mu, 1.0, 0.0)
 
 
 class TestUpdateMultipliers:
@@ -256,11 +307,11 @@ MID_RUN_LAM = 0.8
 
 
 def spy_s_clips(monkeypatch, bands, record):
-    """Call record(K) after each np.clip that writes a live row tile of solve()'s S.
+    """Call record(K) after each np.clip that writes a live row tile of solve()'s Z.
 
-    A live tile shrinks S by clipping T - E to K in S's own tile, a view of
-    the S that solve() holds.  The reference kernels' S shrinks clip into
-    fresh arrays, and the G shrinks have R columns, not B.
+    A live tile shrinks S by clipping T to K in Z's own tile, a view of the
+    Z = Y - S that solve() holds.  The reference kernels' S shrinks clip
+    into fresh arrays, and the G shrinks have R columns, not B.
     """
     clip = np.clip
 
@@ -436,11 +487,11 @@ class TestSolve:
     @pytest.mark.parametrize("case", ["debug_case", "mid_run"])
     def test_debug_lagrangian_at_implicit_e(self, monkeypatch, case):
         # Each iteration re-baselines the Lagrangian, then checks it after
-        # 5 block updates.  The baseline at E recovered from P, with S = 0
-        # where the loop does not store it, must equal the Lagrangian at the
-        # dense reference loop's stored E and S.  In the mid-run case S is
-        # live from iteration 2 on some row tiles, so the baselines mix
-        # stored and rebuilt P tiles.
+        # 4 block updates: G, V, U and (E, S).  The baseline at
+        # E = (mu/(2*beta))*Lam3, with S = Y - Z on the live tiles and 0
+        # elsewhere, must equal the Lagrangian at the dense reference loop's
+        # stored E and S.  In the mid-run case S is live from iteration 2 on
+        # some row tiles, so the baselines mix live and S-zero tiles.
         if case == "debug_case":
             noisy, cfg = debug_case()
             cfg = dataclasses.replace(cfg, max_iter=4)
@@ -461,9 +512,9 @@ class TestSolve:
         else:
             assert [d.s_active for d in diags[:2]] == [False, True]
         assert sum(g_nonzeros) > 0
-        assert len(values) == 6 * cfg.max_iter
+        assert len(values) == 5 * cfg.max_iter
         y = unfold_casorati(noisy)
-        for k, value in enumerate(values[::6]):
+        for k, value in enumerate(values[::5]):
             _, _, ref_state, _ = reference_solve(noisy, cfg, k)
             expected = augmented_lagrangian(y, ref_state, cfg, noisy.height, noisy.width)
             assert value == pytest.approx(expected, rel=1e-10, abs=0)
@@ -523,10 +574,11 @@ class TestSolve:
             assert [d.s_active for d in diags[:2]] == [False, True]
 
     @pytest.mark.parametrize("case", ["debug_case", "mid_run"])
-    def test_block_increase_is_the_worst_of_five_rises(self, monkeypatch, case):
-        # Each iteration evaluates the Lagrangian 6 times: a baseline and
-        # one after each block update.  block_increase is the worst relative
-        # rise between consecutive values.
+    def test_block_increase_is_the_worst_of_four_rises(self, monkeypatch, case):
+        # Each iteration evaluates the Lagrangian 5 times: a baseline and
+        # one after each block update, (E, S) being one block.
+        # block_increase is the worst relative rise between consecutive
+        # values.
         if case == "debug_case":
             noisy, cfg = debug_case()
         else:
@@ -540,9 +592,9 @@ class TestSolve:
 
         monkeypatch.setattr(rctv.solver, "augmented_lagrangian", recording)
         _, diags = solve(noisy, cfg, debug=True)
-        assert len(values) == 6 * len(diags)
+        assert len(values) == 5 * len(diags)
         for k, d in enumerate(diags):
-            lags = values[6 * k : 6 * k + 6]
+            lags = values[5 * k : 5 * k + 5]
             rises = [(b - a) / max(1.0, abs(a)) for a, b in zip(lags, lags[1:])]
             assert d.block_increase == max(rises)
 
@@ -557,14 +609,14 @@ class TestSolve:
         assert peak <= 3.0 * m * n * b * 8
 
     def test_peak_allocation_while_s_is_active(self):
-        # S is stored from iteration 1, and with it P; E never is, so the
-        # two add two MN x B arrays to the S-zero working set.
+        # S is live from iteration 1, so Z = Y - S is stored; E, S and P
+        # never are, so Z adds one MN x B array to the S-zero working set.
         m, n, b = 48, 48, 96
         diags, peak = peak_allocation(
             m, n, b, "e", lam=0.02, mu0=0.5, max_iter=3, epsilon=1e-30
         )
         assert all(d.s_active for d in diags)
-        assert peak <= 5.0 * m * n * b * 8
+        assert peak <= 3.6 * m * n * b * 8
 
     def test_iterations_allocate_no_coefficient_array(self, monkeypatch):
         # The U solve, the column pass and the diagnostics work in buffers
@@ -599,13 +651,12 @@ class TestSolve:
         assert max(rises[1:]) < 0.5 * m * n * r * 8
 
     def test_s_live_iterations_allocate_no_tile(self, monkeypatch):
-        # With S live from iteration 1, every row tile works in S's, P's
-        # and Lam3's own tiles and the tile buffer, so from one V update to
-        # the next the traced memory never rises by a row tile above its
-        # level at the first of them: numpy's 3 x 64 KiB iteration buffers
-        # for strided operands stay below the 256 KiB tile.  S and P are
-        # allocated at iteration 1 and stay, so they raise the level, not
-        # the rise.
+        # With S live from iteration 1, every row tile works in Z's and
+        # Lam3's own tiles and the tile buffer, so from one V update to the
+        # next the traced memory never rises by a row tile above its level
+        # at the first of them: numpy's 3 x 64 KiB iteration buffers for
+        # strided operands stay below the 256 KiB tile.  Z is allocated at
+        # iteration 1 and stays, so it raises the level, not the rise.
         m, n, r = 128, 128, 8
         clean = smooth_rank_cube(m, n, 16, 2, seed=9)
         noisy, _ = apply_case(clean, "e", "msi31", seed=1)
@@ -823,6 +874,7 @@ class TestSolve:
                         "mu", "wall_ms", "rel_change"):
                 assert key in obj
             assert obj["s_active"] is diags[i].s_active
+            assert obj["s_nnz_frac"] == diags[i].s_nnz_frac
 
 
 def reference_solve(cube, cfg, iters):
@@ -848,8 +900,8 @@ def reference_solve(cube, cfg, iters):
         st.v = update_v(y, st.e, st.s, st.gam3, st.mu, st.u)
         st.u = update_u(y, st.e, st.s, st.gam3, st.mu, st.v,
                         st.g1, st.g2, st.gam1, st.gam2, tf)
+        st.s = update_s(y, st.u, st.v, st.gam3, st.mu, cfg.lam, cfg.beta)
         st.e = update_e(y, st.u, st.v, st.s, st.gam3, st.mu, cfg.beta)
-        st.s = update_s(y, st.u, st.v, st.e, st.gam3, st.mu, cfg.lam)
         res = update_multipliers(st, y, m, n, cfg.rho)
         x = st.u @ st.v.T
         rows.append((
@@ -913,10 +965,11 @@ class TestFusedLoopOracle:
 
     def test_matches_reference_kernels_at_zero_lambda(self, monkeypatch):
         # At lam = 0 the S threshold is 0, so every row tile, ragged last one
-        # included, is live from iteration 1 and clips T - E to K = 0 in
-        # S's tile.  The fit residual K - Lam3 and the next Lam3 = (mu/mu')*K
-        # are then exactly 0, and with them the sparse term mu'*<S', Lam3>:
-        # the objective is the reference's, whose lam*||S||_1 is 0.
+        # included, is live from iteration 1 and clips T to K = 0 in Z's
+        # tile.  The fit residual (1 - c)*K - Lam3 and the next
+        # Lam3 = (mu/mu')*(1 - c)*K are then exactly 0, and with them the
+        # sparse term mu'*<S', Lam3>: the objective is the reference's,
+        # whose lam*||S||_1 is 0.
         noisy, rows = oracle_cube(), 13
         force_tile_rows(monkeypatch, noisy, rows)
         cfg = oracle_config(lam=0.0)
@@ -956,6 +1009,22 @@ class TestFusedLoopOracle:
         rel = np.linalg.norm(restored.data - ref_cube.data) / np.linalg.norm(ref_cube.data)
         assert rel <= 1e-9
 
+    @pytest.mark.parametrize("lam", [MID_RUN_LAM, 0.02], ids=["mid_run", "from_iteration_1"])
+    def test_s_nnz_frac_counts_the_reference_s(self, monkeypatch, lam):
+        # s_nnz_frac is the share of S's entries that are nonzero after each
+        # iteration, counted on the live row tiles, and 0 while S is zero.
+        noisy = oracle_cube()
+        force_tile_rows(monkeypatch, noisy, 5)
+        cfg = oracle_config(lam=lam)
+        _, diags = solve(noisy, cfg)
+        fracs = []
+        for it in range(1, cfg.max_iter + 1):
+            _, _, state, _ = reference_solve(noisy, cfg, it)
+            fracs.append(np.count_nonzero(state.s) / state.s.size)
+        assert [d.s_nnz_frac for d in diags] == fracs
+        assert 0 < fracs[-1] < 1
+        assert (fracs[0] == 0) == (lam == MID_RUN_LAM)
+
     def test_differences_formed_once_per_iteration(self, monkeypatch):
         # One column pass on U0 writes the first G; after that each
         # iteration's one column pass forms D(U) for the dual step, the
@@ -987,16 +1056,21 @@ class TestFusedLoopOracle:
 
     def test_each_row_tile_forms_t_once_per_iteration(self, monkeypatch):
         # Every row tile forms T = Y - U V^T + Lam3 once per iteration with
-        # one np.subtract from a row tile of the read-only Y, the iteration
-        # in which it goes live included.  V updates segment the iterations.
+        # one np.subtract from a row tile of the read-only Y into the tile
+        # buffer, the iteration in which it goes live included.  The only
+        # other subtract from Y writes Z = Y - S' into Z's tile, once per
+        # live tile: once per clip of T into Z.  V updates segment the
+        # iterations.
         noisy, rows = oracle_cube(), 5
         force_tile_rows(monkeypatch, noisy, rows)
         cfg = oracle_config(lam=MID_RUN_LAM)
-        counts = [0]
+        mn = noisy.height * noisy.width
+        # Per iteration: T formed, Z written, clips into Z.
+        counts = [[0, 0, 0]]
         subtract = np.subtract
 
         def counting_v(w):
-            counts.append(0)
+            counts.append([0, 0, 0])
             return procrustes_v(w)
 
         def counting_subtract(a, *args, **kwargs):
@@ -1004,15 +1078,21 @@ class TestFusedLoopOracle:
                 isinstance(a, np.ndarray) and a.ndim == 2
                 and a.shape[1] == noisy.bands and not a.flags.writeable
             ):
-                counts[-1] += 1
+                counts[-1][int(kwargs["out"].base.shape[0] == mn)] += 1
             return subtract(a, *args, **kwargs)
+
+        def counting_clip(k):
+            counts[-1][2] += 1
 
         monkeypatch.setattr(rctv.solver, "procrustes_v", counting_v)
         monkeypatch.setattr(np, "subtract", counting_subtract)
+        spy_s_clips(monkeypatch, noisy.bands, counting_clip)
         _, diags = solve(noisy, cfg)
-        n_tiles = -(-noisy.height * noisy.width // rows)
+        n_tiles = -(-mn // rows)
         assert n_tiles == 45
-        assert counts == [0] + [n_tiles] * len(diags)
+        assert [c[0] for c in counts] == [0] + [n_tiles] * len(diags)
+        assert [c[1] for c in counts] == [c[2] for c in counts]
+        assert counts[1][1] == 0 and all(c[1] > 0 for c in counts[2:])
         assert not diags[0].s_active
         assert all(d.s_active for d in diags[1:])
 
