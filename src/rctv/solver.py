@@ -59,24 +59,27 @@ solve_casorati's p_rows alone applies: P_r = Z_r + (1 - mu'/(2*beta))*Lam_3r
 with Z = Y - S, built in the tile buffer by the row pass once it is done
 with the tile, by the next U right-hand side and by the debug Lagrangian.
 That needs Lam_3 to carry E, so DenoiseConfig takes only a beta > 0 with
-MU_MAX/(2*beta) finite.  Z is the one array stored for S.  It starts as
-None and stays None while S would be zero: S_r is zero while
-(1 - c)*max|T_r| <= lam/mu, the test of the paper's S step at S = 0, so
-the pass allocates Z, touching none of its pages, on the first tile where
-that test fails.  The same test runs per tile: a tile takes the S = 0
-step, E_r = c*T_r and P_r from Y_r, until its own shrink lets an entry
-through, so rows of Z that are not needed are never written.  At
-200x200x160, rank 8, a converged case-f solve with S live peaks at
-3.38 M*N*B*8 bytes under tracemalloc (Y, Lam_3 and Z), against 2.38 while
-S is zero.  A live tile clips T_r to K_r = clip(T_r, -lam/(mu*(1 - c)),
-lam/(mu*(1 - c))) in Z's tile, so S_r = T_r - K_r in the tile buffer,
-T_r - E_r - S_r = (1 - c)*K_r and ||E_r||^2 = c^2*||K_r||^2.  Hence
-fit_r = (1 - c)*K_r - Lam_3r and the new Lam_3r = (mu/mu')*(1 - c)*K_r,
-and lam*||S_r||_1 = mu'*<S_r, Lam_3r>, which spares a pass forming
-|S_r|: the new Lam_3r is (lam/mu')*sign(S_r) wherever S_r is nonzero, the
-S block's optimality condition in scaled form (Boyd et al. 2011, section
-3.3).  Z_r = Y_r - S_r is then written over K_r.  Every tile forms T_r
-once.  The first P is Y, and the first V update reads V_0 in place of
+MU_MAX/(2*beta) finite.
+
+The step is one clip: K_r = clip(T_r, -lam/(mu*(1 - c)), lam/(mu*(1 - c)))
+gives S_r = T_r - K_r, T_r - E_r - S_r = (1 - c)*K_r and
+||E_r||^2 = c^2*||K_r||^2.  Hence fit_r = (1 - c)*K_r - Lam_3r and the new
+Lam_3r = (mu/mu')*(1 - c)*K_r, one copy of that arithmetic for every tile.
+A tile goes live once its clip changes an entry, max|T_r| >
+lam/(mu*(1 - c)), and stays live.  Until then K_r = T_r and S_r = 0, so K_r
+is the tile buffer holding T_r and P_r reads Y_r.  On a live tile the clip
+writes K_r into Z's tile and leaves S_r in the tile buffer, and
+lam*||S_r||_1 = mu'*<S_r, Lam_3r>, which spares a pass forming |S_r|: the
+new Lam_3r is (lam/mu')*sign(S_r) wherever S_r is nonzero, the S block's
+optimality condition in scaled form (Boyd et al. 2011, section 3.3).
+Z_r = Y_r - S_r is then written over K_r, and is exactly Y_r where the
+clip of a live tile lets no entry through.  Z is the one array stored for
+S.  It starts as None, and the pass allocates it, touching none of its
+pages, on the first tile that goes live, so rows of Z that are not needed
+are never written.  At 200x200x160, rank 8, a converged case-f solve with
+S live peaks at 3.38 M*N*B*8 bytes under tracemalloc (Y, Lam_3 and Z),
+against 2.38 while S is zero.  Every tile forms T_r once.  The first P is
+Y, and the first V update reads V_0 in place of
 Y^T U_0, which is V_0 scaled by the Gram eigenvalues: V_0 maximizes
 <Y^T U_0, V> either way.  The restored V U^T is written into Lam_3's
 buffer.
@@ -682,9 +685,11 @@ def solve_casorati(
     solve reads y and never writes it, and makes no copy of it, so the
     caller's y is the only M*N x B input array alive during the solve.
     While S is zero the solve adds one more, Lam_3, and the restored cube
-    is written into it.  P is rebuilt tile by tile from Lam_3 and Y, or
-    Z = Y - S where S is live; the first row tile on which S leaves zero
-    allocates Z, and only the tiles where S is live write its pages.
+    is written into it.  Every row tile takes the same (E, S) step on
+    K = clip(T), which is T itself on a tile where S is zero.  P is rebuilt
+    tile by tile from Lam_3 and Y, or Z = Y - S where S is live; the first
+    row tile whose clip changes an entry allocates Z, and only the live
+    tiles write its pages.
 
     Initialization takes V as the top-R eigenvectors of Y^T Y and U = Y V
     for the unfolded input Y (its truncated SVD) and zeros everything
@@ -743,8 +748,8 @@ def solve_casorati(
     rows = max(1, _TILE_BYTES // (8 * b))
     tile = np.empty((rows, b))
     tiles = [slice(lo, min(lo + rows, mn)) for lo in range(0, mn, rows)]
-    # The row tiles on which S has left zero; the others take the S = 0
-    # step and touch no page of Z.
+    # The row tiles on which S has left zero; the others take the step
+    # with K = T and touch no page of Z.
     s_live = [False] * len(tiles)
     cols = min(n, max(1, _TILE_BYTES // (8 * m * r)))
     col_tiles = np.empty((2, cols, m, r))
@@ -817,8 +822,7 @@ def solve_casorati(
         rescale = mu / mu_next
         c = mu / (mu + 2.0 * cfg.beta)
         one_minus_c = 2.0 * cfg.beta / (mu + 2.0 * cfg.beta)
-        s_thresh = cfg.lam / mu
-        k_thresh = s_thresh / one_minus_c
+        k_thresh = cfg.lam / mu / one_minus_c
         p_lam3 = 1.0 - mu_next / (2.0 * cfg.beta)
         fit_sq = e_sq = s_l1 = 0.0
         s_nnz = 0
@@ -829,35 +833,31 @@ def solve_casorati(
             np.matmul(u[sl], vt, out=t)
             np.subtract(y[sl], t, out=t)
             t += lam3_r  # T
-            # The step's S' = shrink(T, lam/(mu*(1 - c))) is zero while
-            # (1 - c)*max|T| <= lam/mu; a tile whose shrink lets an entry
-            # through goes live here.  A NaN tile compares False and shows
-            # up in fit_sq.
-            if not s_live[k] and one_minus_c * max(t.max(), -t.min()) > s_thresh:
+            # K = clip(T, -k_thresh, k_thresh) is T, and S' = T - K zero,
+            # while max|T| <= k_thresh; a tile whose clip changes an entry
+            # goes live here, and K = T stays in the tile buffer until it
+            # does.  A NaN tile compares False and shows up in fit_sq.
+            if not s_live[k] and max(t.max(), -t.min()) > k_thresh:
                 if z is None:
                     # With Z, a bool tile for S' != 0: not_equal into it
                     # and count_nonzero on it take under half the time of
                     # count_nonzero on the float tile.
                     z, nonzero = np.empty((mn, b)), np.empty((rows, b), dtype=bool)
                 s_live[k] = True
+            k_r = t
             if s_live[k]:
-                z_r = z[sl]
-                np.clip(t, -k_thresh, k_thresh, out=z_r)  # K
-                t -= z_r  # S'
+                k_r = z[sl]
+                np.clip(t, -k_thresh, k_thresh, out=k_r)
+                t -= k_r  # S'
                 s_nnz += np.count_nonzero(np.not_equal(t, 0.0, out=nonzero[: len(t)]))
-                e_sq += float(np.vdot(z_r, z_r)) * c * c  # E = c*K
-                z_r *= one_minus_c  # T - E - S'
-                np.subtract(z_r, lam3_r, out=lam3_r)  # the fit residual
-                fit_sq += float(np.vdot(lam3_r, lam3_r))
-                np.multiply(z_r, rescale, out=lam3_r)
+            e_sq += float(np.vdot(k_r, k_r)) * c * c  # E = c*K
+            k_r *= one_minus_c  # T - E - S'
+            np.subtract(k_r, lam3_r, out=lam3_r)  # the fit residual
+            fit_sq += float(np.vdot(lam3_r, lam3_r))
+            np.multiply(k_r, rescale, out=lam3_r)
+            if s_live[k]:
                 s_l1 += mu_next * float(np.vdot(t, lam3_r))
-                np.subtract(y[sl], t, out=z_r)  # Z
-            else:
-                e_sq += float(np.vdot(t, t)) * c * c  # E = c*T
-                t *= one_minus_c  # T - E
-                lam3_r -= t  # minus the fit residual
-                fit_sq += float(np.vdot(lam3_r, lam3_r))
-                np.multiply(t, rescale, out=lam3_r)
+                np.subtract(y[sl], t, out=k_r)  # Z
             pu += p_rows(k, sl, t).T @ u[sl]
         if debug:
             # The pass updated E, S and Lam3 together; check the (E, S)

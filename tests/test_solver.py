@@ -932,7 +932,7 @@ class TestFusedLoopOracle:
     def test_matches_reference_kernels_when_s_turns_on_mid_run(self, monkeypatch):
         # S turns on in iteration 2, in tile 1 of 45 with a ragged last tile,
         # and spreads to the other tiles over the next iterations: a tile
-        # takes the S-zero path until its own shrink lets an entry through.
+        # takes the step with K = T until its own clip changes an entry.
         noisy, rows = oracle_cube(), 5
         force_tile_rows(monkeypatch, noisy, rows)
         cfg = oracle_config(lam=MID_RUN_LAM)
@@ -962,6 +962,43 @@ class TestFusedLoopOracle:
             live |= set(np.flatnonzero(np.any(state.s, axis=1)) // rows)
             expected += "s" * len(live) + g_pass
         assert "".join("g" if w == cfg.rank else "s" for w in widths) == expected
+
+    def test_matches_reference_kernels_when_a_live_clip_lets_nothing_through(
+        self, monkeypatch
+    ):
+        # A tile stays live once its clip has changed an entry.  A later
+        # clip of it that changes none leaves S' = 0 there, and Z's tile is
+        # rewritten as exactly Y.  At 1-row tiles and lam = MID_RUN_LAM this
+        # happens in 1 of the 883 live-tile steps.
+        noisy = oracle_cube()
+        force_tile_rows(monkeypatch, noisy, 1)
+        mn = noisy.height * noisy.width
+        clip, subtract = np.clip, np.subtract
+        # Per live-tile step: whether the clip changed no entry of T, and
+        # then whether the Z written was Y.
+        steps = []
+
+        def recording_clip(a, low, high, out=None):
+            result = clip(a, low, high, out=out)
+            if a.shape[1] == noisy.bands and out is not None and out.base is not None:
+                steps.append([np.array_equal(result, a), None])
+            return result
+
+        def recording_subtract(a, b, out=None):
+            result = subtract(a, b, out=out)
+            if (
+                isinstance(a, np.ndarray) and not a.flags.writeable
+                and out is not None and out.base is not None and out.base.shape[0] == mn
+            ):
+                steps[-1][1] = np.array_equal(result, a)
+            return result
+
+        monkeypatch.setattr(np, "clip", recording_clip)
+        monkeypatch.setattr(np, "subtract", recording_subtract)
+        check_against_reference_kernels(noisy, oracle_config(lam=MID_RUN_LAM))
+        assert all(z_is_y is not None for _, z_is_y in steps)
+        nothing_through = [z_is_y for unclipped, z_is_y in steps if unclipped]
+        assert nothing_through and all(nothing_through)
 
     def test_matches_reference_kernels_at_zero_lambda(self, monkeypatch):
         # At lam = 0 the S threshold is 0, so every row tile, ragged last one
