@@ -164,12 +164,14 @@ def cmd_denoise(args) -> tuple[str, dict]:
     overrides = {field: value for field, value in given.items() if value is not None}
     # A bad flag fails here, before the input is read.
     cfg = DenoiseConfig.preset(args.preset, rank=args.rank, **overrides)
-    # Hashed before the write, as --output may name the input.
-    input_sha256 = _sha256(args.input)
     # The path, not a read cube: on CPython 3.10 an argument stays
     # referenced for the whole call, so the raw cube would outlive its use
-    # and add an M*N x B array to the solve's peak.
+    # and add an M*N x B array to the solve's peak.  denoise() also checks
+    # the plane and the rank on the header, before the payload is read.
     result = denoise(args.input, cfg)
+    # Hashed after the checks but before the write, as --output may name
+    # the input.
+    input_sha256 = _sha256(args.input)
     cfg, diags = result.config, result.diagnostics
     write_cube(result.cube, args.output)
     diagnostics_to_jsonl(diags, str(args.output) + ".diag.jsonl")

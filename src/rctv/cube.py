@@ -24,7 +24,7 @@ HSIC_LAYOUT = "bsq-colmajor"
 
 # Guard against absurd headers before allocating the payload buffer.
 MAX_ELEMENTS = 2**31
-# The longest header line read_cube looks through for its terminator.
+# The longest header line read_header looks through for its terminator.
 MAX_HEADER_BYTES = 64 * 1024
 # Bytes in one block of whole image columns that _band_sequential copies at
 # a time; the solver takes the same size, as _TILE_BYTES, for its tiles.
@@ -246,36 +246,45 @@ def write_cube(cube: HsiCube, path) -> None:
         fp.write(payload)
 
 
+def read_header(fp) -> tuple[int, int, int]:
+    """Parse and check the header line of an open binary .hsic stream.
+
+    Returns (height, width, bands) and leaves fp at the first payload byte.
+    """
+    header_line = fp.readline(MAX_HEADER_BYTES)
+    if not header_line.endswith(b"\n"):
+        if len(header_line) == MAX_HEADER_BYTES:
+            raise CubeFormatError("header line too long")
+        raise CubeFormatError("missing header line terminator")
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CubeFormatError(f"malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CubeFormatError("header is not a JSON object")
+    if header.get("magic") != HSIC_MAGIC:
+        raise CubeFormatError(f"bad magic {header.get('magic')!r}")
+    if header.get("dtype") != HSIC_DTYPE:
+        raise CubeFormatError(f"unsupported dtype {header.get('dtype')!r}")
+    if header.get("layout") != HSIC_LAYOUT:
+        raise CubeFormatError(f"unsupported layout {header.get('layout')!r}")
+    for key in ("height", "width", "bands"):
+        # JSON numbers such as 2.9 or 1e400 and true are not dimensions.
+        if type(header.get(key)) is not int:
+            raise CubeFormatError(f"bad dimension field {key}: {header.get(key)!r}")
+    m, n, b = header["height"], header["width"], header["bands"]
+    if m < 1 or n < 1 or b < 1:
+        raise CubeFormatError(f"invalid dimensions {m}x{n}x{b}")
+    if m * n * b > MAX_ELEMENTS:
+        raise CubeFormatError(f"dimension overflow: {m}x{n}x{b}")
+    return m, n, b
+
+
 def read_cube(path) -> HsiCube:
     """Read the native .hsic format written by write_cube."""
     with open(path, "rb") as fp:
-        header_line = fp.readline(MAX_HEADER_BYTES)
-        if not header_line.endswith(b"\n"):
-            if len(header_line) == MAX_HEADER_BYTES:
-                raise CubeFormatError("header line too long")
-            raise CubeFormatError("missing header line terminator")
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CubeFormatError(f"malformed header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise CubeFormatError("header is not a JSON object")
-        if header.get("magic") != HSIC_MAGIC:
-            raise CubeFormatError(f"bad magic {header.get('magic')!r}")
-        if header.get("dtype") != HSIC_DTYPE:
-            raise CubeFormatError(f"unsupported dtype {header.get('dtype')!r}")
-        if header.get("layout") != HSIC_LAYOUT:
-            raise CubeFormatError(f"unsupported layout {header.get('layout')!r}")
-        for key in ("height", "width", "bands"):
-            # JSON numbers such as 2.9 or 1e400 and true are not dimensions.
-            if type(header.get(key)) is not int:
-                raise CubeFormatError(f"bad dimension field {key}: {header.get(key)!r}")
-        m, n, b = header["height"], header["width"], header["bands"]
-        if m < 1 or n < 1 or b < 1:
-            raise CubeFormatError(f"invalid dimensions {m}x{n}x{b}")
+        m, n, b = read_header(fp)
         count = m * n * b
-        if count > MAX_ELEMENTS:
-            raise CubeFormatError(f"dimension overflow: {m}x{n}x{b}")
         payload = fp.read(4 * count)
         if len(payload) < 4 * count:
             raise CubeFormatError(

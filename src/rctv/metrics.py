@@ -6,7 +6,9 @@ PSNR/SSIM peak is 1.  SSIM uses the single-scale Gaussian-window
 form (11x11, sigma 1.5, K1=0.01, K2=0.03) with valid-region averaging; on
 bands too small for the 11-pixel window the window shrinks to the largest
 odd size that fits, and a band under 3x3 is refused with a ValueError
-(rctv metrics exits 2), as no 3-pixel window fits it.  ERGAS is
+(rctv metrics exits 2), as no 3-pixel window fits it.  Each band filters
+four windowed moments, the means of x, y, xy and x^2 + y^2: the SSIM
+denominator needs the two variances only as their sum.  ERGAS is
 100 * sqrt(mean_b(MSE_b / mean_b^2)) over bands with nonzero reference
 mean.  MSAM is reported in radians.
 
@@ -155,11 +157,11 @@ def per_band_ssim(ref: HsiCube, test: HsiCube) -> list[float]:
         x, y = ref.band(b), test.band(b)
         mu_x = rows @ x @ cols.T
         mu_y = rows @ y @ cols.T
-        var_x = rows @ (x * x) @ cols.T - mu_x * mu_x
-        var_y = rows @ (y * y) @ cols.T - mu_y * mu_y
+        mu_sq = mu_x * mu_x + mu_y * mu_y
         cov = rows @ (x * y) @ cols.T - mu_x * mu_y
+        # The variances enter only as their sum, E[x^2 + y^2] - mu_sq.
         ssim_map = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-            (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+            (mu_sq + c1) * (rows @ (x * x + y * y) @ cols.T - mu_sq + c2)
         )
         values.append(float(ssim_map.mean()))
     return values

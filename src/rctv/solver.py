@@ -138,7 +138,7 @@ import numpy as np
 # streaming each whole array from memory once per step.
 from rctv.cube import _BLOCK_BYTES as _TILE_BYTES
 from rctv.cube import HsiCube, casorati_rows, denormalize_bands, normalize_bands
-from rctv.cube import read_cube, unfold_casorati
+from rctv.cube import read_cube, read_header, unfold_casorati
 from rctv.diffops import (
     HORIZONTAL,
     VERTICAL,
@@ -639,8 +639,9 @@ def denoise(source, cfg: DenoiseConfig) -> Denoised:
     """Restore a raw cube: an HsiCube, or the path of an .hsic file.
 
     Checks the plane and the rank (1 for "auto", as the estimate never
-    exceeds the band count), sizes an "auto" rank with estimate_rank on the
-    raw cube's Casorati view, scales each band to [0, 1] with
+    exceeds the band count), on a path's header before its payload is
+    read, sizes an "auto" rank with estimate_rank on the raw cube's
+    Casorati view, scales each band to [0, 1] with
     normalize_bands, copies the result into the C-ordered matrix with
     casorati_rows, runs solve_casorati on it and maps its output back with
     denormalize_bands.  Each input is dropped once it is used, so at most
@@ -649,13 +650,18 @@ def denoise(source, cfg: DenoiseConfig) -> Denoised:
     holder: a cube the caller keeps stays alive through the solve, one more
     M*N x B array, which a path avoids.
     """
+    auto = cfg.rank == "auto"
+    if isinstance(source, HsiCube):
+        dims = source.shape
+    else:
+        with open(source, "rb") as fp:
+            dims = read_header(fp)
+    check_solvable(*dims, 1 if auto else cfg.rank)
     cube = source if isinstance(source, HsiCube) else read_cube(source)
     # Drop the argument's name too, so that del cube frees a cube no
     # caller holds.
     del source
     height, width = cube.height, cube.width
-    auto = cfg.rank == "auto"
-    check_solvable(height, width, cube.bands, 1 if auto else cfg.rank)
     estimate = estimate_rank(unfold_casorati(cube)) if auto else None
     if auto:
         cfg = replace(cfg, rank=estimate.rank)

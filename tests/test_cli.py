@@ -17,6 +17,10 @@ import rctv.cli
 import rctv.solver
 from rctv.cli import bench_cube, build_parser, main, run_bench
 from rctv.cube import (
+    HSIC_DTYPE,
+    HSIC_LAYOUT,
+    HSIC_MAGIC,
+    HsiCube,
     denormalize_bands,
     normalize_bands,
     read_cube,
@@ -572,6 +576,48 @@ class TestDenoise:
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.hsic"]
 
+    @pytest.mark.parametrize(
+        "dims, rank, message",
+        [((1, 8, 4), "2", "plane dims must be >= 2, got 1x8"),
+         ((4, 4, 8), "9", "rank 9 exceeds band count 8")],
+        ids=["flat-plane", "rank-over-bands"],
+    )
+    def test_bad_plane_or_rank_rejected_on_the_header(
+        self, tmp_path, monkeypatch, capsys, dims, rank, message
+    ):
+        # A header with no payload: the rule needs only the dimensions, so
+        # it fails before the payload is hashed or read.
+        m, n, b = dims
+        path = tmp_path / "in.hsic"
+        path.write_text(json.dumps({
+            "magic": HSIC_MAGIC, "height": m, "width": n, "bands": b,
+            "dtype": HSIC_DTYPE, "layout": HSIC_LAYOUT,
+        }) + "\n")
+        reads = []
+        monkeypatch.setattr(rctv.cli, "_sha256", lambda *a: reads.append(a))
+        code = main(["denoise", "--input", str(path), "--output", str(tmp_path / "o.hsic"),
+                     "--rank", rank])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.hsic"]
+
+    def test_all_zero_cube(self, tmp_path, capsys):
+        # HySime has no signal to size on an all-zero cube, so --rank auto
+        # exits 2 and writes nothing; a given rank restores the zeros.
+        path = tmp_path / "zero.hsic"
+        write_cube(HsiCube(8, 8, 4, np.zeros(8 * 8 * 4)), path)
+        code = main(["denoise", "--input", str(path), "--output", str(tmp_path / "auto.hsic"),
+                     "--rank", "auto"])
+        assert code == 2
+        assert "cannot estimate rank of an all-zero matrix" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.hsic"]
+        out = tmp_path / "two.hsic"
+        assert main(["denoise", "--input", str(path), "--output", str(out), "--rank", "2"]) == 0
+        restored = read_cube(out)
+        assert restored.shape == (8, 8, 4)
+        assert np.all(restored.data == 0.0)
+
     def test_missing_output_dir_rejected_before_reading_input(
         self, tmp_path, clean_path, monkeypatch, capsys
     ):
@@ -724,6 +770,16 @@ class TestRankest:
         manifest = json.loads((tmp_path / "auto.hsic.manifest.json").read_text())
         assert manifest["config"]["rank"] == printed
         assert manifest["signal_dims"] == 5 and manifest["rank_bound"] is None
+
+    def test_all_zero_cube_exits_2(self, tmp_path, capsys):
+        # The rule --rank auto uses refuses the cube the same way.
+        path = tmp_path / "zero.hsic"
+        write_cube(HsiCube(8, 8, 4, np.zeros(8 * 8 * 4)), path)
+        assert main(["rankest", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot estimate rank of an all-zero matrix" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.hsic"]
 
     @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
     def test_bad_fraction_rejected_before_reading_input(

@@ -159,6 +159,26 @@ class TestSsim:
         (got,) = per_band_ssim(single_band(a), single_band(b))
         assert abs(got - ssim_oracle(a, b)) <= 1e-12
 
+    def test_matches_oracle_near_constant_bands(self, rng):
+        # Local variances near 1e-8, far below c2 = 9e-4: the windowed
+        # E[x^2 + y^2] - mu_x^2 - mu_y^2 cancels all but the last digits of
+        # about 1.62.
+        a = 0.9 + 1e-4 * rng.standard_normal((13, 12))
+        b = 0.9 + 1e-4 * rng.standard_normal((13, 12))
+        (got,) = per_band_ssim(single_band(a), single_band(b))
+        assert abs(got - ssim_oracle(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["high-low", "low-high"])
+    def test_matches_oracle_unequal_variances(self, rng, swap):
+        # One band's variance about 1e5 times the other's, so the sum of
+        # the two is almost all one of them.
+        a = rng.random((13, 12))
+        b = 0.5 + 1e-3 * rng.standard_normal((13, 12))
+        if swap:
+            a, b = b, a
+        (got,) = per_band_ssim(single_band(a), single_band(b))
+        assert abs(got - ssim_oracle(a, b)) <= 1e-12
+
     @pytest.mark.parametrize("shape", [(128, 96), (13, 12), (8, 8), (4, 7), (3, 3)])
     def test_tap_matrix_correlation_matches_sliding_windows(self, rng, shape):
         img = rng.standard_normal(shape)
