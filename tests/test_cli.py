@@ -3,10 +3,12 @@ import dataclasses
 import hashlib
 import json
 import platform
+import re
 import resource
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,20 @@ def clean_path(tmp_path):
     cube = smooth_rank_cube(16, 16, 8, 3, seed=6)
     path = tmp_path / "clean.hsic"
     write_cube(cube, path)
+    return path
+
+
+@pytest.fixture
+def case_e_path(tmp_path):
+    """A 16x16x8 cube of uniform draws under case e, seed 1.
+
+    README and DenoiseConfig's docstring cite a default run on it.
+    """
+    clean = tmp_path / "uniform.hsic"
+    write_cube(HsiCube(16, 16, 8, np.random.default_rng(0).random(16 * 16 * 8)), clean)
+    path = tmp_path / "case_e.hsic"
+    assert main(["simulate", "--input", str(clean), "--output", str(path),
+                 "--case", "e", "--seed", "1"]) == 0
     return path
 
 
@@ -176,6 +192,24 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["args"]["seed"] == 9
 
+    @pytest.mark.parametrize(
+        "case, profile", [(c, "msi31") for c in "abcdef"] + [("f", "hsi160")]
+    )
+    def test_every_case_replays_from_its_record(self, tmp_path, case, profile):
+        # On a non-square cube, the record of each case and profile alone
+        # reruns the corruption the .hsic file holds.
+        clean_path = tmp_path / "clean.hsic"
+        write_cube(random_cube(12, 20, 8, seed=1), clean_path)
+        out = tmp_path / "noisy.hsic"
+        assert main(["simulate", "--input", str(clean_path), "--output", str(out),
+                     "--case", case, "--profile", profile, "--seed", "3"]) == 0
+        record = NoiseRecord.from_json_obj(
+            json.loads((tmp_path / "noisy.hsic.noise.json").read_text())
+        )
+        assert (record.case, record.profile, record.seed) == (case, profile, 3)
+        again = replay(record, read_cube(clean_path))
+        np.testing.assert_array_equal(again.data.astype(np.float32), read_cube(out).data)
+
     @pytest.mark.parametrize("case", ["b", "f"])
     def test_peak_allocation_is_apply_cases_own(self, tmp_path, case):
         # apply_case needs the clean and the noisy cube; simulate drops the
@@ -235,6 +269,18 @@ class TestDenoise:
         assert all(last[k] <= manifest["config"]["epsilon"]
                    for k in ("fit_res", "split_res1", "split_res2"))
         assert manifest["stop_reason"] == "converged"
+
+    def test_default_run_converges_within_25_iterations(self, tmp_path, case_e_path):
+        # The run README cites for the default schedule's count: 24
+        # iterations, stopped by the rule, not the cap.
+        out = tmp_path / "restored.hsic"
+        assert main(["denoise", "--input", str(case_e_path), "--output", str(out),
+                     "--rank", "2"]) == 0
+        manifest = json.loads((tmp_path / "restored.hsic.manifest.json").read_text())
+        cfg = manifest["config"]
+        assert (cfg["mu0"], cfg["rho"], cfg["tau"]) == (0.01, 1.5, 0.01)
+        assert manifest["stop_reason"] == "converged"
+        assert manifest["iterations"] <= 25
 
     def test_manifest_records_sparse_onset_and_peak_rss(self, tmp_path, clean_path):
         noisy_path = tmp_path / "noisy.hsic"
@@ -344,11 +390,11 @@ class TestDenoise:
         assert manifest["signal_dims"] is None and manifest["rank_bound"] is None
 
     @pytest.mark.parametrize("max_iter", [5, None], ids=["max_iter5", "converged"])
-    def test_output_is_the_library_quick_start(self, tmp_path, clean_path, max_iter):
-        # The CLI's denoise() copies normalize_bands' output with
-        # casorati_rows and calls solve_casorati; the library path hands
-        # normalize_bands' output to solve().  The written bytes must agree,
-        # also through a converged run in which S goes live mid-run.
+    def test_output_is_solve_on_the_normalized_cube(self, tmp_path, clean_path, max_iter):
+        # solve() on normalize_bands' output, mapped back with
+        # denormalize_bands, writes the bytes of rctv denoise, which solves
+        # the same cube through casorati_rows and solve_casorati; also
+        # through a converged run in which S goes live mid-run.
         noisy_path = tmp_path / "noisy.hsic"
         main(["simulate", "--input", str(clean_path), "--output", str(noisy_path),
               "--case", "e", "--seed", "1"])
@@ -367,6 +413,22 @@ class TestDenoise:
         restored, _ = solve(normalized, cfg)
         write_cube(denormalize_bands(restored, rec), tmp_path / "lib.hsic")
         assert out.read_bytes() == (tmp_path / "lib.hsic").read_bytes()
+
+    def test_readme_quick_start_is_the_command(self, tmp_path, case_e_path):
+        # README's one python block, run on the input as an (M, N, B) array,
+        # writes the bytes of rctv denoise at the settings it names.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1, len(blocks)
+        out = tmp_path / "cli.hsic"
+        assert main(["denoise", "--input", str(case_e_path), "--output", str(out),
+                     "--rank", "auto", "--tau", "0.3"]) == 0
+        noisy = read_cube(case_e_path)
+        mnb = noisy.data.reshape(noisy.bands, noisy.width, noisy.height).transpose(2, 1, 0)
+        namespace = {"my_mnb_array": mnb}
+        exec(blocks[0], namespace)
+        write_cube(namespace["result"], tmp_path / "readme.hsic")
+        assert (tmp_path / "readme.hsic").read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("rank", ["auto", "2"])
     def test_library_denoise_is_the_command(self, tmp_path, clean_path, rank):
@@ -704,6 +766,12 @@ class TestMetricsCommand:
         report = json.loads((tmp_path / "rep.json").read_text())
         assert 5.0 < report["mpsnr"] < 30.0
         assert len(report["per_band_psnr"]) == 8
+        # The CSV row holds the JSON's values, and mpsnr is the band mean.
+        header, row = (tmp_path / "rep.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), map(float, row.split(",")))) == {
+            k: report[k] for k in ("mpsnr", "mssim", "ergas", "msam", "wall_ms")
+        }
+        assert report["mpsnr"] == float(np.mean(report["per_band_psnr"]))
 
     def test_base_may_name_a_directory(self, tmp_path, clean_path):
         # --output is a base name: a directory "rep" gets rep.json beside it.
@@ -1083,9 +1151,17 @@ def test_empty_output_rejected_before_heavy_work(
         ]
 
 
-def test_console_entry_point():
-    out = subprocess.run(
-        [sys.executable, "-m", "rctv.cli", "--version"],
-        capture_output=True, text=True, check=True,
-    )
+def test_console_entry_point(tmp_path):
+    # Run as a script, the module exits with main's status: 0, and 2 for a
+    # setting DenoiseConfig refuses, before the missing input is read.
+    cli = [sys.executable, "-m", "rctv.cli"]
+    out = subprocess.run(cli + ["--version"], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0.1.0"
+    refused = subprocess.run(
+        cli + ["denoise", "--input", str(tmp_path / "missing.hsic"),
+               "--output", str(tmp_path / "o.hsic"), "--rank", "2", "--beta", "0"],
+        capture_output=True, text=True,
+    )
+    assert refused.returncode == 2
+    assert "beta" in refused.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -43,15 +43,20 @@ def psnr_oracle(ref, test):
 
 
 def ssim_oracle(ref, test):
+    # Accumulated in np.longdouble (80-bit on x86-64), so that its own
+    # cancellation of E[x^2] - mu^2 on near-constant bands stays well below
+    # the 1e-12 bounds the float64 per_band_ssim is held to.
     m, n = ref.shape
     win = effective_ssim_window(m, n)
-    taps = gaussian_window(win, 1.5)
-    c1 = 0.01**2
-    c2 = 0.03**2
+    taps = gaussian_window(win, 1.5).astype(np.longdouble)
+    ref = np.asarray(ref, dtype=np.longdouble)
+    test = np.asarray(test, dtype=np.longdouble)
+    c1 = np.longdouble(0.01**2)
+    c2 = np.longdouble(0.03**2)
     values = []
     for i0 in range(m - win + 1):
         for j0 in range(n - win + 1):
-            mx = my = xx = yy = xy = 0.0
+            mx = my = xx = yy = xy = np.longdouble(0.0)
             for a in range(win):
                 for b in range(win):
                     w = taps[a] * taps[b]
